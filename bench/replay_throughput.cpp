@@ -3,15 +3,9 @@
 // through every registered scheme from the offline monitor vantage.
 //
 // stdout carries only the deterministic scorecard (byte-identical for any
-// --jobs and any --pipeline); wall-clock throughput goes to stderr, the
-// sweep artifact (--out, default replay_throughput.runs.json), and the
-// BENCH_replay_throughput.json perf-trajectory point.
-//
-// --pipeline N adds a second, pipelined pass (prime-stage workers feeding
-// the scheme lanes): the bench self-checks that its scorecard matches the
-// single-thread pass field for field, then records the pipelined wall time
-// and per-scheme frames/sec in a separate trajectory "pipeline" object —
-// the CI budget gate keys on the single-thread rows either way.
+// --jobs); wall-clock throughput goes to stderr, the sweep artifact (--out,
+// default replay_throughput.runs.json), and the BENCH_replay_throughput.json
+// perf-trajectory point.
 
 #include <cstdio>
 #include <fstream>
@@ -22,7 +16,6 @@
 #include "exp/bench_main.hpp"
 #include "replay/engine.hpp"
 #include "replay/source.hpp"
-#include "telemetry/metrics.hpp"
 
 using namespace arpsec;
 
@@ -55,51 +48,11 @@ int main(int argc, char** argv) {
     const replay::Engine engine{registry};
     const auto outcomes = engine.run_all(trace.value(), schemes, opt.jobs);
     const double wall = watch.elapsed_seconds();
-    std::size_t failures = exp::report_case_failures("replay_throughput", outcomes);
+    const std::size_t failures = exp::report_case_failures("replay_throughput", outcomes);
 
     std::vector<replay::SchemeScore> scores;
     for (const auto& o : outcomes) {
         if (!o.failed) scores.push_back(o.value);
-    }
-
-    // Optional pipelined pass: same trace, same schemes, priming overlapped
-    // with evaluation. The scorecards must agree exactly (the determinism
-    // contract); a mismatch is a bench failure, not a perf data point.
-    std::vector<replay::SchemeScore> piped_scores;
-    double piped_wall = 0.0;
-    if (opt.pipeline > 0) {
-        replay::PipelineOptions pipe;
-        pipe.workers = opt.pipeline;
-        pipe.batch_frames = opt.batch_frames;
-        telemetry::MetricsRegistry pipe_metrics;
-        common::Stopwatch piped_watch;
-        const auto piped =
-            engine.run_all(trace.value(), schemes, opt.jobs, pipe, &pipe_metrics);
-        piped_wall = piped_watch.elapsed_seconds();
-        failures += exp::report_case_failures("replay_throughput[pipelined]", piped);
-        for (const auto& o : piped) {
-            if (!o.failed) piped_scores.push_back(o.value);
-        }
-        for (std::size_t i = 0; i < scores.size() && i < piped_scores.size(); ++i) {
-            const auto& a = scores[i];
-            const auto& b = piped_scores[i];
-            if (a.scheme != b.scheme || a.frames != b.frames || a.malformed != b.malformed ||
-                a.alerts != b.alerts || a.true_positive_alerts != b.true_positive_alerts ||
-                a.false_positive_alerts != b.false_positive_alerts ||
-                a.detected_attacks != b.detected_attacks) {
-                std::fprintf(stderr,
-                             "[bench] replay_throughput: pipelined scorecard diverges for "
-                             "'%s' — determinism contract violated\n",
-                             a.scheme.c_str());
-                ++failures;
-            }
-        }
-        std::fprintf(stderr,
-                     "[bench] pipeline: workers=%zu batch=%zu ring-highwater=%lld\n",
-                     pipe.workers, pipe.batch_frames,
-                     static_cast<long long>(
-                         pipe_metrics.gauge("replay.pipeline.ring_occupancy_highwater")
-                             .high_water()));
     }
 
     core::TextTable table("Replay throughput — every scheme vs one labeled trace");
@@ -120,13 +73,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "[bench] replay_throughput: %zu frames x %zu schemes in %.2f s\n",
                  trace.value().frames.size(), scores.size(), wall);
-    if (opt.pipeline > 0) {
-        std::fprintf(stderr,
-                     "[bench] replay_throughput[pipelined]: %zu frames x %zu schemes in "
-                     "%.2f s (%.2fx vs single-thread prime)\n",
-                     trace.value().frames.size(), piped_scores.size(), piped_wall,
-                     piped_wall > 0.0 ? wall / piped_wall : 0.0);
-    }
 
     exp::SweepArtifact artifact("replay_throughput");
     artifact.set_meta("trace_frames",
@@ -151,26 +97,6 @@ int main(int argc, char** argv) {
         rows.push_back(std::move(row));
     }
     traj["schemes"] = std::move(rows);
-    if (opt.pipeline > 0) {
-        // Separate object so the budget gate (which aggregates the
-        // single-thread rows above) is untouched; this is the pipelined
-        // trajectory for run-over-run speedup comparison.
-        telemetry::Json pj = telemetry::Json::object();
-        pj["workers"] = static_cast<std::uint64_t>(opt.pipeline);
-        pj["batch_frames"] = static_cast<std::uint64_t>(opt.batch_frames);
-        pj["wall_seconds_single"] = wall;
-        pj["wall_seconds_pipelined"] = piped_wall;
-        pj["speedup"] = piped_wall > 0.0 ? wall / piped_wall : 0.0;
-        telemetry::Json prow_list = telemetry::Json::array();
-        for (const auto& s : piped_scores) {
-            telemetry::Json row = telemetry::Json::object();
-            row["scheme"] = s.scheme;
-            row["frames_per_second"] = s.frames_per_second;
-            prow_list.push_back(std::move(row));
-        }
-        pj["schemes"] = std::move(prow_list);
-        traj["pipeline"] = std::move(pj);
-    }
     {
         std::ofstream out{kTrajectoryPath};
         if (out) {

@@ -12,10 +12,10 @@ namespace arpsec::common {
 /// Exactly one thread may call the push side and exactly one thread the pop
 /// side; under that contract every operation is lock-free (one relaxed load,
 /// one acquire load, one release store per call) and the queue delivers
-/// items in strict FIFO order. The replay pipeline uses one ring per prime
-/// worker (producer: the worker, consumer: the frontier collector), and the
-/// bounded capacity is what gives the pipeline backpressure: a producer
-/// whose ring is full cannot run unboundedly ahead of the consumer.
+/// items in strict FIFO order. The serve intake->shard hop uses one ring per
+/// shard (producer: the intake thread, consumer: the shard worker), and the
+/// bounded capacity is what gives serving its backpressure: an intake whose
+/// ring is full cannot run unboundedly ahead of the shard.
 ///
 /// Capacity is rounded up to a power of two so index wrapping is a mask,
 /// and one slot is sacrificed to distinguish full from empty — a ring asked
@@ -23,7 +23,7 @@ namespace arpsec::common {
 ///
 /// T must be default-constructible and movable. This lives in common/ by
 /// design (see the no-threads-in-sim lint rule): the ring itself spawns no
-/// threads and takes no locks; only src/exp/ and src/replay/ may put
+/// threads and takes no locks; only src/exp/ and src/serve/ may put
 /// threads on either end.
 template <typename T>
 class SpscRing {
@@ -66,8 +66,8 @@ public:
 
     /// Item count. Exact from the producer or consumer thread between its
     /// own operations; a snapshot (may be stale by in-flight operations)
-    /// from anywhere else. The pipeline samples this after each push for
-    /// its occupancy high-water gauge.
+    /// from anywhere else. Shard::queue_depth() samples this for the serve
+    /// queue-depth gauge.
     [[nodiscard]] std::size_t size() const {
         const std::size_t head = head_.load(std::memory_order_acquire);
         const std::size_t tail = tail_.load(std::memory_order_acquire);

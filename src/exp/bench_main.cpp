@@ -12,15 +12,12 @@ namespace {
 [[noreturn]] void usage(const char* prog, int code) {
     std::FILE* out = code == 0 ? stdout : stderr;
     std::fprintf(out,
-                 "usage: %s [--jobs N] [--smoke] [--out FILE] [--pipeline N] [--batch B] [FILE]\n"
+                 "usage: %s [--jobs N] [--smoke] [--out FILE] [FILE]\n"
                  "  --jobs N     worker threads for the sweep (default 1; output is\n"
                  "               byte-identical for every N)\n"
                  "  --smoke      tiny fast variant for ctest (2 hosts, 12s window)\n"
                  "  --out FILE   write the arpsec.sweep-artifact.v1 JSON to FILE\n"
-                 "               (a bare positional FILE is accepted too)\n"
-                 "  --pipeline N replay prime-stage workers (default 0 = synchronous;\n"
-                 "               output is byte-identical for every N)\n"
-                 "  --batch B    frames per replay pipeline batch (default 1024)\n",
+                 "               (a bare positional FILE is accepted too)\n",
                  prog);
     std::exit(code);
 }
@@ -44,19 +41,6 @@ BenchOptions parse_bench_args(int argc, char** argv) {
         const std::string_view arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
             opt.jobs = parse_count(prog, argv[++i]);
-        } else if (arg == "--pipeline" && i + 1 < argc) {
-            // 0 is meaningful here (synchronous priming), so bypass
-            // parse_count's zero rejection.
-            const char* text = argv[++i];
-            char* end = nullptr;
-            const unsigned long v = std::strtoul(text, &end, 10);
-            if (end == text || *end != '\0') {
-                std::fprintf(stderr, "%s: bad count '%s'\n", prog, text);
-                std::exit(2);
-            }
-            opt.pipeline = static_cast<std::size_t>(v);
-        } else if (arg == "--batch" && i + 1 < argc) {
-            opt.batch_frames = parse_count(prog, argv[++i]);
         } else if (arg == "--smoke") {
             opt.smoke = true;
         } else if (arg == "--out" && i + 1 < argc) {

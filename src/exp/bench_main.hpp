@@ -18,17 +18,11 @@ struct BenchOptions {
     std::size_t jobs = 1;
     bool smoke = false;          // ctest smoke variant: tiny net, short run
     std::string artifact_path;   // --out FILE (or positional, legacy)
-    /// Replay-pipeline prime workers (--pipeline N; 0 = synchronous).
-    /// Only the replay bench consumes these; other benches ignore them.
-    std::size_t pipeline = 0;
-    /// Frames per pipeline batch (--batch B).
-    std::size_t batch_frames = 1024;
 };
 
-/// Parses --jobs N / --smoke / --out FILE / --pipeline N / --batch B plus
-/// one optional positional artifact path (kept for callers of the
-/// pre-engine benches, e.g. `fig3_detection_latency f3.runs.json`). Exits
-/// on --help or bad usage.
+/// Parses --jobs N / --smoke / --out FILE plus one optional positional
+/// artifact path (kept for callers of the pre-engine benches, e.g.
+/// `fig3_detection_latency f3.runs.json`). Exits on --help or bad usage.
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);
 
 /// Shrinks a scenario to smoke proportions: 2 hosts, 12 s simulated with

@@ -188,16 +188,13 @@ void check_determinism(const FileContext& ctx, std::vector<Violation>& out) {
 
 void check_no_threads(const FileContext& ctx, std::vector<Violation>& out) {
     if (ctx.module == "exp") return;
-    // The replay pipeline (prime workers + frontier collector) is the other
-    // sanctioned concurrency site: determinism is preserved by construction
-    // (docs/REPLAY.md, pipeline determinism contract), and the SPSC ring it
-    // rides on lives in common/ring.* (atomics only — no threads, no locks).
-    if (ctx.module == "replay") return;
     // The streaming service is inherently concurrent (intake thread, shard
     // workers, alert drain — docs/SERVING.md). Its threads never enter sim
     // code: each SchemeSession stays confined to one worker.
     if (ctx.module == "serve") return;
     if (ctx.path.find("common/log.") != std::string_view::npos) return;
+    // The SPSC ring behind the serve intake->shard hop: atomics only, no
+    // threads, no locks.
     if (ctx.path.find("common/ring.") != std::string_view::npos) return;
     for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
         const std::string_view code = ctx.code_lines[i];
@@ -222,7 +219,7 @@ void check_no_threads(const FileContext& ctx, std::vector<Violation>& out) {
                        "'" + offender +
                            "' introduces concurrency outside the sanctioned sites; the "
                            "simulation must stay single-threaded per seed (threads only in "
-                           "src/exp/, src/replay/ and src/serve/, locking only in "
+                           "src/exp/ and src/serve/, locking only in "
                            "common/log.*, lock-free ring only in common/ring.*)",
                        std::string{trim(ctx.raw_lines[i])}});
     }

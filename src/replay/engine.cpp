@@ -51,19 +51,6 @@ common::Expected<SchemeScore> Engine::run(const LabeledTrace& trace,
 common::Expected<SchemeScore> Engine::run(const LabeledTrace& trace,
                                           std::span<const wire::FrameView> views,
                                           const std::string& scheme_name) const {
-    return run_impl(trace, views, scheme_name, nullptr);
-}
-
-common::Expected<SchemeScore> Engine::run(const LabeledTrace& trace, const Pipeline& pipeline,
-                                          const std::string& scheme_name) const {
-    return run_impl(trace, std::span<const wire::FrameView>(pipeline.views()), scheme_name,
-                    &pipeline);
-}
-
-common::Expected<SchemeScore> Engine::run_impl(const LabeledTrace& trace,
-                                               std::span<const wire::FrameView> views,
-                                               const std::string& scheme_name,
-                                               const Pipeline* gate) const {
     using Result = common::Expected<SchemeScore>;
     if (views.size() != trace.frames.size()) {
         return Result::failure("replay: views/frames size mismatch");
@@ -91,21 +78,9 @@ common::Expected<SchemeScore> Engine::run_impl(const LabeledTrace& trace,
     // few frames ahead hides the streaming miss for every scheme.
     constexpr std::size_t kPrefetchAhead = 8;
 
-    // Ungated, every view is primed and readable up front. Behind a
-    // pipeline gate, only frames below the priming frontier are safe to
-    // touch — reads wait at batch boundaries, and prefetch (which is just a
-    // cache hint, not a synchronization point) clamps to the same bound so
-    // it never races a prime worker writing the view slot.
-    const std::size_t batch_frames = gate != nullptr ? gate->batch_frames() : 0;
-    std::size_t ready = gate != nullptr ? gate->ready_frames() : views.size();
-
     common::Stopwatch watch;
     for (std::size_t i = 0; i < trace.frames.size(); ++i) {
-        if (i >= ready) {
-            gate->wait_batch(i / batch_frames);
-            ready = gate->ready_frames();
-        }
-        if (i + kPrefetchAhead < ready) views[i + kPrefetchAhead].prefetch();
+        if (i + kPrefetchAhead < views.size()) views[i + kPrefetchAhead].prefetch();
         const TraceFrame& f = trace.frames[i];
         session.feed(f.at, views[i]);
     }
@@ -166,25 +141,6 @@ std::vector<exp::Outcome<SchemeScore>> Engine::run_all(const LabeledTrace& trace
         if (!result.ok()) throw std::runtime_error(result.error());
         return std::move(result).value();
     });
-}
-
-std::vector<exp::Outcome<SchemeScore>> Engine::run_all(
-    const LabeledTrace& trace, const std::vector<std::string>& schemes, std::size_t jobs,
-    const PipelineOptions& pipeline_options, telemetry::MetricsRegistry* pipeline_metrics) const {
-    if (pipeline_options.workers == 0) return run_all(trace, schemes, jobs);
-    // Priming overlaps evaluation: lanes start consuming batch 0 while the
-    // prime workers are still parsing the tail of the trace. Lane outputs
-    // depend only on the (deterministic) memo contents and the unchanged
-    // iteration order, so scores are byte-identical to the ungated path.
-    Pipeline pipeline(trace, pipeline_options);
-    auto results = exp::map_indexed<SchemeScore>(schemes.size(), jobs, [&](std::size_t i) {
-        auto result = run(trace, pipeline, schemes[i]);
-        if (!result.ok()) throw std::runtime_error(result.error());
-        return std::move(result).value();
-    });
-    pipeline.join();
-    if (pipeline_metrics != nullptr) pipeline.export_metrics(*pipeline_metrics);
-    return results;
 }
 
 Json Engine::artifact(const LabeledTrace& trace, const std::vector<SchemeScore>& scores,

@@ -9,7 +9,7 @@
 #include "common/time.hpp"
 #include "detect/registry.hpp"
 #include "exp/executor.hpp"
-#include "replay/pipeline.hpp"
+#include "replay/session.hpp"
 #include "replay/trace.hpp"
 #include "telemetry/json.hpp"
 #include "wire/frame.hpp"
@@ -22,7 +22,7 @@ struct EngineOptions {
     /// follows it within the same window.
     common::Duration match_window = common::Duration::seconds(1);
     /// Extra virtual time after the last frame so delayed alerts land.
-    common::Duration grace = common::Duration::seconds(2);
+    common::Duration grace = kDefaultGrace;
     /// Measure wall clock and report frames/sec. Timing is inherently
     /// nondeterministic; turn it off when output must be byte-identical
     /// (wall_seconds and frames_per_second then report as 0).
@@ -85,16 +85,6 @@ public:
                                                     std::span<const wire::FrameView> views,
                                                     const std::string& scheme) const;
 
-    /// Pipelined lane: consumes `pipeline.views()` gated on the priming
-    /// frontier — the scoring loop waits at batch boundaries until the
-    /// prime stage has published the batch, then proceeds exactly as the
-    /// span overload does. Gating changes only *when* a view is first read,
-    /// never what it contains, so the score is byte-identical to the
-    /// ungated overloads.
-    [[nodiscard]] common::Expected<SchemeScore> run(const LabeledTrace& trace,
-                                                    const Pipeline& pipeline,
-                                                    const std::string& scheme) const;
-
     /// Fans schemes out over exp::map_indexed; scores come back in input
     /// order, so reports are byte-identical for every `jobs` value. The
     /// trace is parsed into shared views once, up front — every scheme and
@@ -103,35 +93,12 @@ public:
         const LabeledTrace& trace, const std::vector<std::string>& schemes,
         std::size_t jobs) const;
 
-    /// Pipelined sweep: overlaps FrameView priming with scheme evaluation.
-    /// With `pipeline.workers == 0` this delegates to the synchronous
-    /// run_all above (prime everything, then fan out). Otherwise a Pipeline
-    /// primes batches on worker threads while evaluation lanes consume them
-    /// in order behind the frontier. Scores and artifacts are byte-identical
-    /// either way; only wall time differs. When `pipeline_metrics` is
-    /// non-null and the pipeline ran threaded, its observability counters
-    /// (replay.pipeline.*) are exported there after the lanes join — they
-    /// are timing-dependent and must never feed per-run artifacts.
-    [[nodiscard]] std::vector<exp::Outcome<SchemeScore>> run_all(
-        const LabeledTrace& trace, const std::vector<std::string>& schemes, std::size_t jobs,
-        const PipelineOptions& pipeline,
-        telemetry::MetricsRegistry* pipeline_metrics = nullptr) const;
-
     /// Builds the arpsec.replay-artifact.v1 envelope for a finished run.
     [[nodiscard]] static telemetry::Json artifact(const LabeledTrace& trace,
                                                   const std::vector<SchemeScore>& scores,
                                                   const std::string& producer);
 
 private:
-    /// The one scoring loop behind every run() overload. `gate == nullptr`
-    /// means all views are already primed (the pre-pipeline path); a
-    /// non-null gate bounds both reads and prefetches to the primed
-    /// frontier, waiting at batch boundaries.
-    [[nodiscard]] common::Expected<SchemeScore> run_impl(const LabeledTrace& trace,
-                                                         std::span<const wire::FrameView> views,
-                                                         const std::string& scheme,
-                                                         const Pipeline* gate) const;
-
     const detect::Registry* registry_;
     EngineOptions options_;
 };

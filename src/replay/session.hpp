@@ -15,6 +15,12 @@
 
 namespace arpsec::replay {
 
+/// Virtual time run past the last frame so delayed alerts (probe timeouts,
+/// gossip rounds) land. The one default behind both the offline engine
+/// (EngineOptions::grace) and the serve shards (ServerOptions::grace), so a
+/// served stream and its offline replay score the same alerts.
+inline constexpr common::Duration kDefaultGrace = common::Duration::seconds(2);
+
 struct SessionOptions {
     /// Simulation seed; callers coerce 0 to 1 (sim::Network rejects 0).
     std::uint64_t seed = 1;

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <mutex>
@@ -59,30 +60,31 @@ common::Expected<bool> Server::build_shards(std::uint64_t seed,
     }
 
     if (restored != nullptr && restored->shard_states.is_array()) {
+        const Result malformed = Result::failure("snapshot: malformed shard state");
         for (const telemetry::Json& state : restored->shard_states.as_array()) {
             const telemetry::Json* idx = state.find("shard");
-            if (idx == nullptr || !idx->is_int()) continue;
+            if (idx == nullptr || !idx->is_int()) return malformed;
             const auto shard_index = static_cast<std::size_t>(idx->as_int());
             if (shard_index >= shards_.size()) {
                 return Result::failure("snapshot: shard index out of range");
             }
             Shard& shard = *shards_[shard_index];
             const telemetry::Json* sessions = state.find("sessions");
-            if (sessions == nullptr || !sessions->is_array()) continue;
+            if (sessions == nullptr || !sessions->is_array()) return malformed;
             for (const telemetry::Json& sess : sessions->as_array()) {
                 const telemetry::Json* scheme_name = sess.find("scheme");
-                if (scheme_name == nullptr || !scheme_name->is_string()) continue;
-                for (std::size_t s = 0; s < shard.session_count(); ++s) {
-                    if (shard.scheme_names()[s] != scheme_name->as_string()) continue;
-                    replay::SchemeSession& session = shard.session(s);
-                    if (const telemetry::Json* st = sess.find("state"); st != nullptr) {
-                        session.scheme().restore_state(*st);
-                    }
-                    if (const telemetry::Json* now = sess.find("now_ns");
-                        now != nullptr && now->is_int()) {
-                        session.advance_to(common::SimTime{now->as_int()});
-                    }
-                    break;
+                if (scheme_name == nullptr || !scheme_name->is_string()) return malformed;
+                const auto& names = shard.scheme_names();
+                const auto it = std::find(names.begin(), names.end(), scheme_name->as_string());
+                if (it == names.end()) return malformed;
+                replay::SchemeSession& session =
+                    shard.session(static_cast<std::size_t>(it - names.begin()));
+                if (const telemetry::Json* st = sess.find("state"); st != nullptr) {
+                    session.scheme().restore_state(*st);
+                }
+                if (const telemetry::Json* now = sess.find("now_ns");
+                    now != nullptr && now->is_int()) {
+                    session.advance_to(common::SimTime{now->as_int()});
                 }
             }
         }

@@ -10,6 +10,7 @@
 #include "common/time.hpp"
 #include "detect/alert.hpp"
 #include "detect/registry.hpp"
+#include "replay/session.hpp"
 #include "serve/shard.hpp"
 #include "serve/transport.hpp"
 #include "telemetry/json.hpp"
@@ -35,8 +36,8 @@ struct ServerOptions {
     /// admitted-frame loss); true = count and drop instead.
     bool drop_when_full = false;
     /// Virtual-time grace window run after a clean END record so delayed
-    /// alerts (probe timeouts) land — the same knob arpsec-replay uses.
-    common::Duration grace = common::Duration::seconds(5);
+    /// alerts (probe timeouts) land — the same default arpsec-replay uses.
+    common::Duration grace = replay::kDefaultGrace;
     /// Per-read timeout. <0 blocks forever; >=0 bounds each read so the
     /// stop flag and the idle clock are polled.
     int read_timeout_ms = -1;

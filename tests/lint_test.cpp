@@ -79,6 +79,9 @@ TEST(LintNoThreadsTest, FlagsThreadHeadersOutsideExp) {
                          "no-threads-in-sim"));
     EXPECT_TRUE(has_rule(run("bench/bad.cpp", "#include <future>\n"),
                          "no-threads-in-sim"));
+    // Replay reaches threads only through exp::map_indexed.
+    EXPECT_TRUE(has_rule(run("src/replay/x.cpp", "#include <thread>\n"),
+                         "no-threads-in-sim"));
 }
 
 TEST(LintNoThreadsTest, FlagsConcurrencySpellings) {
@@ -101,18 +104,7 @@ TEST(LintNoThreadsTest, AllowsSweepExecutorAndLogger) {
                     .empty());
 }
 
-TEST(LintNoThreadsTest, AllowsReplayPipelineAndRing) {
-    // The replay pipeline's prime workers and frontier collector are a
-    // sanctioned concurrency site (deterministic by construction).
-    EXPECT_TRUE(run("src/replay/pipeline.cpp",
-                    "#include <thread>\n"
-                    "std::thread t{work};\n")
-                    .empty());
-    EXPECT_TRUE(run("src/replay/pipeline.hpp",
-                    "#pragma once\n"
-                    "#include <thread>\n"
-                    "std::vector<std::thread> threads_;\n")
-                    .empty());
+TEST(LintNoThreadsTest, AllowsRing) {
     // The SPSC ring is atomics-only but lives on the exemption list so its
     // documentation and future lock-free additions don't trip token scans.
     EXPECT_TRUE(run("src/common/ring.hpp",
@@ -122,10 +114,10 @@ TEST(LintNoThreadsTest, AllowsReplayPipelineAndRing) {
                     .empty());
 }
 
-TEST(LintNoThreadsTest, ReplayExemptionDoesNotLeakToNeighbors) {
-    // Only src/replay/ and the named common files are exempt: sim stays
-    // flagged, and so does a hypothetical common/ring_utils.cpp that does
-    // not match the common/ring.* path pin.
+TEST(LintNoThreadsTest, RingExemptionDoesNotLeakToNeighbors) {
+    // Only the named common files are exempt: sim stays flagged, and so
+    // does a hypothetical common/ring_utils.cpp that does not match the
+    // common/ring.* path pin.
     EXPECT_TRUE(has_rule(run("src/sim/bad.cpp", "std::thread t{work};\n"),
                          "no-threads-in-sim"));
     EXPECT_TRUE(has_rule(run("src/common/buffer.cpp", "#include <thread>\n"),
@@ -142,7 +134,7 @@ TEST(LintNoThreadsTest, IgnoresProseAndLookalikes) {
 
 TEST(LintNoThreadsTest, AllowsServeWorkers) {
     // The serving shards and their drain thread are a sanctioned
-    // concurrency site, like the sweep executor and replay pipeline.
+    // concurrency site, like the sweep executor.
     EXPECT_TRUE(run("src/serve/shard.cpp",
                     "#include <thread>\n"
                     "#include <atomic>\n"

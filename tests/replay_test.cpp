@@ -364,151 +364,6 @@ TEST(EngineTest, RunAllIsIdenticalForAnyJobsValue) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pipeline: stage-parallel priming must be invisible in the output
-// ---------------------------------------------------------------------------
-
-TEST(PipelineTest, SynchronousModePrimesEverythingUpFront) {
-    const LabeledTrace trace = load_small();
-    Pipeline pipeline{trace, PipelineOptions{}};  // workers = 0
-    EXPECT_EQ(pipeline.views().size(), trace.frames.size());
-    EXPECT_EQ(pipeline.ready_frames(), trace.frames.size());
-    // Everything was primed inline: views are immediately readable.
-    for (const auto& v : pipeline.views()) v.prime();
-}
-
-TEST(PipelineTest, ThreadedPrimingPublishesEveryBatchInOrder) {
-    const LabeledTrace trace = load_small();
-    PipelineOptions opts;
-    opts.workers = 3;
-    opts.batch_frames = 64;  // force many batches and real ring traffic
-    opts.ring_slots = 2;     // tiny rings: exercise backpressure
-    Pipeline pipeline{trace, opts};
-    // wait_batch on the last batch blocks until the frontier passes it.
-    ASSERT_GT(pipeline.batch_count(), 1u);
-    pipeline.wait_batch(pipeline.batch_count() - 1);
-    EXPECT_EQ(pipeline.ready_frames(), trace.frames.size());
-    pipeline.join();
-    // Views primed on worker threads are readable (and memoized) here.
-    std::size_t ok = 0;
-    for (const auto& v : pipeline.views()) {
-        if (v.ok()) ++ok;
-    }
-    EXPECT_GT(ok, 0u);
-    telemetry::MetricsRegistry metrics;
-    pipeline.export_metrics(metrics);
-    EXPECT_EQ(metrics.counter("replay.pipeline.batches").value(), pipeline.batch_count());
-    EXPECT_EQ(metrics.counter("replay.pipeline.frames_primed").value(),
-              trace.frames.size());
-    EXPECT_GE(metrics.gauge("replay.pipeline.ring_occupancy_highwater").high_water(), 1);
-}
-
-TEST(PipelineTest, GatedRunMatchesUngatedRunExactly) {
-    const LabeledTrace trace = load_small();
-    const detect::Registry registry;
-    EngineOptions opts;
-    opts.timing = false;
-    const Engine engine{registry, opts};
-
-    const auto ungated = engine.run(trace, "arpwatch");
-    ASSERT_TRUE(ungated.ok()) << ungated.error();
-
-    PipelineOptions popts;
-    popts.workers = 2;
-    popts.batch_frames = 50;
-    Pipeline pipeline{trace, popts};
-    const auto gated = engine.run(trace, pipeline, "arpwatch");
-    ASSERT_TRUE(gated.ok()) << gated.error();
-
-    EXPECT_EQ(ungated->to_json().dump(2), gated->to_json().dump(2));
-}
-
-TEST(PipelineTest, RunAllIsIdenticalForAnyPipelineAndJobsValue) {
-    const LabeledTrace trace = load_small();
-    const detect::Registry registry;
-    EngineOptions opts;
-    opts.timing = false;
-    const Engine engine{registry, opts};
-    const std::vector<std::string> schemes{"none", "arpwatch", "snort-arpspoof",
-                                           "static-entries", "dai"};
-
-    // Reference: the synchronous path (prime everything, then fan out).
-    const auto reference = engine.run_all(trace, schemes, 1);
-    ASSERT_EQ(reference.size(), schemes.size());
-
-    // The determinism contract, swept across pipeline shapes: worker count,
-    // batch size (including one not dividing the trace length, and one
-    // larger than the whole trace), ring depth, and lane fan-out must all
-    // be invisible in the scores.
-    struct Shape {
-        std::size_t workers, batch, rings, jobs;
-    };
-    const Shape shapes[] = {
-        {1, 64, 2, 1}, {2, 50, 2, 2}, {3, 33, 1, 4}, {2, 100000, 4, 2}, {4, 1, 8, 2},
-    };
-    for (const Shape& shape : shapes) {
-        SCOPED_TRACE("workers=" + std::to_string(shape.workers) +
-                     " batch=" + std::to_string(shape.batch) +
-                     " rings=" + std::to_string(shape.rings) +
-                     " jobs=" + std::to_string(shape.jobs));
-        PipelineOptions popts;
-        popts.workers = shape.workers;
-        popts.batch_frames = shape.batch;
-        popts.ring_slots = shape.rings;
-        const auto piped = engine.run_all(trace, schemes, shape.jobs, popts);
-        ASSERT_EQ(piped.size(), schemes.size());
-        for (std::size_t i = 0; i < schemes.size(); ++i) {
-            ASSERT_FALSE(piped[i].failed) << piped[i].error;
-            EXPECT_EQ(reference[i].value.to_json().dump(2), piped[i].value.to_json().dump(2))
-                << schemes[i];
-        }
-    }
-}
-
-TEST(PipelineTest, PipelinedRunAllExportsTelemetry) {
-    const LabeledTrace trace = load_small();
-    const detect::Registry registry;
-    EngineOptions opts;
-    opts.timing = false;
-    const Engine engine{registry, opts};
-    PipelineOptions popts;
-    popts.workers = 2;
-    popts.batch_frames = 128;
-    telemetry::MetricsRegistry metrics;
-    const auto outcomes =
-        engine.run_all(trace, {"arpwatch"}, 1, popts, &metrics);
-    ASSERT_EQ(outcomes.size(), 1u);
-    ASSERT_FALSE(outcomes[0].failed) << outcomes[0].error;
-    EXPECT_EQ(metrics.counter("replay.pipeline.workers").value(), 2u);
-    EXPECT_GT(metrics.counter("replay.pipeline.batches").value(), 0u);
-    EXPECT_EQ(metrics.counter("replay.pipeline.frames_primed").value(),
-              trace.frames.size());
-    // Observability stays out of the per-run score (byte-identity): the
-    // score's metrics snapshot must not contain pipeline counters.
-    const std::string dumped = outcomes[0].value.metrics.dump(2);
-    EXPECT_EQ(dumped.find("replay.pipeline"), std::string::npos);
-}
-
-TEST(PipelineTest, HandlesEmptyTraceAndOversizedWorkerCount) {
-    LabeledTrace empty;
-    PipelineOptions popts;
-    popts.workers = 8;
-    Pipeline pipeline{empty, popts};
-    EXPECT_EQ(pipeline.batch_count(), 0u);
-    EXPECT_EQ(pipeline.ready_frames(), 0u);
-    pipeline.wait_batch(0);  // must not deadlock on an empty trace
-    pipeline.join();
-
-    // More workers than batches: extra workers idle out, priming completes.
-    const LabeledTrace trace = load_small();
-    PipelineOptions wide;
-    wide.workers = 16;
-    wide.batch_frames = trace.frames.size();  // exactly one batch
-    Pipeline one_batch{trace, wide};
-    one_batch.wait_batch(0);
-    EXPECT_EQ(one_batch.ready_frames(), trace.frames.size());
-}
-
 TEST(EngineTest, ArtifactCarriesSchemaAndScores) {
     const LabeledTrace trace = load_small();
     const detect::Registry registry;

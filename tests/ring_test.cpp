@@ -1,9 +1,9 @@
 // Tests for the bounded SPSC ring (common/ring.hpp): FIFO order, the
-// capacity/full/empty boundary conditions the pipeline's backpressure rides
-// on, index wraparound, move-only payloads, and a producer/consumer stress
-// run that the TSan CI job executes with real threads (spawned through
-// exp::run_indexed — the sanctioned thread entry point, so this file stays
-// clean under the no-threads-in-sim lint rule).
+// capacity/full/empty boundary conditions the serve intake->shard
+// backpressure rides on, index wraparound, move-only payloads, and a
+// producer/consumer stress run that the TSan CI job executes with real
+// threads (spawned through exp::run_indexed — the sanctioned thread entry
+// point, so this file stays clean under the no-threads-in-sim lint rule).
 
 #include "common/ring.hpp"
 

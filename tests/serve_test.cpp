@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/registry.hpp"
@@ -86,22 +89,15 @@ std::vector<std::string> canonical_lines(std::vector<detect::Alert> alerts) {
     return lines;
 }
 
-// The offline ground truth: the same trace through arpsec-replay's engine.
-std::vector<detect::Alert> offline_alerts(const replay::LabeledTrace& trace,
-                                          common::Duration grace) {
+// The offline ground truth: the same trace through arpsec-replay's engine,
+// on the engine's default grace window (shared with ServerOptions).
+std::vector<detect::Alert> offline_alerts(const replay::LabeledTrace& trace) {
     const detect::Registry registry;
     replay::EngineOptions opts;
-    opts.grace = grace;
     opts.timing = false;
     const auto score = replay::Engine{registry, opts}.run(trace, "arpwatch");
     EXPECT_TRUE(score.ok()) << score.error();
     return score.value().alert_list;
-}
-
-ServerOptions base_options() {
-    ServerOptions opts;
-    opts.grace = common::Duration::seconds(2);  // match EngineOptions::grace
-    return opts;
 }
 
 // ---------------------------------------------------------------------------
@@ -123,6 +119,10 @@ TEST(ServeCreateTest, RejectsZeroShardsAndUnknownSchemes) {
     EXPECT_FALSE(Server::create(registry, opts).ok());
 
     EXPECT_TRUE(Server::create(registry, ServerOptions{}).ok());
+}
+
+TEST(ServeCreateTest, GraceDefaultMatchesReplayEngine) {
+    EXPECT_EQ(ServerOptions{}.grace, replay::EngineOptions{}.grace);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ TEST(ServeShardTest, SpreadsAcrossShards) {
 TEST(ServeEquivalenceTest, PipeStreamMatchesOfflineReplay) {
     const auto trace = small_trace();
     const detect::Registry registry;
-    auto server = Server::create(registry, base_options());
+    auto server = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.error();
 
     const auto outcome =
@@ -170,7 +170,7 @@ TEST(ServeEquivalenceTest, PipeStreamMatchesOfflineReplay) {
 
     const auto served = canonical_lines(outcome.value().alerts);
     const auto offline =
-        canonical_lines(offline_alerts(trace, common::Duration::seconds(2)));
+        canonical_lines(offline_alerts(trace));
     ASSERT_FALSE(offline.empty()) << "trace produced no alerts; test is vacuous";
     EXPECT_EQ(served, offline);
 
@@ -186,7 +186,7 @@ TEST(ServeEquivalenceTest, AlertRecordsStreamBackToClient) {
     // record; the client's decode of those lines must match the outcome.
     const auto trace = small_trace();
     const detect::Registry registry;
-    auto server = Server::create(registry, base_options());
+    auto server = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.error();
 
     PipePair pipe = make_pipe(kRoomyPipe);
@@ -235,7 +235,7 @@ TEST(ServeEquivalenceTest, AlertRecordsStreamBackToClient) {
 TEST(ServeShardedTest, EveryAdmittedFrameReachesExactlyOneShard) {
     const auto trace = small_trace();
     const detect::Registry registry;
-    ServerOptions opts = base_options();
+    ServerOptions opts;
     opts.shards = 3;
     opts.ring_capacity = 64;  // small enough to exercise backpressure
     auto server = Server::create(registry, opts);
@@ -262,7 +262,7 @@ TEST(ServeShardedTest, EveryAdmittedFrameReachesExactlyOneShard) {
 TEST(ServeShardedTest, DropModeConservesAdmittedPlusDropped) {
     const auto trace = small_trace();
     const detect::Registry registry;
-    ServerOptions opts = base_options();
+    ServerOptions opts;
     opts.shards = 2;
     opts.ring_capacity = 8;
     opts.drop_when_full = true;
@@ -289,7 +289,7 @@ TEST(ServeShardedTest, DropModeConservesAdmittedPlusDropped) {
 TEST(ServeProtocolTest, FrameBeforeHelloIsCountedAndIgnored) {
     const auto trace = small_trace();
     const detect::Registry registry;
-    auto server = Server::create(registry, base_options());
+    auto server = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.error();
 
     // One frame record ahead of the handshake, then a legal stream.
@@ -310,7 +310,7 @@ TEST(ServeProtocolTest, FrameBeforeHelloIsCountedAndIgnored) {
 TEST(ServeProtocolTest, DuplicateHelloIsCountedAndIgnored) {
     const auto trace = small_trace();
     const detect::Registry registry;
-    auto server = Server::create(registry, base_options());
+    auto server = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.error();
 
     wire::Bytes script;
@@ -332,7 +332,7 @@ TEST(ServeProtocolTest, UnsupportedHelloVersionIsRejectedBeforeAnyWork) {
     // handshake never completes; the END that follows still terminates the
     // stream (as a protocol error) instead of hanging the daemon.
     const detect::Registry registry;
-    auto server = Server::create(registry, base_options());
+    auto server = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.error();
 
     wire::Bytes script;
@@ -353,7 +353,7 @@ TEST(ServeProtocolTest, UnsupportedHelloVersionIsRejectedBeforeAnyWork) {
 TEST(ServeProtocolTest, BadRecordBodyIsSkippedNotFatal) {
     const auto trace = small_trace();
     const detect::Registry registry;
-    auto server = Server::create(registry, base_options());
+    auto server = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.error();
 
     wire::Bytes script = encode_stream(trace, 0, 10, true, false);
@@ -372,7 +372,7 @@ TEST(ServeProtocolTest, BadRecordBodyIsSkippedNotFatal) {
 TEST(ServeProtocolTest, CorruptLengthPrefixAbandonsStreamButKeepsWork) {
     const auto trace = small_trace();
     const detect::Registry registry;
-    auto server = Server::create(registry, base_options());
+    auto server = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.error();
 
     wire::Bytes script = encode_stream(trace, 0, 10, true, false);
@@ -392,7 +392,7 @@ TEST(ServeProtocolTest, CorruptLengthPrefixAbandonsStreamButKeepsWork) {
 
 TEST(ServeLifecycleTest, IdleTimeoutAbandonsAQuietStream) {
     const detect::Registry registry;
-    ServerOptions opts = base_options();
+    ServerOptions opts;
     opts.read_timeout_ms = 5;
     opts.idle_timeout_ms = 20;
     auto server = Server::create(registry, opts);
@@ -413,7 +413,7 @@ TEST(ServeLifecycleTest, IdleTimeoutAbandonsAQuietStream) {
 TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
     const auto trace = small_trace();
     const detect::Registry registry;
-    ServerOptions opts = base_options();
+    ServerOptions opts;
     opts.read_timeout_ms = 5;
     auto server = Server::create(registry, opts);
     ASSERT_TRUE(server.ok()) << server.error();
@@ -448,7 +448,7 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
 
 TEST(ServeSnapshotTest, SnapshotRequiresACompletedServe) {
     const detect::Registry registry;
-    auto server = Server::create(registry, base_options());
+    auto server = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.error();
     EXPECT_FALSE(server.value()->write_snapshot(::testing::TempDir() + "/nope.json").ok());
 }
@@ -461,7 +461,7 @@ TEST(ServeSnapshotTest, RestoreResumesExactlyWhereTheStreamFroze) {
 
     // Leg 1: first half, no END, client hangs up — state freezes with no
     // grace window, exactly what the snapshot must capture.
-    auto first = Server::create(registry, base_options());
+    auto first = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(first.ok()) << first.error();
     const auto leg1 = serve_script(*first.value(),
                                    encode_stream(trace, 0, half, true, false),
@@ -472,7 +472,7 @@ TEST(ServeSnapshotTest, RestoreResumesExactlyWhereTheStreamFroze) {
     ASSERT_TRUE(snap.ok()) << snap.error();
 
     // Leg 2: a fresh server restores the snapshot and serves the rest.
-    ServerOptions opts = base_options();
+    ServerOptions opts;
     opts.restore_path = snap_path;
     auto second = Server::create(registry, opts);
     ASSERT_TRUE(second.ok()) << second.error();
@@ -487,7 +487,7 @@ TEST(ServeSnapshotTest, RestoreResumesExactlyWhereTheStreamFroze) {
                     leg2.value().alerts.end());
     const auto resumed = canonical_lines(std::move(combined));
     const auto offline =
-        canonical_lines(offline_alerts(trace, common::Duration::seconds(2)));
+        canonical_lines(offline_alerts(trace));
     ASSERT_FALSE(offline.empty()) << "trace produced no alerts; test is vacuous";
     EXPECT_EQ(resumed, offline);
 }
@@ -497,14 +497,14 @@ TEST(ServeSnapshotTest, RestoreRejectsSeedMismatch) {
     const std::string snap_path = ::testing::TempDir() + "/arpsec_serve_seedmm.json";
     const detect::Registry registry;
 
-    auto first = Server::create(registry, base_options());
+    auto first = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(first.ok()) << first.error();
     const auto leg1 = serve_script(*first.value(), encode_stream(trace, 0, 50, true, false),
                                    /*close_after=*/true);
     ASSERT_TRUE(leg1.ok()) << leg1.error();
     ASSERT_TRUE(first.value()->write_snapshot(snap_path).ok());
 
-    ServerOptions opts = base_options();
+    ServerOptions opts;
     opts.restore_path = snap_path;
     auto second = Server::create(registry, opts);
     ASSERT_TRUE(second.ok()) << second.error();
@@ -522,19 +522,96 @@ TEST(ServeSnapshotTest, RestoreRejectsMismatchedTopology) {
     const std::string snap_path = ::testing::TempDir() + "/arpsec_serve_topomm.json";
     const detect::Registry registry;
 
-    auto first = Server::create(registry, base_options());
+    auto first = Server::create(registry, ServerOptions{});
     ASSERT_TRUE(first.ok()) << first.error();
     const auto leg1 = serve_script(*first.value(), encode_stream(trace, 0, 50, true, false),
                                    /*close_after=*/true);
     ASSERT_TRUE(leg1.ok()) << leg1.error();
     ASSERT_TRUE(first.value()->write_snapshot(snap_path).ok());
 
-    ServerOptions opts = base_options();
+    ServerOptions opts;
     opts.shards = 2;  // snapshot was taken with 1
     opts.restore_path = snap_path;
     auto second = Server::create(registry, opts);
     ASSERT_TRUE(second.ok()) << second.error();
     EXPECT_FALSE(serve_script(*second.value(), encode_stream(trace, 50, 60)).ok());
+}
+
+// Copy of JSON object `obj` without member `key`.
+telemetry::Json without(const telemetry::Json& obj, const std::string& key) {
+    telemetry::Json out = telemetry::Json::object();
+    for (const auto& [k, v] : obj.as_object()) {
+        if (k != key) out[k] = v;
+    }
+    return out;
+}
+
+TEST(ServeSnapshotTest, RestoreRejectsMalformedShardState) {
+    const auto trace = small_trace();
+    const std::string snap_path = ::testing::TempDir() + "/arpsec_serve_shardstate.json";
+    const std::string bad_path = ::testing::TempDir() + "/arpsec_serve_shardstate_bad.json";
+    const detect::Registry registry;
+
+    auto first = Server::create(registry, ServerOptions{});
+    ASSERT_TRUE(first.ok()) << first.error();
+    const auto leg1 = serve_script(*first.value(), encode_stream(trace, 0, 50, true, false),
+                                   /*close_after=*/true);
+    ASSERT_TRUE(leg1.ok()) << leg1.error();
+    ASSERT_TRUE(first.value()->write_snapshot(snap_path).ok());
+
+    std::ifstream in{snap_path};
+    std::ostringstream text;
+    text << in.rdbuf();
+    const auto snapshot = telemetry::Json::parse(text.str());
+    ASSERT_TRUE(snapshot.has_value());
+    const telemetry::Json& shard0 = snapshot->find("shard_states")->at(0);
+    const telemetry::Json& session0 = shard0.find("sessions")->at(0);
+
+    // Each defect rewrites shard 0's state; the rest of the file stays valid.
+    const auto with_session = [&](const telemetry::Json& session) {
+        telemetry::Json shard = shard0;
+        telemetry::Json sessions = telemetry::Json::array();
+        sessions.push_back(session);
+        shard["sessions"] = std::move(sessions);
+        return shard;
+    };
+    telemetry::Json shard_not_int = shard0;
+    shard_not_int["shard"] = "0";
+    telemetry::Json sessions_not_array = shard0;
+    sessions_not_array["sessions"] = telemetry::Json::object();
+    telemetry::Json scheme_not_string = session0;
+    scheme_not_string["scheme"] = 7;
+    telemetry::Json scheme_unknown = session0;
+    scheme_unknown["scheme"] = "dai";  // registered, but not configured here
+
+    const std::pair<const char*, telemetry::Json> defects[] = {
+        {"shard missing", without(shard0, "shard")},
+        {"shard not an int", shard_not_int},
+        {"sessions missing", without(shard0, "sessions")},
+        {"sessions not an array", sessions_not_array},
+        {"scheme missing", with_session(without(session0, "scheme"))},
+        {"scheme not a string", with_session(scheme_not_string)},
+        {"scheme not configured", with_session(scheme_unknown)},
+    };
+    for (const auto& [name, shard] : defects) {
+        SCOPED_TRACE(name);
+        telemetry::Json tampered = *snapshot;
+        telemetry::Json states = telemetry::Json::array();
+        states.push_back(shard);
+        tampered["shard_states"] = std::move(states);
+        {
+            std::ofstream out{bad_path};
+            out << tampered.dump(2) << "\n";
+        }
+
+        ServerOptions opts;
+        opts.restore_path = bad_path;
+        auto second = Server::create(registry, opts);
+        ASSERT_TRUE(second.ok()) << second.error();
+        const auto served = serve_script(*second.value(), encode_stream(trace, 50, 60));
+        ASSERT_FALSE(served.ok());
+        EXPECT_NE(served.error().find("snapshot"), std::string::npos) << served.error();
+    }
 }
 
 }  // namespace

@@ -295,8 +295,8 @@ TEST(FrameViewTest, Ipv4MemoizedOncePerBuffer) {
 }
 
 // ---------------------------------------------------------------------------
-// FrameView across threads — the sharing contract the replay pipeline rides
-// on: prime on one thread, then hand the view to N readers. Threads are
+// FrameView across threads — the sharing contract the serve intake->shard
+// hop rides on: prime on one thread, then hand the view to N readers. Threads are
 // spawned through exp::run_indexed (the sanctioned concurrency entry point;
 // its join is the happens-before edge), and the whole battery runs under
 // the TSan CI job, so any unsynchronized memo access fails there.
@@ -416,9 +416,9 @@ TEST(FrameViewThreadedTest, UnflushedWorkerBatchesAreDroppedByDesign) {
 }
 
 TEST(FrameViewThreadedTest, PrimedOnWorkerThreadIsReadableAfterJoin) {
-    // The pipeline's prime stage runs on worker threads and publishes views
-    // to lanes through a release/acquire edge; run_indexed's join is the
-    // same shape. Prime on a worker, read on the main thread.
+    // The serve intake thread primes views and publishes them to shard
+    // workers through the ring's release/acquire edge; run_indexed's join
+    // is the same shape. Prime on a worker, read on the main thread.
     EthernetFrame f;
     f.ether_type = EtherType::kArp;
     f.payload = ArpPacket::request(MacAddress::local(9), Ipv4Address{10, 0, 0, 9},
@@ -440,7 +440,7 @@ TEST(FrameViewThreadedTest, PrimedOnWorkerThreadIsReadableAfterJoin) {
 }
 
 TEST(FrameViewThreadedTest, MixedTrafficSharedAcrossThreadsKeepsValues) {
-    // A miniature pipeline working set: ARP and IPv4 views primed up front,
+    // A miniature replay working set: ARP and IPv4 views primed up front,
     // then four readers replaying the whole set concurrently, checking the
     // decoded values (not just pointers) stay correct from every thread.
     std::vector<FrameView> views;

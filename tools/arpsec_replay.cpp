@@ -5,16 +5,10 @@
 //
 //   $ arpsec-replay --pcap trace.pcap                       # all schemes
 //   $ arpsec-replay --pcap t.pcap --schemes arpwatch,dai --jobs 4 --out replay.json
-//   $ arpsec-replay --pcap t.pcap --jobs 4 --pipeline 2     # overlap priming
 //
 // Schemes fan out via exp::map_indexed, so stdout and the artifact are
 // byte-identical for every --jobs value when --no-timing is given (wall
 // clock is inherently nondeterministic, so timing columns are zeroed).
-// --pipeline N primes FrameView batches on N worker threads while scheme
-// lanes consume them in order; by the pipeline determinism contract
-// (docs/REPLAY.md) stdout and the artifact are also byte-identical for
-// --pipeline 0 vs --pipeline N — the replay_pipeline_smoke ctest diffs
-// exactly that. Pipeline telemetry goes to stderr only.
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,8 +23,6 @@
 #include "replay/engine.hpp"
 #include "replay/source.hpp"
 #include "serve/alert_stream.hpp"
-#include "telemetry/metrics.hpp"
-#include "wire/frame.hpp"
 
 namespace {
 
@@ -38,15 +30,12 @@ int usage(const char* argv0) {
     std::fprintf(
         stderr,
         "usage: %s --pcap PATH [--labels PATH] [--schemes a,b,...] [--jobs J]\n"
-        "          [--pipeline N] [--batch B] [--out PATH] [--window-ms MS]\n"
-        "          [--grace-ms MS] [--no-timing] [--alerts PATH]\n"
+        "          [--out PATH] [--window-ms MS] [--grace-ms MS] [--no-timing]\n"
+        "          [--alerts PATH]\n"
         "  --pcap PATH     trace to replay (classic pcap)\n"
         "  --labels PATH   ground-truth sidecar (default: <pcap>.labels.json)\n"
         "  --schemes LIST  comma-separated scheme pool (default: all registered)\n"
         "  --jobs J        scheme-replay threads; report identical for any J\n"
-        "  --pipeline N    FrameView prime-stage worker threads (default 0 =\n"
-        "                  prime synchronously); report identical for any N\n"
-        "  --batch B       frames per pipeline batch (default 1024)\n"
         "  --out PATH      write the arpsec.replay-artifact.v1 JSON\n"
         "  --window-ms MS  alert<->attack matching window (default 1000)\n"
         "  --grace-ms MS   virtual time appended after the last frame (default 2000)\n"
@@ -78,7 +67,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> schemes;
     std::size_t jobs = 1;
     arpsec::replay::EngineOptions engine_opts;
-    arpsec::replay::PipelineOptions pipeline_opts;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -99,15 +87,6 @@ int main(int argc, char** argv) {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
             jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--pipeline") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            pipeline_opts.workers = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--batch") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            pipeline_opts.batch_frames = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (pipeline_opts.batch_frames == 0) return usage(argv[0]);
         } else if (arg == "--out") {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
@@ -149,29 +128,7 @@ int main(int argc, char** argv) {
     }
 
     const arpsec::replay::Engine engine{registry, engine_opts};
-    arpsec::telemetry::MetricsRegistry pipeline_metrics;
-    const auto outcomes =
-        engine.run_all(trace.value(), schemes, jobs, pipeline_opts, &pipeline_metrics);
-
-    // Pipeline telemetry is timing-dependent (ring occupancy, parse hit
-    // ratio) and therefore goes to stderr only — stdout and the artifact
-    // stay byte-identical across --pipeline/--jobs by contract.
-    if (pipeline_opts.workers > 0) {
-        const auto fv = arpsec::wire::frameview_stats();
-        const std::uint64_t parses = fv.parse_hits + fv.parse_misses;
-        std::fprintf(stderr,
-                     "pipeline: workers=%zu batch=%zu batches=%llu ring-highwater=%lld "
-                     "parse-hit-ratio=%.4f\n",
-                     pipeline_opts.workers, pipeline_opts.batch_frames,
-                     static_cast<unsigned long long>(
-                         pipeline_metrics.counter("replay.pipeline.batches").value()),
-                     static_cast<long long>(
-                         pipeline_metrics.gauge("replay.pipeline.ring_occupancy_highwater")
-                             .high_water()),
-                     parses == 0 ? 0.0
-                                 : static_cast<double>(fv.parse_hits) /
-                                       static_cast<double>(parses));
-    }
+    const auto outcomes = engine.run_all(trace.value(), schemes, jobs);
 
     bool failed = false;
     std::vector<arpsec::replay::SchemeScore> scores;

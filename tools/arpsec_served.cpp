@@ -96,7 +96,6 @@ int main(int argc, char** argv) {
     std::string snapshot_path;
     std::size_t conns = 1;
     arpsec::serve::ServerOptions options;
-    options.grace = arpsec::common::Duration::millis(2000);
     options.read_timeout_ms = 100;
 
     for (int i = 1; i < argc; ++i) {
