@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
         options.shards = shards;
         options.ring_capacity = 1 << 16;
         options.stream_alerts = false;  // measure detection, not JSONL encode
-        options.send_summary = false;
         auto server = serve::Server::create(registry, options);
         if (!server.ok()) {
             std::fprintf(stderr, "[bench] serve_throughput: %s\n", server.error().c_str());

@@ -188,9 +188,9 @@ void check_determinism(const FileContext& ctx, std::vector<Violation>& out) {
 
 void check_no_threads(const FileContext& ctx, std::vector<Violation>& out) {
     if (ctx.module == "exp") return;
-    // The streaming service is inherently concurrent (intake thread, shard
-    // workers, alert drain — docs/SERVING.md). Its threads never enter sim
-    // code: each SchemeSession stays confined to one worker.
+    // The streaming service is inherently concurrent (intake thread and
+    // shard workers — docs/SERVING.md). Its threads never enter sim code:
+    // each SchemeSession stays confined to one worker.
     if (ctx.module == "serve") return;
     if (ctx.path.find("common/log.") != std::string_view::npos) return;
     // The SPSC ring behind the serve intake->shard hop: atomics only, no
@@ -490,7 +490,7 @@ const std::vector<RuleInfo>& rule_catalog() {
         {"sim-determinism",
          "no wall-clock / global PRNG identifiers outside common/time.*"},
         {"no-threads-in-sim",
-         "concurrency only in src/exp/ + src/replay/ + src/serve/ (threads), "
+         "concurrency only in src/exp/ + src/serve/ (threads), "
          "common/log.* (locking), common/ring.* (lock-free SPSC)"},
         {"no-sockets-outside-serve",
          "OS networking headers only in src/serve/ — the simulator can never "

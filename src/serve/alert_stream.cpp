@@ -15,17 +15,27 @@ std::string alert_stream_header() {
 }
 
 std::string alert_line(const detect::Alert& alert) {
-    // telemetry::Json preserves insertion order, so this fixed sequence of
-    // assignments *is* the canonical byte layout.
-    telemetry::Json j = telemetry::Json::object();
-    j["at_ns"] = alert.at.nanos();
-    j["scheme"] = alert.scheme;
-    j["kind"] = detect::to_string(alert.kind);
-    j["ip"] = alert.ip.to_string();
-    j["claimed_mac"] = alert.claimed_mac.to_string();
-    j["previous_mac"] = alert.previous_mac.to_string();
-    j["detail"] = alert.detail;
-    return j.dump();
+    // The compact dump of a telemetry::Json object with these keys in this
+    // order, appended directly: shard workers encode every alert. Kind
+    // names, dotted quads and MACs never need escaping.
+    std::string out;
+    out.reserve(160 + alert.detail.size());
+    out += "{\"at_ns\":";
+    out += std::to_string(alert.at.nanos());
+    out += ",\"scheme\":";
+    telemetry::json_escape(out, alert.scheme);
+    out += ",\"kind\":\"";
+    out += detect::to_string(alert.kind);
+    out += "\",\"ip\":\"";
+    out += alert.ip.to_string();
+    out += "\",\"claimed_mac\":\"";
+    out += alert.claimed_mac.to_string();
+    out += "\",\"previous_mac\":\"";
+    out += alert.previous_mac.to_string();
+    out += "\",\"detail\":";
+    telemetry::json_escape(out, alert.detail);
+    out += '}';
+    return out;
 }
 
 void sort_canonical(std::vector<detect::Alert>& alerts) {

@@ -1,14 +1,11 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "serve/alert_stream.hpp"
 #include "wire/stream_codec.hpp"
 
 namespace arpsec::serve {
@@ -38,7 +35,8 @@ Server::Server(const detect::Registry& registry, ServerOptions options)
 
 common::Expected<bool> Server::build_shards(std::uint64_t seed,
                                             std::vector<detect::HostRecord> directory,
-                                            const RestoredState* restored) {
+                                            const RestoredState* restored,
+                                            Shard::AlertWriter write_alerts) {
     using Result = common::Expected<bool>;
     seed_ = coerce_seed(seed);
     directory_ = std::move(directory);
@@ -49,8 +47,8 @@ common::Expected<bool> Server::build_shards(std::uint64_t seed,
 
     Shard::Options shard_options;
     shard_options.ring_capacity = options_.ring_capacity;
-    shard_options.alert_ring_capacity = options_.alert_ring_capacity;
     shard_options.drop_when_full = options_.drop_when_full;
+    shard_options.write_alerts = std::move(write_alerts);
 
     shards_.clear();
     shards_.reserve(options_.shards);
@@ -159,12 +157,24 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     directory_.clear();
     served_ = false;
 
+    // conn is written by the shard workers (kAlert batches) and, once they
+    // are joined, by this thread (summary); each batch goes out whole under
+    // one lock so records never interleave mid-record.
+    std::mutex write_mutex;
+    const auto write_bytes = [&](const wire::Bytes& data) {
+        std::lock_guard<std::mutex> lk(write_mutex);
+        (void)conn.write_all(std::span<const std::uint8_t>{data.data(), data.size()});
+    };
+    const Shard::AlertWriter write_alerts =
+        options_.stream_alerts ? Shard::AlertWriter{write_bytes} : nullptr;
+
     RestoredState restored;
     bool have_restore = false;
     if (!options_.restore_path.empty()) {
         if (auto r = load_restore_file(restored); !r.ok()) return Result::failure(r.error());
         have_restore = true;
-        if (auto b = build_shards(restored.seed, restored.directory, &restored); !b.ok()) {
+        if (auto b = build_shards(restored.seed, restored.directory, &restored, write_alerts);
+            !b.ok()) {
             return Result::failure(b.error());
         }
     }
@@ -178,73 +188,29 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     ServeOutcome outcome;
     wire::StreamDecoder decoder;
 
-    // conn is written by this thread (summary) and by the drain thread
-    // (kAlert records); whole records go out under one lock so they never
-    // interleave mid-record.
-    std::mutex write_mutex;
-    const auto write_bytes = [&](const wire::Bytes& data) {
-        std::lock_guard<std::mutex> lk(write_mutex);
-        (void)conn.write_all(std::span<const std::uint8_t>{data.data(), data.size()});
-    };
-
-    // The drain thread starts together with the shard workers; until the
-    // first frame (or a snapshot restore) there is nothing to drain.
-    std::atomic<bool> workers_done{false};
-    std::thread drain_thread;
+    // Builds the shards lazily and starts their workers: the seed arrives in
+    // HELLO and the optional directory record must precede the first frame,
+    // so construction happens at the first frame (or at END, so empty
+    // streams still snapshot). A restored server built its shards up front.
+    bool got_hello = false;
+    std::uint64_t hello_seed = 1;
+    std::string hello_error;
     bool workers_started = false;
     std::vector<telemetry::Gauge*> depth_gauges;
-
-    const auto start_workers = [&] {
-        if (workers_started) return;
+    const auto ensure_shards = [&]() -> bool {
+        if (workers_started) return true;
+        if (shards_.empty()) {
+            if (auto b = build_shards(hello_seed, directory_, nullptr, write_alerts); !b.ok()) {
+                hello_error = b.error();
+                return false;
+            }
+        }
         workers_started = true;
-        depth_gauges.reserve(shards_.size());
         for (auto& shard : shards_) {
             shard->start(&watch_);
             depth_gauges.push_back(&metrics_.gauge(
                 "serve.shard." + std::to_string(shard->index()) + ".queue_depth"));
         }
-        drain_thread = std::thread([&] {
-            std::vector<detect::Alert> batch;
-            for (;;) {
-                // Load the flag before sweeping: if the workers were
-                // already joined, this sweep observes every alert they
-                // pushed, so an empty sweep really means drained.
-                const bool done = workers_done.load(std::memory_order_acquire);
-                batch.clear();
-                for (auto& shard : shards_) shard->drain_alerts(batch, 1024);
-                if (!batch.empty()) {
-                    if (options_.stream_alerts) {
-                        wire::Bytes records;
-                        for (const detect::Alert& a : batch) {
-                            wire::encode_alert(records, alert_line(a));
-                        }
-                        write_bytes(records);
-                    }
-                    for (detect::Alert& a : batch) outcome.alerts.push_back(std::move(a));
-                    continue;
-                }
-                if (done) break;
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            }
-        });
-    };
-
-    // Builds the shards lazily: the seed arrives in HELLO and the optional
-    // directory record must precede the first frame, so construction happens
-    // at the first frame (or at END, so empty streams still snapshot).
-    bool got_hello = false;
-    std::uint64_t hello_seed = 1;
-    std::string hello_error;
-    const auto ensure_shards = [&]() -> bool {
-        if (!shards_.empty()) {
-            start_workers();
-            return true;
-        }
-        if (auto b = build_shards(hello_seed, directory_, nullptr); !b.ok()) {
-            hello_error = b.error();
-            return false;
-        }
-        start_workers();
         return true;
     };
 
@@ -394,13 +360,15 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     const bool run_grace = outcome.ended_by_end_record && !outcome.stopped;
     for (auto& shard : shards_) shard->finish_input(run_grace, options_.grace);
     for (auto& shard : shards_) shard->join();
-    workers_done.store(true, std::memory_order_release);
-    if (drain_thread.joinable()) drain_thread.join();
 
-    // Fold worker-side stats into the registry now that the threads are gone.
+    // Fold worker-side stats and alerts in now that the threads are gone.
     std::uint64_t backpressure = 0;
     std::uint64_t dropped = 0;
     for (auto& shard : shards_) {
+        for (std::size_t s = 0; s < shard->session_count(); ++s) {
+            const auto& alerts = shard->session(s).alerts().alerts();
+            outcome.alerts.insert(outcome.alerts.end(), alerts.begin(), alerts.end());
+        }
         backpressure += shard->backpressure_waits();
         dropped += shard->dropped();
         const std::string prefix = "serve.shard." + std::to_string(shard->index());
@@ -419,7 +387,7 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
 
     served_ = true;
     outcome.summary = build_summary(outcome);
-    if (options_.send_summary && outcome.transport_error.empty()) {
+    if (outcome.transport_error.empty()) {
         wire::Bytes summary_record;
         wire::encode_summary(summary_record, outcome.summary.dump());
         write_bytes(summary_record);

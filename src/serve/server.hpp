@@ -31,7 +31,6 @@ struct ServerOptions {
     std::vector<std::string> schemes{"arpwatch"};
     std::size_t shards = 1;
     std::size_t ring_capacity = 4096;
-    std::size_t alert_ring_capacity = 4096;
     /// false = block the intake thread when a shard ring fills (zero
     /// admitted-frame loss); true = count and drop instead.
     bool drop_when_full = false;
@@ -48,10 +47,9 @@ struct ServerOptions {
     /// frames (0 disables).
     std::uint64_t scorecard_every = 0;
     std::string scorecard_path;
-    /// Stream kAlert records back to the client as alerts drain.
+    /// Stream kAlert records back to the client as the shard workers
+    /// raise them (the final kSummary record is sent either way).
     bool stream_alerts = true;
-    /// Send the final kSummary record before returning.
-    bool send_summary = true;
     /// Load this `arpsec.serve-snapshot.v1` file before serving; the
     /// stream's HELLO seed must then match the snapshot's.
     std::string restore_path;
@@ -59,8 +57,9 @@ struct ServerOptions {
 
 /// What one serve() call produced.
 struct ServeOutcome {
-    /// Every alert drained from the shards, in drain order (interleaving is
-    /// nondeterministic across shards; sort_canonical() for artifacts).
+    /// Every alert the shards raised during this serve(), collected from
+    /// their sessions after the workers are joined: shard by shard, scheme
+    /// by scheme (sort_canonical() for artifacts).
     std::vector<detect::Alert> alerts;
     /// `arpsec.serve-summary.v1` — deterministic fields only.
     telemetry::Json summary;
@@ -80,14 +79,15 @@ struct ServeOutcome {
 ///   intake thread (the caller) — reads the transport, decodes
 ///     `arpsec.stream.v1` records, primes each frame's FrameView once, and
 ///     routes it to a shard by subnet key (single producer to every ring);
-///   N shard workers — each owns its SchemeSessions and feeds them frames
-///     (single consumer of its ring);
-///   drain thread — pops alert rings, collects alerts, and writes kAlert
-///     records back to the client.
+///   N shard workers — each owns its SchemeSessions, feeds them frames
+///     (single consumer of its ring), and writes its own kAlert records
+///     back to the client, one batch per write under a shared lock.
 ///
 /// Backpressure is explicit: a full shard ring either blocks the intake
 /// thread (default — the transport then pushes back on the client, so no
-/// admitted frame is ever lost) or drops with per-shard accounting.
+/// admitted frame is ever lost) or drops with per-shard accounting. A
+/// client that stops reading alerts blocks the writing worker, so its
+/// ring fills and the same push-back reaches the client's writes.
 /// Malformed records are skipped with typed errors; only a corrupt length
 /// prefix (framing lost) abandons the stream — the daemon itself survives
 /// both.
@@ -139,7 +139,8 @@ private:
     common::Expected<bool> load_restore_file(RestoredState& out) const;
     common::Expected<bool> build_shards(std::uint64_t seed,
                                         std::vector<detect::HostRecord> directory,
-                                        const RestoredState* restored);
+                                        const RestoredState* restored,
+                                        Shard::AlertWriter write_alerts);
     void write_scorecard_line(std::uint64_t frames_total);
     telemetry::Json build_summary(const ServeOutcome& outcome) const;
 

@@ -2,8 +2,10 @@
 
 #include <utility>
 
+#include "serve/alert_stream.hpp"
 #include "wire/arp_packet.hpp"
 #include "wire/ipv4_packet.hpp"
+#include "wire/stream_codec.hpp"
 
 namespace arpsec::serve {
 
@@ -17,6 +19,10 @@ std::uint64_t mix64(std::uint64_t x) {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return x ^ (x >> 31);
 }
+
+/// A worker writes its pending alert records once this many bytes pile up,
+/// even while its intake ring stays busy.
+constexpr std::size_t kAlertFlushBytes = 64 * 1024;
 
 /// Drain-latency buckets: 1µs .. 1s, decade-spaced. Queueing under load
 /// lives in the middle decades; the overflow bucket flags a stalled worker.
@@ -47,14 +53,17 @@ Shard::Shard(std::size_t index, const detect::Registry& registry,
     : index_(index),
       scheme_names_(schemes),
       ring_(options.ring_capacity),
-      alert_ring_(options.alert_ring_capacity),
       drop_when_full_(options.drop_when_full),
+      write_alerts_(options.write_alerts),
       latency_(latency_bounds()) {
     sessions_.reserve(schemes.size());
     for (const std::string& name : schemes) {
         auto session =
             std::make_unique<replay::SchemeSession>(registry.make(name), session_options);
-        session->alerts().on_alert = [this](const detect::Alert& a) { enqueue_alert(a); };
+        session->alerts().on_alert = [this](const detect::Alert& a) {
+            alerts_emitted_.fetch_add(1, std::memory_order_relaxed);
+            if (write_alerts_) wire::encode_alert(alert_bytes_, alert_line(a));
+        };
         sessions_.push_back(std::move(session));
     }
 }
@@ -90,16 +99,7 @@ void Shard::finish_input(bool run_grace, common::Duration grace) {
 void Shard::join() {
     if (!joined_ && thread_.joinable()) thread_.join();
     joined_ = true;
-}
-
-std::size_t Shard::drain_alerts(std::vector<detect::Alert>& out, std::size_t max) {
-    std::size_t n = 0;
-    detect::Alert alert;
-    while (n < max && alert_ring_.try_pop(alert)) {
-        out.push_back(std::move(alert));
-        ++n;
-    }
-    return n;
+    write_alerts_ = nullptr;
 }
 
 void Shard::run() {
@@ -109,6 +109,7 @@ void Shard::run() {
             process(item);
             continue;
         }
+        flush_alerts();
         if (input_done_.load(std::memory_order_acquire)) {
             // One more sweep: the producer may have pushed between our
             // failed pop and the flag load.
@@ -120,6 +121,7 @@ void Shard::run() {
     if (run_grace_) {
         for (auto& session : sessions_) session->finish(grace_);
     }
+    flush_alerts();
     wire::flush_frameview_hits();
 }
 
@@ -133,17 +135,13 @@ void Shard::process(const WorkItem& item) {
     if (clock_ != nullptr && item.enqueued_s >= 0.0) {
         latency_.observe(clock_->elapsed_seconds() - item.enqueued_s);
     }
+    if (alert_bytes_.size() >= kAlertFlushBytes) flush_alerts();
 }
 
-void Shard::enqueue_alert(detect::Alert alert) {
-    alerts_emitted_.fetch_add(1, std::memory_order_relaxed);
-    while (!alert_ring_.try_push(std::move(alert))) {
-        // The drain thread runs for the whole serve; a full ring is
-        // transient. Count the stall and wait for space — alerts are the
-        // product, dropping them is never acceptable.
-        alert_backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
-    }
+void Shard::flush_alerts() {
+    if (alert_bytes_.empty()) return;
+    write_alerts_(alert_bytes_);
+    alert_bytes_.clear();
 }
 
 }  // namespace arpsec::serve

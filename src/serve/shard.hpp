@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -9,10 +10,10 @@
 
 #include "common/ring.hpp"
 #include "common/time.hpp"
-#include "detect/alert.hpp"
 #include "detect/registry.hpp"
 #include "replay/session.hpp"
 #include "telemetry/metrics.hpp"
+#include "wire/buffer.hpp"
 #include "wire/frame.hpp"
 
 namespace arpsec::serve {
@@ -38,21 +39,26 @@ struct WorkItem {
 /// carry no addresses, and every session counts them the same way.
 [[nodiscard]] std::size_t shard_of(const wire::FrameView& view, std::size_t shards);
 
-/// One detector worker: an intake ring, one SchemeSession per configured
-/// scheme, and an outbound alert ring. The intake thread is the only
-/// producer, the worker thread the only consumer (and the only toucher of
-/// the sessions); alerts flow out through another SPSC ring drained by the
-/// server's drain thread. All cross-thread stats are relaxed atomics; the
+/// One detector worker: an intake ring and one SchemeSession per configured
+/// scheme. The intake thread is the only producer, the worker thread the
+/// only consumer (and the only toucher of the sessions). The worker encodes
+/// its own kAlert records into a buffer it owns and hands each batch to the
+/// server's alert writer. All cross-thread stats are relaxed atomics; the
 /// drain-latency histogram is worker-owned and merged after join().
 class Shard {
 public:
+    /// Sends one batch of encoded kAlert records to the client. Every
+    /// worker calls it; the server serializes the writes under one lock.
+    using AlertWriter = std::function<void(const wire::Bytes&)>;
+
     struct Options {
         std::size_t ring_capacity = 4096;
-        std::size_t alert_ring_capacity = 4096;
         /// Admission policy when the intake ring is full: false blocks the
         /// intake thread (zero admitted-frame loss — the transport's own
         /// backpressure pushes back on the client); true counts and drops.
         bool drop_when_full = false;
+        /// Null turns alert streaming off.
+        AlertWriter write_alerts;
     };
 
     /// Builds the sessions eagerly on the constructing thread. `registry`
@@ -78,11 +84,9 @@ public:
     /// state freezes at the last fed frame.
     void finish_input(bool run_grace, common::Duration grace);
 
-    /// Joins the worker thread (idempotent).
+    /// Joins the worker thread (idempotent) and drops the alert writer,
+    /// which refers to the serve() call's connection.
     void join();
-
-    /// Drain thread only: pops up to `max` pending alerts into `out`.
-    std::size_t drain_alerts(std::vector<detect::Alert>& out, std::size_t max);
 
     // Live stats (any thread; relaxed atomics).
     [[nodiscard]] std::uint64_t frames() const { return frames_.load(std::memory_order_relaxed); }
@@ -97,9 +101,6 @@ public:
     }
     [[nodiscard]] std::uint64_t backpressure_waits() const {
         return backpressure_waits_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t alert_backpressure_waits() const {
-        return alert_backpressure_waits_.load(std::memory_order_relaxed);
     }
     /// Intake-side ring occupancy snapshot (sampled after each submit).
     [[nodiscard]] std::size_t queue_depth() const { return ring_.size(); }
@@ -118,14 +119,15 @@ public:
 private:
     void run();
     void process(const WorkItem& item);
-    void enqueue_alert(detect::Alert alert);
+    void flush_alerts();
 
     std::size_t index_;
     std::vector<std::string> scheme_names_;
     std::vector<std::unique_ptr<replay::SchemeSession>> sessions_;
     common::SpscRing<WorkItem> ring_;
-    common::SpscRing<detect::Alert> alert_ring_;
     bool drop_when_full_;
+    AlertWriter write_alerts_;
+    wire::Bytes alert_bytes_;  // worker-owned; encoded kAlert records not yet written
     const common::Stopwatch* clock_ = nullptr;
     telemetry::Histogram latency_;
 
@@ -138,7 +140,6 @@ private:
     std::atomic<std::uint64_t> alerts_emitted_{0};
     std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> backpressure_waits_{0};
-    std::atomic<std::uint64_t> alert_backpressure_waits_{0};
 
     std::thread thread_;
     bool joined_ = true;

@@ -43,14 +43,10 @@ int wait_readable(int fd, int timeout_ms) {
 class FdConnection final : public Connection {
 public:
     FdConnection(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {}
-    ~FdConnection() override { close(); }
+    ~FdConnection() override { ::close(fd_); }
 
     IoResult read_some(std::span<std::uint8_t> buf, int timeout_ms) override {
         IoResult res;
-        if (fd_ < 0) {
-            res.kind = IoResult::Kind::kEof;
-            return res;
-        }
         if (timeout_ms >= 0) {
             const int w = wait_readable(fd_, timeout_ms);
             if (w == 1) {
@@ -82,10 +78,11 @@ public:
     }
 
     bool write_all(std::span<const std::uint8_t> data) override {
-        if (fd_ < 0) return false;
         std::size_t off = 0;
         while (off < data.size()) {
-            const ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
+            // MSG_NOSIGNAL: a vanished peer fails the write, not the process.
+            const ssize_t n =
+                ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
             if (n > 0) {
                 off += static_cast<std::size_t>(n);
                 continue;
@@ -96,18 +93,15 @@ public:
         return true;
     }
 
-    void close() override {
-        if (fd_ >= 0) {
-            ::shutdown(fd_, SHUT_RDWR);
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
+    /// shutdown() only: it wakes a read_some blocked on another thread
+    /// without pulling the descriptor out from under it; the destructor
+    /// releases the fd.
+    void close() override { ::shutdown(fd_, SHUT_RDWR); }
 
     [[nodiscard]] std::string peer() const override { return peer_; }
 
 private:
-    int fd_ = -1;
+    const int fd_;
     std::string peer_;
 };
 

@@ -27,9 +27,10 @@ struct IoResult {
 /// (deterministic tests, no kernel involved). The framing layer on top is
 /// identical for all three — that is the point of the abstraction.
 ///
-/// Thread contract: one thread may read while another writes (the daemon
-/// reads frames on the intake thread while the alert drain thread writes),
-/// but each direction has a single owner.
+/// Thread contract: one thread reads while others write (the daemon reads
+/// frames on the intake thread while its shard workers write kAlert
+/// batches). Concurrent writers must serialize whole writes themselves;
+/// the daemon holds one lock per write_all.
 class Connection {
 public:
     virtual ~Connection() = default;
@@ -43,8 +44,8 @@ public:
     /// gone; a daemon treats that as the client abandoning the stream.
     [[nodiscard]] virtual bool write_all(std::span<const std::uint8_t> data) = 0;
 
-    /// Closes both directions; a blocked read_some on the other thread
-    /// returns kEof/kError promptly.
+    /// Closes both directions; a blocked read_some on another thread
+    /// returns kEof/kError promptly, and later writes fail.
     virtual void close() = 0;
 
     /// Human-readable peer description for logs ("unix:/tmp/x.sock", "pipe").

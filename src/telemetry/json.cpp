@@ -36,9 +36,7 @@ std::size_t Json::size() const {
     return 0;
 }
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 2);
+void json_escape(std::string& out, std::string_view s) {
     out.push_back('"');
     for (const char c : s) {
         switch (c) {
@@ -60,7 +58,6 @@ std::string json_escape(std::string_view s) {
         }
     }
     out.push_back('"');
-    return out;
 }
 
 namespace {
@@ -90,7 +87,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
             out += buf;
         }
     } else if (is_string()) {
-        out += json_escape(as_string());
+        json_escape(out, as_string());
     } else if (is_array()) {
         const auto& arr = as_array();
         if (arr.empty()) {
@@ -115,7 +112,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
         for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i > 0) out.push_back(',');
             append_newline_indent(out, indent, depth + 1);
-            out += json_escape(obj[i].first);
+            json_escape(out, obj[i].first);
             out += indent < 0 ? ":" : ": ";
             obj[i].second.dump_to(out, indent, depth + 1);
         }

@@ -80,7 +80,7 @@ private:
     std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> value_;
 };
 
-/// Quotes and escapes `s` as a JSON string literal (including the quotes).
-[[nodiscard]] std::string json_escape(std::string_view s);
+/// Appends `s` to `out` as a quoted, escaped JSON string literal.
+void json_escape(std::string& out, std::string_view s);
 
 }  // namespace arpsec::telemetry

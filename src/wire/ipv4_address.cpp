@@ -1,7 +1,5 @@
 #include "wire/ipv4_address.hpp"
 
-#include <cstdio>
-
 namespace arpsec::wire {
 
 common::Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
@@ -33,10 +31,12 @@ common::Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
 }
 
 std::string Ipv4Address::to_string() const {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value_ >> 24) & 0xFF, (value_ >> 16) & 0xFF,
-                  (value_ >> 8) & 0xFF, value_ & 0xFF);
-    return buf;
+    std::string s;  // at most 15 chars: stays in the small-string buffer
+    for (int shift = 24; shift >= 0; shift -= 8) {
+        s += std::to_string((value_ >> shift) & 0xFF);
+        if (shift > 0) s += '.';
+    }
+    return s;
 }
 
 std::string Ipv4Subnet::to_string() const {

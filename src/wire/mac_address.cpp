@@ -1,7 +1,5 @@
 #include "wire/mac_address.hpp"
 
-#include <cstdio>
-
 namespace arpsec::wire {
 namespace {
 
@@ -33,10 +31,13 @@ common::Expected<MacAddress> MacAddress::parse(std::string_view text) {
 }
 
 std::string MacAddress::to_string() const {
-    char buf[18];
-    std::snprintf(buf, sizeof(buf), "%02x:%02x:%02x:%02x:%02x:%02x", octets_[0], octets_[1],
-                  octets_[2], octets_[3], octets_[4], octets_[5]);
-    return buf;
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::string s(3 * kSize - 1, ':');
+    for (std::size_t i = 0; i < kSize; ++i) {
+        s[3 * i] = kHex[octets_[i] >> 4];
+        s[3 * i + 1] = kHex[octets_[i] & 0xF];
+    }
+    return s;
 }
 
 }  // namespace arpsec::wire

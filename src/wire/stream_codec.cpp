@@ -78,13 +78,14 @@ void encode_end(Bytes& out) {
 
 namespace {
 
+/// Writes the prefix and body straight into `out`: shard workers encode
+/// one of these per alert.
 void encode_text(Bytes& out, StreamRecordType type, const std::string& text) {
-    Bytes body;
-    ByteWriter w{body};
+    ByteWriter w{out};
+    w.u32(static_cast<std::uint32_t>(1 + text.size()));
     w.u8(static_cast<std::uint8_t>(type));
     w.bytes(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(text.data()),
                                           text.size()));
-    append_with_prefix(out, body);
 }
 
 }  // namespace

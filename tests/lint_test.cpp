@@ -133,7 +133,7 @@ TEST(LintNoThreadsTest, IgnoresProseAndLookalikes) {
 }
 
 TEST(LintNoThreadsTest, AllowsServeWorkers) {
-    // The serving shards and their drain thread are a sanctioned
+    // The serving intake thread and shard workers are a sanctioned
     // concurrency site, like the sweep executor.
     EXPECT_TRUE(run("src/serve/shard.cpp",
                     "#include <thread>\n"

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -91,13 +93,78 @@ std::vector<std::string> canonical_lines(std::vector<detect::Alert> alerts) {
 
 // The offline ground truth: the same trace through arpsec-replay's engine,
 // on the engine's default grace window (shared with ServerOptions).
-std::vector<detect::Alert> offline_alerts(const replay::LabeledTrace& trace) {
+std::vector<detect::Alert> offline_alerts(const replay::LabeledTrace& trace,
+                                          const std::string& scheme = "arpwatch") {
     const detect::Registry registry;
     replay::EngineOptions opts;
     opts.timing = false;
-    const auto score = replay::Engine{registry, opts}.run(trace, "arpwatch");
+    const auto score = replay::Engine{registry, opts}.run(trace, scheme);
     EXPECT_TRUE(score.ok()) << score.error();
     return score.value().alert_list;
+}
+
+// ---------------------------------------------------------------------------
+// alert_line: the arpsec.alert-stream.v1 line format
+// ---------------------------------------------------------------------------
+
+TEST(AlertLineTest, GoldenBytes) {
+    // Every equivalence check formats both sides with alert_line, so only a
+    // pinned string catches drift in the format itself.
+    detect::Alert a;
+    a.at = common::SimTime{-1500};
+    a.scheme = "arpwatch";
+    a.kind = detect::AlertKind::kIpMacChange;
+    a.ip = wire::Ipv4Address{192, 168, 1, 5};
+    a.claimed_mac = wire::MacAddress{0x02, 0x00, 0x00, 0x00, 0xab, 0x01};
+    a.previous_mac = wire::MacAddress{0x0a, 0xbb, 0xcc, 0xdd, 0xee, 0xff};
+    a.detail = "said \"hi\" C:\\tmp\x01\n caf\xc3\xa9";
+    EXPECT_EQ(alert_line(a),
+              R"({"at_ns":-1500,"scheme":"arpwatch","kind":"ip-mac-change",)"
+              R"("ip":"192.168.1.5","claimed_mac":"02:00:00:00:ab:01",)"
+              R"("previous_mac":"0a:bb:cc:dd:ee:ff",)"
+              R"("detail":"said \"hi\" C:\\tmp\u0001\n caf)"
+              "\xc3\xa9\"}");
+}
+
+TEST(AlertLineTest, MatchesJsonObjectDumpOnRandomAlerts) {
+    // The reference layout: a telemetry::Json object with the keys assigned
+    // in order, dumped compactly.
+    const auto reference = [](const detect::Alert& a) {
+        telemetry::Json j = telemetry::Json::object();
+        j["at_ns"] = a.at.nanos();
+        j["scheme"] = a.scheme;
+        j["kind"] = detect::to_string(a.kind);
+        j["ip"] = a.ip.to_string();
+        j["claimed_mac"] = a.claimed_mac.to_string();
+        j["previous_mac"] = a.previous_mac.to_string();
+        j["detail"] = a.detail;
+        return j.dump();
+    };
+    std::mt19937_64 rng{20070613};
+    const auto bytes = [&](std::size_t max) {
+        std::string out(rng() % (max + 1), '\0');
+        for (char& c : out) c = static_cast<char>(rng() & 0xFF);
+        return out;
+    };
+    const auto mac = [&] {
+        const std::uint64_t v = rng();
+        return wire::MacAddress{static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+                                static_cast<std::uint8_t>(v >> 16),
+                                static_cast<std::uint8_t>(v >> 24),
+                                static_cast<std::uint8_t>(v >> 32),
+                                static_cast<std::uint8_t>(v >> 40)};
+    };
+    for (int i = 0; i < 5000; ++i) {
+        detect::Alert a;
+        a.at = common::SimTime{static_cast<std::int64_t>(rng())};
+        a.scheme = i % 2 == 0 ? std::string{"snort-arpspoof"} : bytes(12);
+        a.kind = static_cast<detect::AlertKind>(rng() % 10);
+        a.ip = wire::Ipv4Address{static_cast<std::uint32_t>(rng())};
+        a.claimed_mac = mac();
+        a.previous_mac = mac();
+        a.detail = bytes(48);
+        ASSERT_EQ(alert_line(a), reference(a)) << "alert " << i;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -182,50 +249,88 @@ TEST(ServeEquivalenceTest, PipeStreamMatchesOfflineReplay) {
 }
 
 TEST(ServeEquivalenceTest, AlertRecordsStreamBackToClient) {
-    // With stream_alerts on, every drained alert also goes out as a kAlert
-    // record; the client's decode of those lines must match the outcome.
+    // Every shard count x monitor scheme x streaming mode: the kAlert
+    // records the client decodes are, as a multiset, the outcome's alerts,
+    // which are the offline replay's; nothing arrives malformed; kSummary
+    // closes the stream; and with streaming off no kAlert arrives at all.
     const auto trace = small_trace();
-    const detect::Registry registry;
-    auto server = Server::create(registry, ServerOptions{});
-    ASSERT_TRUE(server.ok()) << server.error();
-
-    PipePair pipe = make_pipe(kRoomyPipe);
     const wire::Bytes script = encode_stream(trace, 0, trace.frames.size());
-    std::vector<std::string> streamed;
-    std::optional<common::Expected<ServeOutcome>> served;
-    const std::string peer = exp::run_pair(
-        [&] {
-            (void)pipe.client->write_all(
-                std::span<const std::uint8_t>{script.data(), script.size()});
-            wire::StreamDecoder decoder;
-            std::vector<std::uint8_t> rbuf(1 << 14);
-            wire::StreamRecord rec;
-            bool got_summary = false;
-            while (!got_summary) {
-                const auto io =
-                    pipe.client->read_some(std::span<std::uint8_t>{rbuf}, 10000);
-                if (io.kind != IoResult::Kind::kData) break;
-                decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
-                for (;;) {
-                    const auto st = decoder.poll(rec);
-                    if (st != wire::StreamDecoder::Status::kRecord) break;
-                    if (rec.type == wire::StreamRecordType::kAlert) {
-                        streamed.push_back(rec.text);
-                    }
-                    if (rec.type == wire::StreamRecordType::kSummary) got_summary = true;
+    const detect::Registry registry;
+    for (const std::string scheme :
+         {"arpwatch", "snort-arpspoof", "lease-monitor", "active-probe"}) {
+        const auto offline = canonical_lines(offline_alerts(trace, scheme));
+        ASSERT_FALSE(offline.empty()) << scheme << " raised no alerts; the case is vacuous";
+        for (const std::size_t shards : {1, 2, 4}) {
+            for (const bool stream : {true, false}) {
+                SCOPED_TRACE(scheme + " shards=" + std::to_string(shards) +
+                             (stream ? " streaming" : " not streaming"));
+                ServerOptions opts;
+                opts.schemes = {scheme};
+                opts.shards = shards;
+                opts.stream_alerts = stream;
+                auto server = Server::create(registry, opts);
+                ASSERT_TRUE(server.ok()) << server.error();
+
+                PipePair pipe = make_pipe(kRoomyPipe);
+                std::vector<std::string> streamed;
+                std::vector<wire::StreamRecordType> types;
+                std::size_t bad = 0;
+                std::optional<common::Expected<ServeOutcome>> served;
+                const std::string peer = exp::run_pair(
+                    [&] {
+                        (void)pipe.client->write_all(
+                            std::span<const std::uint8_t>{script.data(), script.size()});
+                        // Read to EOF: the server side closes after serve().
+                        wire::StreamDecoder decoder;
+                        std::vector<std::uint8_t> rbuf(1 << 14);
+                        wire::StreamRecord rec;
+                        for (;;) {
+                            const auto io =
+                                pipe.client->read_some(std::span<std::uint8_t>{rbuf}, 10000);
+                            if (io.kind != IoResult::Kind::kData) break;
+                            decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
+                            for (;;) {
+                                const auto st = decoder.poll(rec);
+                                if (st == wire::StreamDecoder::Status::kNeedMore) break;
+                                if (st != wire::StreamDecoder::Status::kRecord) {
+                                    ++bad;
+                                    continue;
+                                }
+                                types.push_back(rec.type);
+                                if (rec.type == wire::StreamRecordType::kAlert) {
+                                    streamed.push_back(rec.text);
+                                }
+                            }
+                        }
+                    },
+                    [&] {
+                        served = server.value()->serve(*pipe.server);
+                        pipe.server->close();
+                    });
+                EXPECT_EQ(peer, "");
+                ASSERT_TRUE(served->ok()) << served->error();
+
+                const auto outcome = canonical_lines(served->value().alerts);
+                EXPECT_EQ(outcome, offline);
+                EXPECT_EQ(bad, 0u);
+                EXPECT_EQ(server.value()->metrics().counter("serve.intake.bad_records").value(),
+                          0u);
+                ASSERT_FALSE(types.empty());
+                EXPECT_EQ(types.back(), wire::StreamRecordType::kSummary);
+                EXPECT_EQ(std::count(types.begin(), types.end(),
+                                     wire::StreamRecordType::kSummary),
+                          1);
+                if (stream) {
+                    std::sort(streamed.begin(), streamed.end());
+                    auto expected = outcome;
+                    std::sort(expected.begin(), expected.end());
+                    EXPECT_EQ(streamed, expected);
+                } else {
+                    EXPECT_TRUE(streamed.empty());
                 }
             }
-            EXPECT_TRUE(got_summary);
-        },
-        [&] { served = server.value()->serve(*pipe.server); });
-    EXPECT_EQ(peer, "");
-    const auto& outcome = *served;
-    ASSERT_TRUE(outcome.ok()) << outcome.error();
-
-    auto expected = canonical_lines(outcome.value().alerts);
-    std::sort(streamed.begin(), streamed.end());
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(streamed, expected);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@
 // schemes exactly as arpsec-replay would offline. --skip/--count slice the
 // trace (the snapshot/resume smoke streams the first half, then the rest);
 // --no-end closes without an END record, which the server treats as an
-// abandoned stream and freezes state without the grace window.
+// abandoned stream and freezes state without the grace window. Alerts are
+// read on a second role while frames are written.
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/version.hpp"
+#include "exp/executor.hpp"
 #include "replay/source.hpp"
 #include "serve/transport.hpp"
 #include "wire/stream_codec.hpp"
@@ -155,71 +157,83 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    // Laps beyond the first shift timestamps by the trace span so virtual
-    // time stays monotonic through a soak.
-    const std::int64_t span =
-        frames.empty() ? 0 : trace.value().last_at().nanos() + 1'000'000;
+    // The writer role. Laps beyond the first shift timestamps by the trace
+    // span so virtual time stays monotonic through a soak.
     std::uint64_t sent = 0;
-    for (std::size_t lap = 0; lap < repeat; ++lap) {
-        const std::uint64_t shift =
-            static_cast<std::uint64_t>(span) * static_cast<std::uint64_t>(lap);
-        std::size_t i = begin;
-        while (i < end) {
-            out.clear();
-            const std::size_t stop = i + batch_frames < end ? i + batch_frames : end;
-            for (; i < stop; ++i) {
-                arpsec::wire::encode_frame(
-                    out, static_cast<std::uint64_t>(frames[i].at.nanos()) + shift,
-                    std::span<const std::uint8_t>{frames[i].bytes.data(),
-                                                  frames[i].bytes.size()});
-                ++sent;
-            }
-            if (!send(out)) {
-                std::fprintf(stderr, "arpsec-loadgen: daemon closed after %llu frames\n",
-                             static_cast<unsigned long long>(sent));
-                return 1;
+    std::string write_error;
+    const auto write_stream = [&] {
+        const std::int64_t span =
+            frames.empty() ? 0 : trace.value().last_at().nanos() + 1'000'000;
+        for (std::size_t lap = 0; lap < repeat; ++lap) {
+            const std::uint64_t shift =
+                static_cast<std::uint64_t>(span) * static_cast<std::uint64_t>(lap);
+            std::size_t i = begin;
+            while (i < end) {
+                out.clear();
+                const std::size_t stop = i + batch_frames < end ? i + batch_frames : end;
+                for (; i < stop; ++i) {
+                    arpsec::wire::encode_frame(
+                        out, static_cast<std::uint64_t>(frames[i].at.nanos()) + shift,
+                        std::span<const std::uint8_t>{frames[i].bytes.data(),
+                                                      frames[i].bytes.size()});
+                    ++sent;
+                }
+                if (!send(out)) {
+                    write_error = "daemon closed after " + std::to_string(sent) + " frames";
+                    return;
+                }
             }
         }
-    }
-    if (send_end) {
+        if (!send_end) {
+            c.close();  // also ends the reader role
+            return;
+        }
         out.clear();
         arpsec::wire::encode_end(out);
-        if (!send(out)) {
-            std::fprintf(stderr, "arpsec-loadgen: daemon closed before END\n");
-            return 1;
+        if (!send(out)) write_error = "daemon closed before END";
+    };
+
+    // The reader role runs while frames stream out: the daemon's workers
+    // write kAlert records as they go, and an unread alert stream stalls
+    // them. Reads until the final kSummary (printed for scripts to parse).
+    std::uint64_t alerts = 0;
+    bool got_summary = false;
+    std::string read_error;
+    const auto read_stream = [&] {
+        arpsec::wire::StreamDecoder decoder;
+        std::vector<std::uint8_t> rbuf(1 << 16);
+        arpsec::wire::StreamRecord rec;
+        while (!got_summary) {
+            const auto io = c.read_some(std::span<std::uint8_t>{rbuf}, -1);
+            if (io.kind != arpsec::serve::IoResult::Kind::kData) return;
+            decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
+            for (;;) {
+                const auto st = decoder.poll(rec);
+                if (st == arpsec::wire::StreamDecoder::Status::kNeedMore) break;
+                if (st == arpsec::wire::StreamDecoder::Status::kFatal) {
+                    read_error = decoder.last_error();
+                    return;
+                }
+                if (st != arpsec::wire::StreamDecoder::Status::kRecord) continue;
+                if (rec.type == arpsec::wire::StreamRecordType::kAlert) ++alerts;
+                if (rec.type == arpsec::wire::StreamRecordType::kSummary) {
+                    std::printf("%s\n", rec.text.c_str());
+                    got_summary = true;
+                }
+            }
         }
-    } else {
-        c.close();
+    };
+
+    const std::string peer = arpsec::exp::run_pair(read_stream, write_stream);
+    for (const std::string& error : {write_error, read_error, peer}) {
+        if (error.empty()) continue;
+        std::fprintf(stderr, "arpsec-loadgen: %s\n", error.c_str());
+        return 1;
+    }
+    if (!send_end) {
         std::printf("loadgen: streamed %llu frames, closed without END\n",
                     static_cast<unsigned long long>(sent));
         return 0;
-    }
-
-    // Collect the daemon's side of the stream: kAlert records until the
-    // final kSummary (printed to stdout for scripts to parse).
-    arpsec::wire::StreamDecoder decoder;
-    std::vector<std::uint8_t> rbuf(1 << 16);
-    std::uint64_t alerts = 0;
-    bool got_summary = false;
-    while (!got_summary) {
-        const auto io = c.read_some(std::span<std::uint8_t>{rbuf}, 30000);
-        if (io.kind != arpsec::serve::IoResult::Kind::kData) break;
-        decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
-        arpsec::wire::StreamRecord rec;
-        for (;;) {
-            const auto st = decoder.poll(rec);
-            if (st == arpsec::wire::StreamDecoder::Status::kNeedMore) break;
-            if (st == arpsec::wire::StreamDecoder::Status::kFatal) {
-                std::fprintf(stderr, "arpsec-loadgen: %s\n", decoder.last_error().c_str());
-                return 1;
-            }
-            if (st != arpsec::wire::StreamDecoder::Status::kRecord) continue;
-            if (rec.type == arpsec::wire::StreamRecordType::kAlert) ++alerts;
-            if (rec.type == arpsec::wire::StreamRecordType::kSummary) {
-                std::printf("%s\n", rec.text.c_str());
-                got_summary = true;
-            }
-        }
     }
     std::fprintf(stderr, "loadgen: streamed %llu frames, received %llu alert records\n",
                  static_cast<unsigned long long>(sent),
