@@ -7,16 +7,22 @@
 //
 // stdout carries the deterministic per-config frame/alert counts;
 // wall-clock throughput goes to stderr, the sweep artifact (--out, default
-// serve_throughput.runs.json), and the BENCH_serve_throughput.json
-// perf-trajectory point. Under --smoke the trace shrinks and one lap is
-// streamed; the full run soaks ~1M frames per shard configuration.
+// serve_throughput.runs.json), and one run appended to the
+// BENCH_serve_throughput.json perf trajectory in the working directory,
+// stamped with the host (nproc, compiler, build type, git describe). Under
+// --smoke the trace shrinks and one lap is streamed; the full run soaks ~1M
+// frames per shard configuration.
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/version.hpp"
 #include "core/report.hpp"
 #include "detect/registry.hpp"
 #include "exp/bench_main.hpp"
@@ -79,6 +85,46 @@ void stream_trace(serve::Connection& conn, const replay::LabeledTrace& trace,
     out.clear();
     wire::encode_end(out);
     (void)conn.write_all({out.data(), out.size()});
+}
+
+const char* compiler() {
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#elif defined(__GNUC__)
+    return "gcc " __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+/// Appends `run` to the trajectory at kTrajectoryPath, creating the file if
+/// needed; earlier runs are kept. A file holding a single run at top level
+/// (the format before runs were appended) becomes the first run. Returns
+/// false, leaving the file untouched, when it is not a trajectory.
+bool append_run(telemetry::Json run) {
+    telemetry::Json runs = telemetry::Json::array();
+    if (std::ifstream in{kTrajectoryPath}; in) {
+        std::ostringstream text;
+        text << in.rdbuf();
+        const auto old = telemetry::Json::parse(text.str());
+        if (!old.has_value() || !old->is_object()) return false;
+        if (const telemetry::Json* prior = old->find("runs"); prior != nullptr) {
+            if (!prior->is_array()) return false;
+            runs = *prior;
+        } else if (old->find("configs") != nullptr) {
+            runs.push_back(*old);
+        } else {
+            return false;
+        }
+    }
+    runs.push_back(std::move(run));
+    telemetry::Json doc = telemetry::Json::object();
+    doc["schema"] = kTrajectorySchema;
+    doc["bench"] = "serve_throughput";
+    doc["runs"] = std::move(runs);
+    std::ofstream out{kTrajectoryPath, std::ios::trunc};
+    out << doc.dump(2) << "\n";
+    return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -199,11 +245,15 @@ int main(int argc, char** argv) {
     sweep["configs"] = std::move(sweep_rows);
     artifact.add_json(std::move(sweep));
 
-    telemetry::Json traj = telemetry::Json::object();
-    traj["schema"] = kTrajectorySchema;
-    traj["bench"] = "serve_throughput";
-    traj["smoke"] = opt.smoke;
-    traj["frames"] = total_frames;
+    telemetry::Json run = telemetry::Json::object();
+    telemetry::Json host = telemetry::Json::object();
+    host["nproc"] = static_cast<std::int64_t>(::sysconf(_SC_NPROCESSORS_ONLN));
+    host["compiler"] = compiler();
+    host["build_type"] = ARPSEC_BUILD_TYPE;
+    host["version"] = common::version_string();
+    run["host"] = std::move(host);
+    run["smoke"] = opt.smoke;
+    run["frames"] = total_frames;
     telemetry::Json rows = telemetry::Json::array();
     for (const auto& r : results) {
         telemetry::Json row = telemetry::Json::object();
@@ -214,14 +264,10 @@ int main(int argc, char** argv) {
         row["backpressure_waits"] = r.backpressure_waits;
         rows.push_back(std::move(row));
     }
-    traj["configs"] = std::move(rows);
-    {
-        std::ofstream out{kTrajectoryPath};
-        if (out) {
-            out << traj.dump(2) << "\n";
-        } else {
-            std::fprintf(stderr, "[bench] cannot write %s\n", kTrajectoryPath);
-        }
+    run["configs"] = std::move(rows);
+    if (!append_run(std::move(run))) {
+        std::fprintf(stderr, "[bench] cannot append a run to %s\n", kTrajectoryPath);
+        ++failures;
     }
 
     return exp::finish_bench(opt, artifact, failures);

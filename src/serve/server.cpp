@@ -196,7 +196,6 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     std::uint64_t hello_seed = 1;
     std::string hello_error;
     bool workers_started = false;
-    std::vector<telemetry::Gauge*> depth_gauges;
     const auto ensure_shards = [&]() -> bool {
         if (workers_started) return true;
         if (shards_.empty()) {
@@ -207,9 +206,8 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
         }
         workers_started = true;
         for (auto& shard : shards_) {
-            shard->start(&watch_);
-            depth_gauges.push_back(&metrics_.gauge(
-                "serve.shard." + std::to_string(shard->index()) + ".queue_depth"));
+            const std::string prefix = "serve.shard." + std::to_string(shard->index());
+            shard->start(&watch_, &metrics_.gauge(prefix + ".queue_depth"));
         }
         return true;
     };
@@ -309,24 +307,12 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                         break;
                     }
                     c_frames.inc();
-                    wire::FrameBuffer buffer =
-                        wire::FrameBuffer::capture(std::move(rec.frame.bytes));
-                    wire::FrameView view{std::move(buffer)};
+                    wire::FrameView view{wire::FrameBuffer::capture(std::move(rec.frame.bytes))};
                     view.prime();  // memoize on this thread; workers read only
                     const auto at =
                         common::SimTime{static_cast<std::int64_t>(rec.frame.at_nanos)};
                     const std::size_t target = shard_of(view, shards_.size());
-                    // Sampled observability (1-in-256 frames): the clock
-                    // read for the latency histogram and the cross-thread
-                    // queue-depth probe both cost measurable intake
-                    // throughput at 1M+ frames/s.
-                    const bool sampled = (c_frames.value() & 255u) == 0u;
-                    (void)shards_[target]->submit(
-                        at, view, sampled ? watch_.elapsed_seconds() : -1.0);
-                    if (sampled) {
-                        depth_gauges[target]->set(
-                            static_cast<std::int64_t>(shards_[target]->queue_depth()));
-                    }
+                    shards_[target]->add(at, std::move(view));
                     if (options_.scorecard_every > 0 &&
                         ++frames_since_scorecard >= options_.scorecard_every) {
                         frames_since_scorecard = 0;
@@ -353,10 +339,14 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                     break;
             }
         }
+        // Frames wait in a shard's open batch only until the chunk that
+        // carried them is decoded.
+        for (auto& shard : shards_) shard->flush();
     }
 
-    // Wind down: no grace after a stop (the snapshot must capture exactly
-    // the fed state) or an abandoned stream (EOF without END).
+    // Wind down (each shard submits what is left in its open batch): no
+    // grace after a stop (the snapshot must capture exactly the fed state)
+    // or an abandoned stream (EOF without END).
     const bool run_grace = outcome.ended_by_end_record && !outcome.stopped;
     for (auto& shard : shards_) shard->finish_input(run_grace, options_.grace);
     for (auto& shard : shards_) shard->join();

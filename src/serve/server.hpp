@@ -30,9 +30,11 @@ struct ServerOptions {
     /// SchemeSession per name).
     std::vector<std::string> schemes{"arpwatch"};
     std::size_t shards = 1;
+    /// Per-shard intake ring bound in frames, rounded up to whole
+    /// kBatchFrames batches.
     std::size_t ring_capacity = 4096;
     /// false = block the intake thread when a shard ring fills (zero
-    /// admitted-frame loss); true = count and drop instead.
+    /// admitted-frame loss); true = count and drop the batch instead.
     bool drop_when_full = false;
     /// Virtual-time grace window run after a clean END record so delayed
     /// alerts (probe timeouts) land — the same default arpsec-replay uses.
@@ -78,19 +80,23 @@ struct ServeOutcome {
 ///
 ///   intake thread (the caller) — reads the transport, decodes
 ///     `arpsec.stream.v1` records, primes each frame's FrameView once, and
-///     routes it to a shard by subnet key (single producer to every ring);
+///     routes it to a shard by subnet key into that shard's open batch; a
+///     batch goes into the shard's ring when it holds kBatchFrames frames
+///     and at the end of every decoded transport chunk (single producer to
+///     every ring). Consumed batches come back through the ring and are
+///     freed here, on the thread that captured their frames;
 ///   N shard workers — each owns its SchemeSessions, feeds them frames
 ///     (single consumer of its ring), and writes its own kAlert records
 ///     back to the client, one batch per write under a shared lock.
 ///
 /// Backpressure is explicit: a full shard ring either blocks the intake
 /// thread (default — the transport then pushes back on the client, so no
-/// admitted frame is ever lost) or drops with per-shard accounting. A
-/// client that stops reading alerts blocks the writing worker, so its
-/// ring fills and the same push-back reaches the client's writes.
-/// Malformed records are skipped with typed errors; only a corrupt length
-/// prefix (framing lost) abandons the stream — the daemon itself survives
-/// both.
+/// admitted frame is ever lost) or drops whole batches with per-shard
+/// accounting. A client that stops reading alerts blocks the writing
+/// worker, so its ring fills and the same push-back reaches the client's
+/// writes. Malformed records are skipped with typed errors; only a corrupt
+/// length prefix (framing lost) abandons the stream — the daemon itself
+/// survives both.
 class Server {
 public:
     /// Fails when options name an unknown scheme or shards == 0.

@@ -24,6 +24,12 @@ std::uint64_t mix64(std::uint64_t x) {
 /// even while its intake ring stays busy.
 constexpr std::size_t kAlertFlushBytes = 64 * 1024;
 
+/// Ring slots for a bound of `frames`: whole batches, rounded up (written
+/// so that a huge `--ring` cannot wrap around).
+std::size_t batch_slots(std::size_t frames) {
+    return frames / kBatchFrames + (frames % kBatchFrames == 0 ? 0 : 1);
+}
+
 /// Drain-latency buckets: 1µs .. 1s, decade-spaced. Queueing under load
 /// lives in the middle decades; the overflow bucket flags a stalled worker.
 std::vector<double> latency_bounds() {
@@ -52,7 +58,7 @@ Shard::Shard(std::size_t index, const detect::Registry& registry,
              const replay::SessionOptions& session_options, const Options& options)
     : index_(index),
       scheme_names_(schemes),
-      ring_(options.ring_capacity),
+      ring_(batch_slots(options.ring_capacity)),
       drop_when_full_(options.drop_when_full),
       write_alerts_(options.write_alerts),
       latency_(latency_bounds()) {
@@ -70,27 +76,44 @@ Shard::Shard(std::size_t index, const detect::Registry& registry,
 
 Shard::~Shard() { join(); }
 
-void Shard::start(const common::Stopwatch* clock) {
+void Shard::start(const common::Stopwatch* clock, telemetry::Gauge* depth) {
     clock_ = clock;
+    depth_ = depth;
     joined_ = false;
     thread_ = std::thread([this] { run(); });
 }
 
-bool Shard::submit(common::SimTime at, const wire::FrameView& view, double enqueued_s) {
-    // A failed try_push leaves the item untouched, so retrying the same
-    // object after a yield is safe.
-    WorkItem item{at, view, enqueued_s};
-    if (ring_.try_push(std::move(item))) return true;
-    if (drop_when_full_) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return false;
+void Shard::add(common::SimTime at, wire::FrameView view) {
+    open_.frames.push_back(WorkItem{at, std::move(view)});
+    if (open_.frames.size() >= kBatchFrames) flush();
+}
+
+void Shard::flush() {
+    const std::size_t n = open_.frames.size();
+    if (n == 0) return;
+    open_.submitted_s = clock_->elapsed_seconds();
+    // Counted before the push: once the batch is in the ring the worker may
+    // finish it and subtract its frames.
+    queued_frames_.fetch_add(n, std::memory_order_relaxed);
+    if (!ring_.push(open_)) {
+        if (drop_when_full_) {
+            queued_frames_.fetch_sub(n, std::memory_order_relaxed);
+            dropped_.fetch_add(n, std::memory_order_relaxed);
+            open_.frames.clear();
+            return;
+        }
+        backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+        while (!ring_.push(open_)) std::this_thread::yield();
     }
-    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-    while (!ring_.try_push(std::move(item))) std::this_thread::yield();
-    return true;
+    depth_->set(static_cast<std::int64_t>(queue_depth()));
+    // open_ now holds the slot's previous occupant: a batch the worker has
+    // finished with. Clearing it here frees its frames on this thread, which
+    // captured them, and keeps its capacity for the next batch.
+    open_.frames.clear();
 }
 
 void Shard::finish_input(bool run_grace, common::Duration grace) {
+    flush();
     run_grace_ = run_grace;
     grace_ = grace;
     input_done_.store(true, std::memory_order_release);
@@ -103,17 +126,14 @@ void Shard::join() {
 }
 
 void Shard::run() {
-    WorkItem item;
     for (;;) {
-        if (ring_.try_pop(item)) {
-            process(item);
-            continue;
-        }
+        if (drain_one()) continue;
         flush_alerts();
         if (input_done_.load(std::memory_order_acquire)) {
             // One more sweep: the producer may have pushed between our
-            // failed pop and the flag load.
-            while (ring_.try_pop(item)) process(item);
+            // failed front() and the flag load.
+            while (drain_one()) {
+            }
             break;
         }
         std::this_thread::yield();
@@ -125,16 +145,24 @@ void Shard::run() {
     wire::flush_frameview_hits();
 }
 
+bool Shard::drain_one() {
+    Batch* batch = ring_.front();
+    if (batch == nullptr) return false;
+    latency_.observe(clock_->elapsed_seconds() - batch->submitted_s);
+    for (const WorkItem& item : batch->frames) process(item);
+    const std::size_t n = batch->frames.size();
+    frames_.fetch_add(n, std::memory_order_relaxed);
+    // Before pop(): the intake's next push into this slot must see the
+    // frames gone, so queue_depth never counts a slot twice.
+    queued_frames_.fetch_sub(n, std::memory_order_relaxed);
+    ring_.pop();  // the batch stays in its slot; the intake frees it
+    return true;
+}
+
 void Shard::process(const WorkItem& item) {
-    frames_.fetch_add(1, std::memory_order_relaxed);
     bool ok = true;
     for (auto& session : sessions_) ok = session->feed(item.at, item.view) && ok;
     if (!ok) malformed_.fetch_add(1, std::memory_order_relaxed);
-    // enqueued_s < 0 marks an unsampled frame (the intake thread stamps
-    // only a subset to keep two clock reads off the per-frame hot path).
-    if (clock_ != nullptr && item.enqueued_s >= 0.0) {
-        latency_.observe(clock_->elapsed_seconds() - item.enqueued_s);
-    }
     if (alert_bytes_.size() >= kAlertFlushBytes) flush_alerts();
 }
 

@@ -18,17 +18,25 @@
 
 namespace arpsec::serve {
 
+/// Frames per intake->worker batch: one ring slot, one drain-latency
+/// sample and one queue-depth update per batch instead of per frame.
+inline constexpr std::size_t kBatchFrames = 256;
+
 /// One frame handed from the intake thread to a shard worker. The view
 /// must be primed before submission — after priming, the worker's accesses
 /// are read-only memo hits (the FrameBuffer cross-thread contract).
 struct WorkItem {
     common::SimTime at;
     wire::FrameView view;
-    /// Server stopwatch reading at enqueue; the worker's reading at
-    /// dequeue minus this is the drain latency sample. Negative means the
-    /// intake thread did not stamp this frame (latency is sampled, not
-    /// per-frame) and the worker records no sample.
-    double enqueued_s = -1.0;
+};
+
+/// Up to kBatchFrames frames bound for one shard: the unit of the
+/// intake->worker ring.
+struct Batch {
+    std::vector<WorkItem> frames;
+    /// Server stopwatch reading at submit; the worker's reading when it
+    /// takes the batch minus this is the batch's drain-latency sample.
+    double submitted_s = 0.0;
 };
 
 /// Picks the shard for a frame: ARP sender subnet (/24) when the frame is
@@ -39,12 +47,16 @@ struct WorkItem {
 /// carry no addresses, and every session counts them the same way.
 [[nodiscard]] std::size_t shard_of(const wire::FrameView& view, std::size_t shards);
 
-/// One detector worker: an intake ring and one SchemeSession per configured
-/// scheme. The intake thread is the only producer, the worker thread the
-/// only consumer (and the only toucher of the sessions). The worker encodes
-/// its own kAlert records into a buffer it owns and hands each batch to the
-/// server's alert writer. All cross-thread stats are relaxed atomics; the
-/// drain-latency histogram is worker-owned and merged after join().
+/// One detector worker: an intake ring of frame batches and one
+/// SchemeSession per configured scheme. The intake thread is the only
+/// producer, the worker thread the only consumer (and the only toucher of
+/// the sessions). The worker reads each batch in place and hands its slot
+/// back; the intake's next push into that slot takes the consumed batch
+/// back and clears it, so every frame is freed on the intake thread that
+/// captured it. The worker encodes its own kAlert records into a buffer it
+/// owns and hands each batch to the server's alert writer. All
+/// cross-thread stats are relaxed atomics; the drain-latency histogram is
+/// worker-owned and merged after join().
 class Shard {
 public:
     /// Sends one batch of encoded kAlert records to the client. Every
@@ -52,10 +64,12 @@ public:
     using AlertWriter = std::function<void(const wire::Bytes&)>;
 
     struct Options {
+        /// Ring bound in frames, rounded up to whole kBatchFrames batches.
         std::size_t ring_capacity = 4096;
         /// Admission policy when the intake ring is full: false blocks the
         /// intake thread (zero admitted-frame loss — the transport's own
-        /// backpressure pushes back on the client); true counts and drops.
+        /// backpressure pushes back on the client); true counts and drops
+        /// the whole batch.
         bool drop_when_full = false;
         /// Null turns alert streaming off.
         AlertWriter write_alerts;
@@ -71,17 +85,23 @@ public:
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
 
-    /// Spawns the worker thread. `clock` must outlive the shard.
-    void start(const common::Stopwatch* clock);
+    /// Spawns the worker thread. `clock` and `depth` must outlive the
+    /// shard; `depth` is set on the intake thread after each submitted
+    /// batch.
+    void start(const common::Stopwatch* clock, telemetry::Gauge* depth);
 
-    /// Intake thread only. Blocks when the ring is full (or drops, per
-    /// options). Returns false iff the frame was dropped.
-    bool submit(common::SimTime at, const wire::FrameView& view, double enqueued_s);
+    /// Intake thread only. Appends a primed frame to the open batch and
+    /// submits the batch once it holds kBatchFrames frames.
+    void add(common::SimTime at, wire::FrameView view);
 
-    /// Intake thread: no more submissions. The worker drains its ring,
-    /// optionally runs each session's grace window (delayed alerts), and
-    /// exits. `run_grace` is false on snapshot-bound stops so learned
-    /// state freezes at the last fed frame.
+    /// Intake thread only. Submits the open batch if it holds any frame:
+    /// blocks while the ring is full (or drops the batch, per options).
+    void flush();
+
+    /// Intake thread: no more submissions. Submits the open batch; the
+    /// worker drains its ring, optionally runs each session's grace window
+    /// (delayed alerts), and exits. `run_grace` is false on snapshot-bound
+    /// stops so learned state freezes at the last fed frame.
     void finish_input(bool run_grace, common::Duration grace);
 
     /// Joins the worker thread (idempotent) and drops the alert writer,
@@ -102,8 +122,10 @@ public:
     [[nodiscard]] std::uint64_t backpressure_waits() const {
         return backpressure_waits_.load(std::memory_order_relaxed);
     }
-    /// Intake-side ring occupancy snapshot (sampled after each submit).
-    [[nodiscard]] std::size_t queue_depth() const { return ring_.size(); }
+    /// Frames submitted to the ring and not yet fed to the sessions.
+    [[nodiscard]] std::size_t queue_depth() const {
+        return queued_frames_.load(std::memory_order_relaxed);
+    }
     [[nodiscard]] std::size_t index() const { return index_; }
 
     /// Post-join only: the worker no longer exists, so these are safe to
@@ -118,17 +140,22 @@ public:
 
 private:
     void run();
+    bool drain_one();
     void process(const WorkItem& item);
     void flush_alerts();
 
     std::size_t index_;
     std::vector<std::string> scheme_names_;
     std::vector<std::unique_ptr<replay::SchemeSession>> sessions_;
-    common::SpscRing<WorkItem> ring_;
+    common::SpscRing<Batch> ring_;
     bool drop_when_full_;
     AlertWriter write_alerts_;
-    wire::Bytes alert_bytes_;  // worker-owned; encoded kAlert records not yet written
     const common::Stopwatch* clock_ = nullptr;
+    // Intake-owned, on their own cache line: open_ changes with every frame.
+    alignas(64) Batch open_;  // frames not yet submitted
+    telemetry::Gauge* depth_ = nullptr;
+    // Worker-owned.
+    alignas(64) wire::Bytes alert_bytes_;  // encoded kAlert records not yet written
     telemetry::Histogram latency_;
 
     std::atomic<bool> input_done_{false};
@@ -140,6 +167,7 @@ private:
     std::atomic<std::uint64_t> alerts_emitted_{0};
     std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> backpressure_waits_{0};
+    std::atomic<std::size_t> queued_frames_{0};
 
     std::thread thread_;
     bool joined_ = true;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <random>
@@ -342,7 +343,7 @@ TEST(ServeShardedTest, EveryAdmittedFrameReachesExactlyOneShard) {
     const detect::Registry registry;
     ServerOptions opts;
     opts.shards = 3;
-    opts.ring_capacity = 64;  // small enough to exercise backpressure
+    opts.ring_capacity = 64;  // under one batch: a one-slot ring, so backpressure runs
     auto server = Server::create(registry, opts);
     ASSERT_TRUE(server.ok()) << server.error();
 
@@ -362,6 +363,20 @@ TEST(ServeShardedTest, EveryAdmittedFrameReachesExactlyOneShard) {
         total += static_cast<std::uint64_t>(per_shard->at(i).find("frames")->as_int());
     }
     EXPECT_EQ(total, trace.frames.size());
+
+    // Queue depth is counted in frames and never exceeds the ring's frame
+    // bound: --ring rounded up to whole batches.
+    const std::int64_t bound = static_cast<std::int64_t>(
+        (opts.ring_capacity + kBatchFrames - 1) / kBatchFrames * kBatchFrames);
+    std::int64_t deepest = 0;
+    for (std::size_t i = 0; i < opts.shards; ++i) {
+        const telemetry::Gauge* depth = server.value()->metrics().find_gauge(
+            "serve.shard." + std::to_string(i) + ".queue_depth");
+        ASSERT_NE(depth, nullptr) << "shard " << i;
+        EXPECT_LE(depth->high_water(), bound) << "shard " << i;
+        deepest = std::max(deepest, depth->high_water());
+    }
+    EXPECT_GT(deepest, 0);
 }
 
 TEST(ServeShardedTest, DropModeConservesAdmittedPlusDropped) {
@@ -520,19 +535,32 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
     const detect::Registry registry;
     ServerOptions opts;
     opts.read_timeout_ms = 5;
+    // The scorecard line written at the last frame is the signal that the
+    // server has admitted every frame.
+    opts.scorecard_every = trace.frames.size();
+    opts.scorecard_path = ::testing::TempDir() + "/arpsec_serve_stop_scorecard.jsonl";
+    std::remove(opts.scorecard_path.c_str());
     auto server = Server::create(registry, opts);
     ASSERT_TRUE(server.ok()) << server.error();
 
     PipePair pipe = make_pipe(kRoomyPipe);
     const wire::Bytes script =
         encode_stream(trace, 0, trace.frames.size(), true, /*with_end=*/false);
+    const auto all_admitted = [&] {
+        std::ifstream in{opts.scorecard_path};
+        std::string line;
+        return static_cast<bool>(std::getline(in, line)) && !in.eof();
+    };
     std::optional<common::Expected<ServeOutcome>> served;
     const std::string peer = exp::run_pair(
         [&] {
             (void)pipe.client->write_all(
                 std::span<const std::uint8_t>{script.data(), script.size()});
-            // Leave the stream open; ask for shutdown instead of sending END.
-            exp::sleep_millis(50);
+            // Leave the stream open; ask for shutdown instead of sending END,
+            // once the server has admitted everything written.
+            for (int waited_ms = 0; waited_ms < 60000 && !all_admitted(); ++waited_ms) {
+                exp::sleep_millis(1);
+            }
             server.value()->request_stop();
         },
         [&] { served = server.value()->serve(*pipe.server); });

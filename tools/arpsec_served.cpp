@@ -43,9 +43,11 @@ int usage(const char* argv0) {
         "                        the chosen address is printed on stdout)\n"
         "  --schemes LIST        schemes deployed per shard (default arpwatch)\n"
         "  --shards N            detector workers (default 1)\n"
-        "  --ring N              per-shard intake ring capacity (default 4096)\n"
-        "  --drop                drop frames when a shard ring is full instead\n"
-        "                        of applying backpressure\n"
+        "  --ring N              per-shard intake ring capacity in frames,\n"
+        "                        rounded up to whole 256-frame batches\n"
+        "                        (default 4096)\n"
+        "  --drop                drop a frame batch when its shard ring is full\n"
+        "                        instead of applying backpressure\n"
         "  --grace-ms MS         virtual time after a clean END (default 2000)\n"
         "  --read-timeout-ms MS  per-read poll interval (default 100; also how\n"
         "                        often SIGTERM is noticed)\n"
