@@ -1,7 +1,7 @@
 // Serve throughput — frames/sec through the full online path: a client
 // thread encodes `arpsec.stream.v1` records into an in-process pipe, and
-// arpsec::serve::Server decodes, primes, shards, and feeds them to
-// per-shard arpwatch sessions. Measured per shard count (1, 2, 4), with
+// arpsec::serve::Server decodes and shards them, and each shard worker
+// parses and feeds them to its arpwatch session. Measured per shard count (1, 2, 4), with
 // alert streaming off so the number is intake+detection throughput, not
 // JSONL encoding.
 //

@@ -3,6 +3,8 @@
 #include <memory>
 #include <unordered_map>
 
+#include "detect/state_json.hpp"
+
 namespace arpsec::detect {
 
 class ActiveProbeScheme::Prober final : public TrafficObserver,
@@ -55,11 +57,9 @@ public:
         Probe p;
         p.old_mac = it->second;
         p.new_mac = mac;
-        auto self = shared_from_this();
-        MonitorNode* mon = &monitor;
-        p.timeout_event = monitor.network().scheduler().schedule_after(
-            options_.probe_timeout, [self, mon, ip] { self->probe_timeout(*mon, ip); });
+        p.timeout_at = at + options_.probe_timeout;
         probes_[ip] = p;
+        arm_timeout(monitor.network().scheduler(), ip);
 
         wire::EthernetFrame probe;
         probe.dst = p.old_mac;
@@ -71,7 +71,7 @@ public:
         ++probes_sent_;
     }
 
-    void probe_timeout(MonitorNode&, wire::Ipv4Address ip) {
+    void probe_timeout(wire::Ipv4Address ip) {
         auto it = probes_.find(ip);
         if (it == probes_.end()) return;
         // Old station silent: legitimate rebind; update quietly.
@@ -81,12 +81,80 @@ public:
 
     [[nodiscard]] std::uint64_t probes_sent() const { return probes_sent_; }
 
+    /// The station database, the in-flight probes (with their timeout
+    /// deadlines) and the re-alert clock, rows in address order.
+    [[nodiscard]] telemetry::Json snapshot() const {
+        telemetry::Json stations = telemetry::Json::array();
+        for (const auto* entry : state_json::by_ip(db_)) {
+            telemetry::Json row = telemetry::Json::object();
+            row["ip"] = entry->first.to_string();
+            row["mac"] = entry->second.to_string();
+            stations.push_back(std::move(row));
+        }
+        telemetry::Json probes = telemetry::Json::array();
+        for (const auto* entry : state_json::by_ip(probes_)) {
+            telemetry::Json row = telemetry::Json::object();
+            row["ip"] = entry->first.to_string();
+            row["old_mac"] = entry->second.old_mac.to_string();
+            row["new_mac"] = entry->second.new_mac.to_string();
+            row["timeout_ns"] = entry->second.timeout_at.nanos();
+            probes.push_back(std::move(row));
+        }
+        telemetry::Json alerted = telemetry::Json::array();
+        for (const auto* entry : state_json::by_ip(last_alert_)) {
+            telemetry::Json row = telemetry::Json::object();
+            row["ip"] = entry->first.to_string();
+            row["at_ns"] = entry->second.nanos();
+            alerted.push_back(std::move(row));
+        }
+        telemetry::Json j = telemetry::Json::object();
+        j["stations"] = std::move(stations);
+        j["probes"] = std::move(probes);
+        j["last_alerts"] = std::move(alerted);
+        return j;
+    }
+
+    /// Replaces the state with a snapshot's and re-arms each in-flight
+    /// probe's timeout at its original deadline on `scheduler`.
+    void restore(sim::EventScheduler& scheduler, const telemetry::Json& state) {
+        db_.clear();
+        for (const auto& entry : probes_) scheduler.cancel(entry.second.timeout_event);
+        probes_.clear();
+        last_alert_.clear();
+        for (const telemetry::Json* row : state_json::rows(state, "stations")) {
+            const auto ip = state_json::ip(*row, "ip");
+            const auto mac = state_json::mac(*row, "mac");
+            if (ip && mac) db_[*ip] = *mac;
+        }
+        for (const telemetry::Json* row : state_json::rows(state, "probes")) {
+            const auto ip = state_json::ip(*row, "ip");
+            const auto old_mac = state_json::mac(*row, "old_mac");
+            const auto new_mac = state_json::mac(*row, "new_mac");
+            const auto timeout_at = state_json::time(*row, "timeout_ns");
+            if (!ip || !old_mac || !new_mac || !timeout_at) continue;
+            probes_[*ip] = Probe{*old_mac, *new_mac, *timeout_at};
+            arm_timeout(scheduler, *ip);
+        }
+        for (const telemetry::Json* row : state_json::rows(state, "last_alerts")) {
+            const auto ip = state_json::ip(*row, "ip");
+            const auto at = state_json::time(*row, "at_ns");
+            if (ip && at) last_alert_[*ip] = *at;
+        }
+    }
+
 private:
     struct Probe {
         wire::MacAddress old_mac;
         wire::MacAddress new_mac;
+        common::SimTime timeout_at;
         sim::EventId timeout_event = 0;
     };
+
+    void arm_timeout(sim::EventScheduler& scheduler, wire::Ipv4Address ip) {
+        Probe& p = probes_.at(ip);
+        p.timeout_event = scheduler.schedule_at(
+            p.timeout_at, [self = shared_from_this(), ip] { self->probe_timeout(ip); });
+    }
 
     ActiveProbeScheme::Options options_;
     std::function<void(Alert)> raise_;
@@ -111,9 +179,16 @@ SchemeTraits ActiveProbeScheme::traits() const {
 }
 
 void ActiveProbeScheme::attach_monitor(MonitorNode& monitor) {
-    monitor.add_observer(std::make_shared<Prober>(options_, [this](Alert a) {
-        alert(std::move(a));
-    }));
+    prober_ = std::make_shared<Prober>(options_, [this](Alert a) { alert(std::move(a)); });
+    monitor.add_observer(prober_);
+}
+
+telemetry::Json ActiveProbeScheme::snapshot_state() const {
+    return prober_ ? prober_->snapshot() : telemetry::Json::object();
+}
+
+void ActiveProbeScheme::restore_state(const telemetry::Json& state) {
+    if (prober_ && ctx_.net != nullptr) prober_->restore(ctx_.net->scheduler(), state);
 }
 
 }  // namespace arpsec::detect

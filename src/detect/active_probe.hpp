@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+
 #include "common/time.hpp"
 #include "detect/scheme.hpp"
 
@@ -26,9 +28,16 @@ public:
     [[nodiscard]] SchemeTraits traits() const override;
     void attach_monitor(MonitorNode& monitor) override;
 
+    /// The station database, in-flight probes and re-alert clock round-trip
+    /// through `snapshot_state`; restore re-arms each pending probe's
+    /// timeout at its original virtual-time deadline.
+    [[nodiscard]] telemetry::Json snapshot_state() const override;
+    void restore_state(const telemetry::Json& state) override;
+
 private:
     class Prober;
     Options options_;
+    std::shared_ptr<Prober> prober_;
 };
 
 }  // namespace arpsec::detect

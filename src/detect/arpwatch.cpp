@@ -1,9 +1,9 @@
 #include "detect/arpwatch.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
-#include <vector>
+
+#include "detect/state_json.hpp"
 
 namespace arpsec::detect {
 
@@ -50,22 +50,15 @@ public:
     [[nodiscard]] std::size_t stations() const { return db_.size(); }
 
     [[nodiscard]] telemetry::Json snapshot() const {
-        // db_ is an unordered_map; emit rows sorted by IP so snapshots of
-        // identical state are byte-identical (the snapshot artifact is
-        // subject to the repo's determinism contract).
-        std::vector<std::pair<wire::Ipv4Address, const Station*>> rows;
-        rows.reserve(db_.size());
-        for (const auto& [ip, st] : db_) rows.emplace_back(ip, &st);
-        std::sort(rows.begin(), rows.end(),
-                  [](const auto& a, const auto& b) { return a.first.value() < b.first.value(); });
         telemetry::Json stations = telemetry::Json::array();
-        for (const auto& [ip, st] : rows) {
+        for (const auto* entry : state_json::by_ip(db_)) {
+            const Station& st = entry->second;
             telemetry::Json row = telemetry::Json::object();
-            row["ip"] = ip.to_string();
-            row["mac"] = st->mac.to_string();
-            row["previous_mac"] = st->previous_mac.to_string();
-            row["last_seen_ns"] = st->last_seen.nanos();
-            row["last_change_ns"] = st->last_change.nanos();
+            row["ip"] = entry->first.to_string();
+            row["mac"] = st.mac.to_string();
+            row["previous_mac"] = st.previous_mac.to_string();
+            row["last_seen_ns"] = st.last_seen.nanos();
+            row["last_change_ns"] = st.last_change.nanos();
             stations.push_back(std::move(row));
         }
         telemetry::Json j = telemetry::Json::object();
@@ -75,35 +68,17 @@ public:
 
     void restore(const telemetry::Json& state) {
         db_.clear();
-        const telemetry::Json* stations = state.find("stations");
-        if (stations == nullptr || !stations->is_array()) return;
-        for (const telemetry::Json& row : stations->as_array()) {
-            if (!row.is_object()) continue;
-            const telemetry::Json* ip = row.find("ip");
-            const telemetry::Json* mac = row.find("mac");
-            if (ip == nullptr || mac == nullptr || !ip->is_string() || !mac->is_string()) {
-                continue;
-            }
-            const auto ip_v = wire::Ipv4Address::parse(ip->as_string());
-            const auto mac_v = wire::MacAddress::parse(mac->as_string());
-            if (!ip_v.ok() || !mac_v.ok()) continue;  // a bad row loses one station, not all
+        for (const telemetry::Json* row : state_json::rows(state, "stations")) {
+            const auto ip = state_json::ip(*row, "ip");
+            const auto mac = state_json::mac(*row, "mac");
+            if (!ip || !mac) continue;
             Station st;
-            st.mac = mac_v.value();
-            if (const telemetry::Json* prev = row.find("previous_mac");
-                prev != nullptr && prev->is_string()) {
-                if (const auto prev_v = wire::MacAddress::parse(prev->as_string()); prev_v.ok()) {
-                    st.previous_mac = prev_v.value();
-                }
-            }
-            if (const telemetry::Json* seen = row.find("last_seen_ns");
-                seen != nullptr && seen->is_number()) {
-                st.last_seen = common::SimTime{seen->as_int()};
-            }
-            if (const telemetry::Json* change = row.find("last_change_ns");
-                change != nullptr && change->is_number()) {
-                st.last_change = common::SimTime{change->as_int()};
-            }
-            db_[ip_v.value()] = st;
+            st.mac = *mac;
+            st.previous_mac = state_json::mac(*row, "previous_mac").value_or(wire::MacAddress{});
+            st.last_seen = state_json::time(*row, "last_seen_ns").value_or(common::SimTime{});
+            st.last_change =
+                state_json::time(*row, "last_change_ns").value_or(common::SimTime{});
+            db_[*ip] = st;
         }
     }
 

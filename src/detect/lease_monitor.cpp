@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "detect/state_json.hpp"
 #include "wire/dhcp_message.hpp"
 #include "wire/ipv4_packet.hpp"
 #include "wire/udp_datagram.hpp"
@@ -42,6 +43,47 @@ public:
     }
 
     [[nodiscard]] std::size_t lease_count() const { return leases_.size(); }
+
+    /// The lease table and the re-alert clock, rows in key order.
+    [[nodiscard]] telemetry::Json snapshot() const {
+        telemetry::Json leases = telemetry::Json::array();
+        for (const auto* entry : state_json::by_ip(leases_)) {
+            telemetry::Json row = telemetry::Json::object();
+            row["ip"] = entry->first.to_string();
+            row["mac"] = entry->second.mac.to_string();
+            row["expires_ns"] = entry->second.expires.nanos();
+            leases.push_back(std::move(row));
+        }
+        telemetry::Json alerted = telemetry::Json::array();
+        for (const auto& [key, at] : last_alert_) {
+            telemetry::Json row = telemetry::Json::object();
+            row["key"] = key;
+            row["at_ns"] = at.nanos();
+            alerted.push_back(std::move(row));
+        }
+        telemetry::Json j = telemetry::Json::object();
+        j["leases"] = std::move(leases);
+        j["last_alerts"] = std::move(alerted);
+        return j;
+    }
+
+    void restore(const telemetry::Json& state) {
+        leases_.clear();
+        last_alert_.clear();
+        for (const telemetry::Json* row : state_json::rows(state, "leases")) {
+            const auto ip = state_json::ip(*row, "ip");
+            const auto mac = state_json::mac(*row, "mac");
+            const auto expires = state_json::time(*row, "expires_ns");
+            if (ip && mac && expires) leases_[*ip] = Lease{*mac, *expires};
+        }
+        for (const telemetry::Json* row : state_json::rows(state, "last_alerts")) {
+            const telemetry::Json* key = row->find("key");
+            const auto at = state_json::time(*row, "at_ns");
+            if (key != nullptr && key->is_int() && at) {
+                last_alert_[static_cast<std::uint64_t>(key->as_int())] = *at;
+            }
+        }
+    }
 
 private:
     /// Cheap dst-port peek before the allocating UDP decode: only DHCP
@@ -127,6 +169,14 @@ SchemeTraits LeaseMonitorScheme::traits() const {
 void LeaseMonitorScheme::attach_monitor(MonitorNode& monitor) {
     observer_ = std::make_shared<Observer>(options_, [this](Alert a) { alert(std::move(a)); });
     monitor.add_observer(observer_);
+}
+
+telemetry::Json LeaseMonitorScheme::snapshot_state() const {
+    return observer_ ? observer_->snapshot() : telemetry::Json::object();
+}
+
+void LeaseMonitorScheme::restore_state(const telemetry::Json& state) {
+    if (observer_) observer_->restore(state);
 }
 
 std::size_t LeaseMonitorScheme::lease_count() const {

@@ -28,6 +28,12 @@ public:
     [[nodiscard]] SchemeTraits traits() const override;
     void attach_monitor(MonitorNode& monitor) override;
 
+    /// The lease table and re-alert clock round-trip through
+    /// `snapshot_state`, so a restarted serve shard still checks claims
+    /// against leases it snooped before the restart.
+    [[nodiscard]] telemetry::Json snapshot_state() const override;
+    void restore_state(const telemetry::Json& state) override;
+
     /// Live leases currently known (for tests/examples).
     [[nodiscard]] std::size_t lease_count() const;
 

@@ -85,12 +85,16 @@ public:
     virtual void attach_monitor(MonitorNode& monitor) { (void)monitor; }
 
     /// Serializable learned state for serve-mode snapshot/restore
-    /// (`arpsec.serve-snapshot.v1`). Schemes whose verdicts depend on
-    /// accumulated observations (arpwatch's station DB, lease tables)
-    /// override both so a restarted daemon resumes without re-learning —
-    /// or re-alerting on — bindings it already saw. Stateless schemes keep
-    /// the default empty object. Call restore_state() only after the full
-    /// lifecycle (deploy/configure_switch/attach_monitor) has run.
+    /// (`arpsec.serve-snapshot.v2`, one entry per shard session). Schemes
+    /// whose verdicts depend on accumulated observations (arpwatch's
+    /// station DB, active-probe's probes, lease-monitor's leases) override
+    /// both so a restarted daemon resumes without re-learning — or
+    /// re-alerting on — bindings it already saw. A shard's state holds only
+    /// the addresses serve::shard_of() routes to it, so a snapshot restores
+    /// only into the same shard count and routing key (the schema version
+    /// names the key). Stateless schemes keep the default empty object.
+    /// Call restore_state() only after the full lifecycle
+    /// (deploy/configure_switch/attach_monitor) has run.
     [[nodiscard]] virtual telemetry::Json snapshot_state() const {
         return telemetry::Json::object();
     }

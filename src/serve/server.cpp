@@ -307,12 +307,10 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                         break;
                     }
                     c_frames.inc();
-                    wire::FrameView view{wire::FrameBuffer::capture(std::move(rec.frame.bytes))};
-                    view.prime();  // memoize on this thread; workers read only
                     const auto at =
                         common::SimTime{static_cast<std::int64_t>(rec.frame.at_nanos)};
-                    const std::size_t target = shard_of(view, shards_.size());
-                    shards_[target]->add(at, std::move(view));
+                    const std::size_t target = shard_of(rec.frame.bytes, shards_.size());
+                    shards_[target]->add(at, std::move(rec.frame.bytes));
                     if (options_.scorecard_every > 0 &&
                         ++frames_since_scorecard >= options_.scorecard_every) {
                         frames_since_scorecard = 0;

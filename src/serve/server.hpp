@@ -19,7 +19,7 @@
 namespace arpsec::serve {
 
 /// Snapshot artifact schema written by Server::write_snapshot.
-inline constexpr const char* kSnapshotSchema = "arpsec.serve-snapshot.v1";
+inline constexpr const char* kSnapshotSchema = "arpsec.serve-snapshot.v2";
 /// Schema of the final kSummary record and of serve() outcome summaries.
 inline constexpr const char* kSummarySchema = "arpsec.serve-summary.v1";
 /// Schema of the periodic scorecard JSONL lines.
@@ -52,7 +52,7 @@ struct ServerOptions {
     /// Stream kAlert records back to the client as the shard workers
     /// raise them (the final kSummary record is sent either way).
     bool stream_alerts = true;
-    /// Load this `arpsec.serve-snapshot.v1` file before serving; the
+    /// Load this `arpsec.serve-snapshot.v2` file before serving; the
     /// stream's HELLO seed must then match the snapshot's.
     std::string restore_path;
 };
@@ -79,15 +79,16 @@ struct ServeOutcome {
 /// client stream end to end:
 ///
 ///   intake thread (the caller) — reads the transport, decodes
-///     `arpsec.stream.v1` records, primes each frame's FrameView once, and
-///     routes it to a shard by subnet key into that shard's open batch; a
-///     batch goes into the shard's ring when it holds kBatchFrames frames
-///     and at the end of every decoded transport chunk (single producer to
-///     every ring). Consumed batches come back through the ring and are
-///     freed here, on the thread that captured their frames;
-///   N shard workers — each owns its SchemeSessions, feeds them frames
-///     (single consumer of its ring), and writes its own kAlert records
-///     back to the client, one batch per write under a shared lock.
+///     `arpsec.stream.v1` records, and moves each frame's bytes into the
+///     open batch of the shard that shard_of() picks from the IP the frame
+///     claims; a batch goes into the shard's ring when it holds
+///     kBatchFrames frames and at the end of every decoded transport chunk
+///     (single producer to every ring). Consumed batches come back through
+///     the ring and their bytes are freed here, where they were decoded;
+///   N shard workers — each owns its SchemeSessions and its frames: it
+///     captures and parses a FrameView per frame (single consumer of its
+///     ring), feeds its sessions, frees the view, and writes its own kAlert
+///     records back to the client, one batch per write under a shared lock.
 ///
 /// Backpressure is explicit: a full shard ring either blocks the intake
 /// thread (default — the transport then pushes back on the client, so no
@@ -122,7 +123,7 @@ public:
         return stop_.load(std::memory_order_relaxed);
     }
 
-    /// Writes `arpsec.serve-snapshot.v1` for the last completed serve().
+    /// Writes `arpsec.serve-snapshot.v2` for the last completed serve().
     /// Call after serve() returns (the workers are joined by then).
     [[nodiscard]] common::Expected<bool> write_snapshot(const std::string& path) const;
 

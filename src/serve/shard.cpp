@@ -1,18 +1,18 @@
 #include "serve/shard.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "serve/alert_stream.hpp"
-#include "wire/arp_packet.hpp"
-#include "wire/ipv4_packet.hpp"
+#include "wire/binding_key.hpp"
 #include "wire/stream_codec.hpp"
 
 namespace arpsec::serve {
 
 namespace {
 
-/// splitmix64 finisher: spreads the low-entropy subnet keys so consecutive
-/// /24s don't all collapse onto consecutive shards.
+/// splitmix64 finisher: spreads the low-entropy address keys so the
+/// consecutive addresses of one subnet don't map onto consecutive shards.
 std::uint64_t mix64(std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -38,19 +38,15 @@ std::vector<double> latency_bounds() {
 
 }  // namespace
 
-std::size_t shard_of(const wire::FrameView& view, std::size_t shards) {
+std::size_t shard_of(std::span<const std::uint8_t> frame, std::size_t shards) {
     if (shards <= 1) return 0;
-    std::uint64_t key = 0;
-    if (const wire::ArpPacket* arp = view.arp(); arp != nullptr) {
-        key = arp->sender_ip.value() >> 8;
-    } else if (const wire::Ipv4Packet* ip = view.ipv4(); ip != nullptr) {
-        key = ip->src.value() >> 8;
-    } else if (view.ok()) {
-        key = view.src().to_u64();
-    } else {
-        return 0;  // malformed: no addresses to key on
-    }
-    return static_cast<std::size_t>(mix64(key) % shards);
+    const std::optional<std::uint64_t> key = wire::binding_key(frame);
+    if (!key) return 0;  // malformed: no addresses to key on
+    return static_cast<std::size_t>(mix64(*key) % shards);
+}
+
+std::size_t shard_of(const wire::FrameView& view, std::size_t shards) {
+    return shard_of(view.bytes(), shards);
 }
 
 Shard::Shard(std::size_t index, const detect::Registry& registry,
@@ -83,8 +79,8 @@ void Shard::start(const common::Stopwatch* clock, telemetry::Gauge* depth) {
     thread_ = std::thread([this] { run(); });
 }
 
-void Shard::add(common::SimTime at, wire::FrameView view) {
-    open_.frames.push_back(WorkItem{at, std::move(view)});
+void Shard::add(common::SimTime at, wire::Bytes bytes) {
+    open_.frames.push_back(WorkItem{at, std::move(bytes)});
     if (open_.frames.size() >= kBatchFrames) flush();
 }
 
@@ -107,8 +103,8 @@ void Shard::flush() {
     }
     depth_->set(static_cast<std::int64_t>(queue_depth()));
     // open_ now holds the slot's previous occupant: a batch the worker has
-    // finished with. Clearing it here frees its frames on this thread, which
-    // captured them, and keeps its capacity for the next batch.
+    // finished with. Clearing it here frees its record bytes on this thread,
+    // which allocated them, and keeps its capacity for the next batch.
     open_.frames.clear();
 }
 
@@ -160,8 +156,11 @@ bool Shard::drain_one() {
 }
 
 void Shard::process(const WorkItem& item) {
+    // A copy this thread owns: the view and its parse memo live and die here.
+    const wire::FrameView view{
+        wire::FrameBuffer::capture(std::span<const std::uint8_t>{item.bytes})};
     bool ok = true;
-    for (auto& session : sessions_) ok = session->feed(item.at, item.view) && ok;
+    for (auto& session : sessions_) ok = session->feed(item.at, view) && ok;
     if (!ok) malformed_.fetch_add(1, std::memory_order_relaxed);
     if (alert_bytes_.size() >= kAlertFlushBytes) flush_alerts();
 }

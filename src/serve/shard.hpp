@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,12 +23,14 @@ namespace arpsec::serve {
 /// sample and one queue-depth update per batch instead of per frame.
 inline constexpr std::size_t kBatchFrames = 256;
 
-/// One frame handed from the intake thread to a shard worker. The view
-/// must be primed before submission — after priming, the worker's accesses
-/// are read-only memo hits (the FrameBuffer cross-thread contract).
+/// One frame handed from the intake thread to a shard worker: its capture
+/// time and the record bytes the stream decoder produced. The worker builds
+/// its own FrameView from a copy of them, so the view, its parse memo and
+/// the copy are allocated and freed on the worker; the bytes themselves go
+/// back to the intake with the consumed batch and are freed there.
 struct WorkItem {
     common::SimTime at;
-    wire::FrameView view;
+    wire::Bytes bytes;
 };
 
 /// Up to kBatchFrames frames bound for one shard: the unit of the
@@ -39,24 +42,32 @@ struct Batch {
     double submitted_s = 0.0;
 };
 
-/// Picks the shard for a frame: ARP sender subnet (/24) when the frame is
-/// ARP, IPv4 source subnet when it is IP, and a hash of the source MAC
-/// otherwise. Keyed routing keeps every station's traffic on one shard, so
-/// per-station detector state (arpwatch bindings, rate counters) never
-/// splits across workers. Malformed frames all land on shard 0 — they
+/// Picks the shard for a frame's wire bytes: a splitmix64 mix of
+/// wire::binding_key(), the IP address whose binding the frame claims (an
+/// ARP sender, a DHCP lease's yiaddr/ciaddr, an IPv4 source; the source MAC
+/// when the frame is too short to hold it). Every monitor-vantage detector
+/// keeps its state per that address — arpwatch and active-probe per ARP
+/// sender, lease-monitor per leased IP — so its state never splits across
+/// workers, while the stations of one subnet spread over all of them.
+/// Frames without a supported Ethernet header all land on shard 0: they
 /// carry no addresses, and every session counts them the same way.
+[[nodiscard]] std::size_t shard_of(std::span<const std::uint8_t> frame, std::size_t shards);
+
+/// The same choice for a view: shard_of(view.bytes(), shards).
 [[nodiscard]] std::size_t shard_of(const wire::FrameView& view, std::size_t shards);
 
 /// One detector worker: an intake ring of frame batches and one
 /// SchemeSession per configured scheme. The intake thread is the only
 /// producer, the worker thread the only consumer (and the only toucher of
-/// the sessions). The worker reads each batch in place and hands its slot
-/// back; the intake's next push into that slot takes the consumed batch
-/// back and clears it, so every frame is freed on the intake thread that
-/// captured it. The worker encodes its own kAlert records into a buffer it
-/// owns and hands each batch to the server's alert writer. All
-/// cross-thread stats are relaxed atomics; the drain-latency histogram is
-/// worker-owned and merged after join().
+/// the sessions). The worker reads each batch in place, captures and parses
+/// each frame into a FrameView of its own, feeds its sessions and drops the
+/// view before the next frame; then it hands the slot back. The intake's
+/// next push into that slot takes the consumed batch back and clears it, so
+/// the decoded record bytes are freed on the intake thread that allocated
+/// them and no FrameView ever crosses threads. The worker encodes its own
+/// kAlert records into a buffer it owns and hands each batch to the
+/// server's alert writer. All cross-thread stats are relaxed atomics; the
+/// drain-latency histogram is worker-owned and merged after join().
 class Shard {
 public:
     /// Sends one batch of encoded kAlert records to the client. Every
@@ -90,9 +101,9 @@ public:
     /// batch.
     void start(const common::Stopwatch* clock, telemetry::Gauge* depth);
 
-    /// Intake thread only. Appends a primed frame to the open batch and
+    /// Intake thread only. Appends a frame's bytes to the open batch and
     /// submits the batch once it holds kBatchFrames frames.
-    void add(common::SimTime at, wire::FrameView view);
+    void add(common::SimTime at, wire::Bytes bytes);
 
     /// Intake thread only. Submits the open batch if it holds any frame:
     /// blocks while the ring is full (or drops the batch, per options).

@@ -31,7 +31,7 @@ void reset_frameview_stats() {
 namespace frame_detail {
 
 void parse_header_slow(FrameBuffer::Rep& rep) {
-    g_parse_misses.fetch_add(1, std::memory_order_relaxed);
+    ++t_hits.parse_miss;
     rep.eth_parsed = true;
     auto header = parse_ethernet_header(rep.bytes);
     rep.eth_ok = header.ok();
@@ -39,7 +39,7 @@ void parse_header_slow(FrameBuffer::Rep& rep) {
 }
 
 void parse_arp_slow(FrameBuffer::Rep& rep) {
-    g_arp_misses.fetch_add(1, std::memory_order_relaxed);
+    ++t_hits.arp_miss;
     rep.arp_parsed = true;
     auto parsed = ArpPacket::parse(payload_span(rep));
     rep.arp_ok = parsed.ok();
@@ -47,7 +47,7 @@ void parse_arp_slow(FrameBuffer::Rep& rep) {
 }
 
 void parse_ipv4_slow(FrameBuffer::Rep& rep) {
-    g_ipv4_misses.fetch_add(1, std::memory_order_relaxed);
+    ++t_hits.ipv4_miss;
     rep.ipv4_parsed = true;
     auto parsed = Ipv4Packet::parse(payload_span(rep));
     rep.ipv4_ok = parsed.ok();

@@ -17,12 +17,12 @@ namespace arpsec::wire {
 /// header parses (one per captured buffer — origin buffers are pre-memoized
 /// from the frame they serialized); `parse_hits` counts deliveries that
 /// reused an existing memo. The ARP and IPv4 pairs count the same for the
-/// lazy payload parses. Miss counters are relaxed atomics (they fire once
-/// per buffer); hit counters accumulate in a thread-local batch flushed
-/// into the atomics when frameview_stats() runs or a thread exits, keeping
-/// the hot path free of atomic RMWs. They are observability-only and never
-/// feed per-run artifacts (which must be byte-identical across --jobs
-/// values).
+/// lazy payload parses. Hits and misses both accumulate in a thread-local
+/// batch that flush_frameview_hits() drains into relaxed atomics, keeping
+/// the hot path free of atomic RMWs: a serve shard worker captures every
+/// frame it feeds, so misses fire once per frame on every worker at once.
+/// They are observability-only and never feed per-run artifacts (which
+/// must be byte-identical across --jobs values).
 struct FrameViewStats {
     std::uint64_t parse_hits = 0;
     std::uint64_t parse_misses = 0;
@@ -35,9 +35,10 @@ struct FrameViewStats {
 [[nodiscard]] FrameViewStats frameview_stats();
 void reset_frameview_stats();
 
-/// Drains the calling thread's batched hit counts into the process-wide
-/// totals. Call before a worker thread that touched FrameViews exits (the
-/// replay engine does); frameview_stats() flushes its own caller.
+/// Drains the calling thread's batched hit and miss counts into the
+/// process-wide totals. Call before a worker thread that touched FrameViews
+/// exits (the replay engine and the serve shards do); frameview_stats()
+/// flushes its own caller.
 void flush_frameview_hits();
 
 namespace frame_detail {
@@ -49,24 +50,30 @@ inline std::atomic<std::uint64_t> g_arp_misses{0};
 inline std::atomic<std::uint64_t> g_ipv4_hits{0};
 inline std::atomic<std::uint64_t> g_ipv4_misses{0};
 
-/// Per-thread hit tally: the hot path pays one plain increment; the batch
-/// drains into the atomics via flush_frameview_hits() (the replay engine
-/// flushes its worker threads; frameview_stats() flushes its caller).
-/// Deliberately trivially destructible — a destructor would force every
-/// TLS access through an init-guard wrapper call, which is exactly the
-/// per-frame overhead this batch exists to avoid. The cost: hits tallied
-/// on a thread that exits without flushing are dropped — fine for
-/// observability counters.
+/// Per-thread hit and miss tally: the hot path pays one plain increment;
+/// the batch drains into the atomics via flush_frameview_hits() (the replay
+/// engine and the serve shards flush their worker threads;
+/// frameview_stats() flushes its caller). Deliberately trivially
+/// destructible — a destructor would force every TLS access through an
+/// init-guard wrapper call, which is exactly the per-frame overhead this
+/// batch exists to avoid. The cost: counts tallied on a thread that exits
+/// without flushing are dropped — fine for observability counters.
 struct HitBatch {
     std::uint64_t parse = 0;
     std::uint64_t arp = 0;
     std::uint64_t ipv4 = 0;
+    std::uint64_t parse_miss = 0;
+    std::uint64_t arp_miss = 0;
+    std::uint64_t ipv4_miss = 0;
 
     void flush() {
         if (parse != 0) g_parse_hits.fetch_add(parse, std::memory_order_relaxed);
         if (arp != 0) g_arp_hits.fetch_add(arp, std::memory_order_relaxed);
         if (ipv4 != 0) g_ipv4_hits.fetch_add(ipv4, std::memory_order_relaxed);
-        parse = arp = ipv4 = 0;
+        if (parse_miss != 0) g_parse_misses.fetch_add(parse_miss, std::memory_order_relaxed);
+        if (arp_miss != 0) g_arp_misses.fetch_add(arp_miss, std::memory_order_relaxed);
+        if (ipv4_miss != 0) g_ipv4_misses.fetch_add(ipv4_miss, std::memory_order_relaxed);
+        parse = arp = ipv4 = parse_miss = arp_miss = ipv4_miss = 0;
     }
 };
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "check/fuzzer_node.hpp"
 #include "detect/monitor.hpp"
@@ -21,9 +22,13 @@
 #include "host/host.hpp"
 #include "host/tcp.hpp"
 #include "l2/switch.hpp"
+#include "serve/shard.hpp"
 #include "sim/network.hpp"
+#include "wire/binding_key.hpp"
+#include "wire/dhcp_message.hpp"
 #include "wire/pcap_reader.hpp"
 #include "wire/stream_codec.hpp"
+#include "wire/udp_datagram.hpp"
 
 namespace arpsec {
 namespace {
@@ -469,6 +474,106 @@ TEST_P(StreamCodecFuzzTest, SurvivesPureGarbage) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamCodecFuzzTest,
                          ::testing::Values(1, 42, 777, 31337));
+
+// ---------------------------------------------------------------------------
+// Routing-key fuzz: arpsec-served reads wire::binding_key() from every frame
+// a client sends, before any parser has looked at it. Invariants: never read
+// past the frame (each case is an exactly-sized heap copy, so ASan sees any
+// overrun) and the shard index is always below the shard count.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One frame per branch of the key reader: an ARP reply, a plain UDP
+/// datagram and a DHCP ACK, with random addresses.
+std::vector<Bytes> key_corpus(common::Rng& rng) {
+    const auto random_ip = [&] {
+        return Ipv4Address{static_cast<std::uint32_t>(rng.next_u64())};
+    };
+    const MacAddress mac = MacAddress::local(rng.next_u64() & 0xFFFFFFFFFFULL);
+    const auto frame = [&](wire::EtherType type, Bytes payload) {
+        wire::EthernetFrame f;
+        f.src = mac;
+        f.dst = MacAddress::broadcast();
+        f.ether_type = type;
+        f.payload = std::move(payload);
+        return f.serialize();
+    };
+    const auto udp_frame = [&](std::uint16_t dst_port, Bytes payload) {
+        wire::UdpDatagram udp;
+        udp.src_port = static_cast<std::uint16_t>(rng.next_u64());
+        udp.dst_port = dst_port;
+        udp.payload = std::move(payload);
+        wire::Ipv4Packet ip;
+        ip.src = random_ip();
+        ip.dst = random_ip();
+        ip.payload = udp.serialize();
+        return frame(wire::EtherType::kIpv4, ip.serialize());
+    };
+    wire::DhcpMessage ack;
+    ack.op = 2;
+    ack.message_type = wire::DhcpMessageType::kAck;
+    ack.yiaddr = random_ip();
+    ack.ciaddr = rng.chance(0.5) ? random_ip() : Ipv4Address::any();
+    ack.chaddr = mac;
+    Bytes junk(rng.next_below(64));
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_u64());
+    return {
+        frame(wire::EtherType::kArp,
+              wire::ArpPacket::reply(mac, random_ip(), MacAddress::local(1), random_ip())
+                  .serialize()),
+        udp_frame(static_cast<std::uint16_t>(rng.next_u64()), junk),
+        udp_frame(wire::DhcpMessage::kClientPort, ack.serialize()),
+    };
+}
+
+void check_routing_key(std::span<const std::uint8_t> bytes) {
+    const Bytes frame(bytes.begin(), bytes.end());  // exactly sized for ASan
+    (void)wire::binding_key(frame);
+    for (const std::size_t shards : {1, 2, 3, 4, 8}) {
+        EXPECT_LT(serve::shard_of(frame, shards), shards) << frame.size() << " bytes";
+    }
+}
+
+}  // namespace
+
+class BindingKeyFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BindingKeyFuzzTest, SurvivesTruncationAtEveryLength) {
+    common::Rng rng(GetParam() ^ 0x7137);
+    for (const Bytes& frame : key_corpus(rng)) {
+        for (std::size_t len = 0; len <= frame.size(); ++len) {
+            check_routing_key(std::span<const std::uint8_t>{frame.data(), len});
+        }
+    }
+}
+
+TEST_P(BindingKeyFuzzTest, SurvivesByteMutations) {
+    common::Rng rng(GetParam() ^ 0xBEEF);
+    for (int round = 0; round < 200; ++round) {
+        for (Bytes frame : key_corpus(rng)) {
+            const std::size_t flips = 1 + rng.next_below(8);
+            for (std::size_t i = 0; i < flips; ++i) {
+                frame[rng.next_below(frame.size())] = static_cast<std::uint8_t>(rng.next_u64());
+            }
+            check_routing_key(frame);
+        }
+    }
+}
+
+TEST_P(BindingKeyFuzzTest, SurvivesPureGarbage) {
+    common::Rng rng(GetParam() ^ 0x6A6A);
+    FuzzerNode::Options opts;
+    opts.target = MacAddress::local(10);
+    for (int round = 0; round < 200; ++round) {
+        Bytes garbage(rng.next_below(512));
+        for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next_u64());
+        check_routing_key(garbage);
+        check_routing_key(FuzzerNode::generate_frame(rng, opts).serialize());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BindingKeyFuzzTest, ::testing::Values(1, 42, 777, 31337));
 
 }  // namespace
 }  // namespace arpsec

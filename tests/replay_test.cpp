@@ -5,12 +5,16 @@
 #include <vector>
 
 #include "common/version.hpp"
+#include "detect/active_probe.hpp"
 #include "detect/arpwatch.hpp"
+#include "detect/lease_monitor.hpp"
 #include "detect/registry.hpp"
 #include "replay/engine.hpp"
 #include "replay/session.hpp"
 #include "replay/source.hpp"
 #include "replay/trace.hpp"
+#include "wire/dhcp_message.hpp"
+#include "wire/udp_datagram.hpp"
 
 namespace arpsec::replay {
 namespace {
@@ -275,6 +279,30 @@ TEST(EngineTest, NonMonotoneCaptureOrderStillScoresByTimestamp) {
     EXPECT_EQ(score->recall, 0.5);
 }
 
+// A gratuitous ARP request: `mac` claims `ip`.
+wire::Bytes announce(wire::MacAddress mac, wire::Ipv4Address ip) {
+    wire::EthernetFrame f;
+    f.dst = wire::MacAddress::broadcast();
+    f.src = mac;
+    f.ether_type = wire::EtherType::kArp;
+    f.payload = wire::ArpPacket::gratuitous(mac, ip, /*as_reply=*/false).serialize();
+    return f.serialize();
+}
+
+wire::FrameView view_of(const wire::Bytes& bytes) {
+    return wire::FrameView{wire::FrameBuffer::capture(std::span<const std::uint8_t>(bytes))};
+}
+
+common::SimTime ms(std::int64_t n) { return common::SimTime{} + common::Duration::millis(n); }
+
+// `state` after a dump/parse round trip: the shape it takes inside a
+// serve snapshot file.
+telemetry::Json round_tripped(const telemetry::Json& state) {
+    auto parsed = telemetry::Json::parse(state.dump(2));
+    EXPECT_TRUE(parsed.has_value());
+    return parsed.value_or(telemetry::Json::object());
+}
+
 TEST(SchemeSessionTest, ArpwatchSnapshotRestoreRoundTrip) {
     using common::Duration;
     using common::SimTime;
@@ -282,20 +310,6 @@ TEST(SchemeSessionTest, ArpwatchSnapshotRestoreRoundTrip) {
     const wire::MacAddress mac_a = wire::MacAddress::local(1);
     const wire::MacAddress mac_b = wire::MacAddress::local(2);
     const wire::Ipv4Address ip{10, 0, 0, 1};
-
-    auto announce = [](wire::MacAddress mac, wire::Ipv4Address a_ip) {
-        wire::EthernetFrame f;
-        f.dst = wire::MacAddress::broadcast();
-        f.src = mac;
-        f.ether_type = wire::EtherType::kArp;
-        f.payload = wire::ArpPacket::gratuitous(mac, a_ip, /*as_reply=*/false).serialize();
-        return f.serialize();
-    };
-    auto view_of = [](const wire::Bytes& bytes) {
-        wire::FrameView v{wire::FrameBuffer::capture(std::span<const std::uint8_t>(bytes))};
-        v.prime();
-        return v;
-    };
 
     // First life: learn ip -> A, then see the change to B (one alert).
     telemetry::Json snapshot;
@@ -309,7 +323,7 @@ TEST(SchemeSessionTest, ArpwatchSnapshotRestoreRoundTrip) {
         snapshot = session.scheme().snapshot_state();
     }
     // The snapshot is a plain JSON document and survives dump/parse — the
-    // shape it takes inside arpsec.serve-snapshot.v1.
+    // shape it takes inside arpsec.serve-snapshot.v2.
     const auto reparsed = telemetry::Json::parse(snapshot.dump(2));
     ASSERT_TRUE(reparsed.has_value());
 
@@ -341,6 +355,99 @@ TEST(SchemeSessionTest, ArpwatchSnapshotRestoreRoundTrip) {
     EXPECT_TRUE(none.snapshot_state().is_object());
     EXPECT_EQ(none.snapshot_state().size(), 0u);
     none.restore_state(*reparsed);
+}
+
+TEST(SchemeSessionTest, ActiveProbeSnapshotKeepsInFlightProbes) {
+    // A conflicting claim at 100 ms starts a probe of the old station with a
+    // 400 ms timeout. A snapshot taken mid-probe carries the probe, and the
+    // restore re-arms its timeout at the original deadline.
+    const wire::MacAddress mac_a = wire::MacAddress::local(1);
+    const wire::MacAddress mac_b = wire::MacAddress::local(2);
+    const wire::Ipv4Address ip{10, 0, 0, 1};
+    telemetry::Json snapshot;
+    {
+        SchemeSession session{std::make_unique<detect::ActiveProbeScheme>(), SessionOptions{}};
+        session.feed(ms(5), view_of(announce(mac_a, ip)));
+        session.feed(ms(100), view_of(announce(mac_b, ip)));
+        EXPECT_EQ(session.alerts().count(), 0u);
+        snapshot = round_tripped(session.scheme().snapshot_state());
+    }
+    const auto restored = [&] {
+        auto session =
+            std::make_unique<SchemeSession>(std::make_unique<detect::ActiveProbeScheme>(),
+                                            SessionOptions{});
+        session->scheme().restore_state(snapshot);
+        session->advance_to(ms(100));
+        return session;
+    };
+
+    // The old station answers after the restart: the spoof is confirmed.
+    {
+        auto session = restored();
+        session->feed(ms(200), view_of(announce(mac_a, ip)));
+        ASSERT_EQ(session->alerts().count(), 1u);
+        const detect::Alert& a = session->alerts().alerts()[0];
+        EXPECT_EQ(a.kind, detect::AlertKind::kSpoofSuspected);
+        EXPECT_EQ(a.claimed_mac, mac_b);
+        EXPECT_EQ(a.previous_mac, mac_a);
+    }
+    // The old station stays silent: the re-armed timeout fires at 500 ms and
+    // absorbs the rebind quietly, leaving B as the known station.
+    {
+        auto session = restored();
+        session->feed(ms(600), view_of(announce(mac_b, ip)));
+        EXPECT_EQ(session->alerts().count(), 0u);
+        const telemetry::Json state = session->scheme().snapshot_state();
+        EXPECT_EQ(state.find("probes")->size(), 0u);
+        ASSERT_EQ(state.find("stations")->size(), 1u);
+        EXPECT_EQ(state.find("stations")->at(0).find("mac")->as_string(), mac_b.to_string());
+    }
+}
+
+TEST(SchemeSessionTest, LeaseMonitorSnapshotKeepsLeases) {
+    const wire::MacAddress holder = wire::MacAddress::local(1);
+    const wire::MacAddress intruder = wire::MacAddress::local(2);
+    const wire::Ipv4Address ip{10, 0, 0, 7};
+
+    // The server's ACK leases `ip` to `holder`.
+    wire::DhcpMessage ack;
+    ack.op = 2;
+    ack.message_type = wire::DhcpMessageType::kAck;
+    ack.yiaddr = ip;
+    ack.chaddr = holder;
+    wire::UdpDatagram udp;
+    udp.src_port = wire::DhcpMessage::kServerPort;
+    udp.dst_port = wire::DhcpMessage::kClientPort;
+    udp.payload = ack.serialize();
+    wire::Ipv4Packet packet;
+    packet.src = wire::Ipv4Address{10, 0, 0, 1};
+    packet.dst = wire::Ipv4Address::broadcast();
+    packet.payload = udp.serialize();
+    wire::EthernetFrame frame;
+    frame.src = wire::MacAddress::local(9);
+    frame.dst = wire::MacAddress::broadcast();
+    frame.ether_type = wire::EtherType::kIpv4;
+    frame.payload = packet.serialize();
+
+    telemetry::Json snapshot;
+    {
+        SchemeSession session{std::make_unique<detect::LeaseMonitorScheme>(), SessionOptions{}};
+        session.feed(ms(5), view_of(frame.serialize()));
+        snapshot = round_tripped(session.scheme().snapshot_state());
+    }
+    // Restored, the lease still stands: another MAC claiming it alerts. A
+    // fresh session knows no lease and stays quiet.
+    for (const bool restore : {true, false}) {
+        SCOPED_TRACE(restore ? "restored" : "fresh");
+        SchemeSession session{std::make_unique<detect::LeaseMonitorScheme>(), SessionOptions{}};
+        if (restore) session.scheme().restore_state(snapshot);
+        session.feed(ms(50), view_of(announce(intruder, ip)));
+        ASSERT_EQ(session.alerts().count(), restore ? 1u : 0u);
+        if (restore) {
+            EXPECT_EQ(session.alerts().alerts()[0].kind, detect::AlertKind::kBindingViolation);
+            EXPECT_EQ(session.alerts().alerts()[0].previous_mac, holder);
+        }
+    }
 }
 
 TEST(EngineTest, RunAllIsIdenticalForAnyJobsValue) {

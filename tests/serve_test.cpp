@@ -19,7 +19,10 @@
 #include "serve/server.hpp"
 #include "serve/shard.hpp"
 #include "serve/transport.hpp"
+#include "wire/binding_key.hpp"
+#include "wire/dhcp_message.hpp"
 #include "wire/stream_codec.hpp"
+#include "wire/udp_datagram.hpp"
 
 namespace arpsec::serve {
 namespace {
@@ -28,6 +31,11 @@ namespace {
 // the daemon its alert stream back) without either side blocking on the
 // transport — keeps the tests deadlock-free regardless of scheduling.
 constexpr std::size_t kRoomyPipe = 1u << 22;
+
+// The schemes that watch the mirror port, i.e. the ones that alert on a
+// replayed trace.
+const std::vector<std::string> kMonitorSchemes = {"arpwatch", "snort-arpspoof",
+                                                  "lease-monitor", "active-probe"};
 
 replay::LabeledTrace small_trace() {
     replay::ScenarioTraceSource::Options opts;
@@ -209,15 +217,129 @@ TEST(ServeShardTest, RoutingIsStableAndBounded) {
 }
 
 TEST(ServeShardTest, SpreadsAcrossShards) {
-    // A realistic LAN trace must not collapse onto a single shard, or the
-    // sharded daemon degenerates to one worker.
+    // A realistic LAN trace — every station in one /24 — must spread evenly,
+    // or the sharded daemon degenerates to one busy worker.
     const auto trace = small_trace();
     const auto views = replay::Engine::make_views(trace);
-    std::vector<std::size_t> hits(4, 0);
-    for (const auto& view : views) ++hits[shard_of(view, 4)];
-    std::size_t used = 0;
-    for (std::size_t h : hits) used += h > 0 ? 1 : 0;
-    EXPECT_GE(used, 2u);
+    const auto hits = [&](std::size_t shards) {
+        std::vector<std::size_t> out(shards, 0);
+        for (const auto& view : views) ++out[shard_of(view, shards)];
+        return out;
+    };
+    const auto two = hits(2);
+    const double mean = static_cast<double>(views.size()) / 2.0;
+    EXPECT_LE(static_cast<double>(*std::max_element(two.begin(), two.end())) / mean, 1.25)
+        << two[0] << " vs " << two[1] << " frames";
+    const auto four = hits(4);
+    for (std::size_t i = 0; i < four.size(); ++i) EXPECT_GT(four[i], 0u) << "shard " << i;
+}
+
+// One Ethernet frame carrying `m` over UDP, built with the wire serializers.
+wire::Bytes dhcp_frame(const wire::DhcpMessage& m, wire::Ipv4Address src,
+                       wire::MacAddress mac) {
+    wire::UdpDatagram udp;
+    udp.src_port = m.is_reply() ? wire::DhcpMessage::kServerPort : wire::DhcpMessage::kClientPort;
+    udp.dst_port = m.is_reply() ? wire::DhcpMessage::kClientPort : wire::DhcpMessage::kServerPort;
+    udp.payload = m.serialize();
+    wire::Ipv4Packet ip;
+    ip.src = src;
+    ip.dst = wire::Ipv4Address::broadcast();
+    ip.payload = udp.serialize();
+    wire::EthernetFrame frame;
+    frame.src = mac;
+    frame.dst = wire::MacAddress::broadcast();
+    frame.ether_type = wire::EtherType::kIpv4;
+    frame.payload = ip.serialize();
+    return frame.serialize();
+}
+
+wire::Bytes arp_frame(const wire::ArpPacket& arp) {
+    wire::EthernetFrame frame;
+    frame.src = arp.sender_mac;
+    frame.dst = arp.target_mac;
+    frame.ether_type = wire::EtherType::kArp;
+    frame.payload = arp.serialize();
+    return frame.serialize();
+}
+
+TEST(ServeShardTest, BindingKeyFollowsTheClaimedAddress) {
+    const wire::Ipv4Address server{192, 168, 1, 1};
+    const wire::Ipv4Address leased{192, 168, 1, 57};
+    const wire::MacAddress client = wire::MacAddress::local(57);
+    const wire::MacAddress server_mac = wire::MacAddress::local(1);
+
+    wire::DhcpMessage ack;
+    ack.op = 2;
+    ack.message_type = wire::DhcpMessageType::kAck;
+    ack.yiaddr = leased;
+    ack.chaddr = client;
+    EXPECT_EQ(wire::binding_key(dhcp_frame(ack, server, server_mac)), leased.value());
+
+    wire::DhcpMessage release;
+    release.message_type = wire::DhcpMessageType::kRelease;
+    release.ciaddr = leased;
+    release.chaddr = client;
+    EXPECT_EQ(wire::binding_key(dhcp_frame(release, wire::Ipv4Address::any(), client)),
+              leased.value());
+
+    wire::DhcpMessage discover;  // no address yet: keyed by the IPv4 source
+    discover.chaddr = client;
+    EXPECT_EQ(wire::binding_key(dhcp_frame(discover, wire::Ipv4Address::any(), client)), 0u);
+
+    const wire::Bytes reply =
+        arp_frame(wire::ArpPacket::reply(client, leased, server_mac, server));
+    EXPECT_EQ(wire::binding_key(reply), leased.value());
+    // An ARP frame cut before the sender address falls back to the MAC.
+    EXPECT_EQ(wire::binding_key(std::span<const std::uint8_t>{reply.data(), 20}),
+              client.to_u64());
+
+    wire::EthernetFrame too_short;
+    too_short.ether_type = wire::EtherType::kIpv4;
+    wire::Bytes odd = too_short.serialize();
+    odd[12] = 0x86;  // an EtherType nothing here parses (IPv6)
+    odd[13] = 0xDD;
+    EXPECT_FALSE(wire::binding_key(odd).has_value());
+    EXPECT_FALSE(wire::binding_key(std::span<const std::uint8_t>{odd.data(), 13}).has_value());
+}
+
+TEST(ServeShardTest, LeaseAndItsClaimsShareAShard) {
+    // lease-monitor learns a lease from the server's ACK (keyed by yiaddr),
+    // checks the client's later ARP claims for that IP, and erases the lease
+    // on a RELEASE's ciaddr: all three must reach the same worker, wherever
+    // the server's own address lies.
+    const wire::MacAddress server_mac = wire::MacAddress::local(1);
+    const wire::Ipv4Address servers[] = {{192, 168, 1, 1}, {10, 0, 0, 1}};
+    for (std::uint8_t host = 2; host < 66; ++host) {
+        const wire::Ipv4Address leased{192, 168, 1, host};
+        const wire::MacAddress client = wire::MacAddress::local(100 + host);
+        for (const wire::Ipv4Address& server : servers) {
+            wire::DhcpMessage ack;
+            ack.op = 2;
+            ack.message_type = wire::DhcpMessageType::kAck;
+            ack.yiaddr = leased;
+            ack.chaddr = client;
+            ack.server_id = server;
+            wire::DhcpMessage release;
+            release.message_type = wire::DhcpMessageType::kRelease;
+            release.ciaddr = leased;
+            release.chaddr = client;
+            release.server_id = server;
+            const wire::Bytes frames[] = {
+                dhcp_frame(ack, server, server_mac),
+                dhcp_frame(release, leased, client),
+                arp_frame(wire::ArpPacket::reply(client, leased, server_mac, server)),
+            };
+            for (const std::size_t shards : {2, 3, 4, 8}) {
+                SCOPED_TRACE(leased.to_string() + " from server " + server.to_string() +
+                             ", shards=" + std::to_string(shards));
+                const std::size_t ack_shard = shard_of(frames[0], shards);
+                EXPECT_EQ(shard_of(frames[1], shards), ack_shard);
+                EXPECT_EQ(shard_of(frames[2], shards), ack_shard);
+                const wire::FrameView view{wire::FrameBuffer::capture(frames[0])};
+                EXPECT_EQ(shard_of(view, shards), ack_shard);  // one implementation
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -250,17 +372,22 @@ TEST(ServeEquivalenceTest, PipeStreamMatchesOfflineReplay) {
 }
 
 TEST(ServeEquivalenceTest, AlertRecordsStreamBackToClient) {
-    // Every shard count x monitor scheme x streaming mode: the kAlert
+    // Every registered scheme x shard count x streaming mode: the kAlert
     // records the client decodes are, as a multiset, the outcome's alerts,
     // which are the offline replay's; nothing arrives malformed; kSummary
     // closes the stream; and with streaming off no kAlert arrives at all.
+    // Schemes outside the monitor vantage see no frames here; their rows
+    // guard any future scheme whose state a shard split would break.
     const auto trace = small_trace();
     const wire::Bytes script = encode_stream(trace, 0, trace.frames.size());
     const detect::Registry registry;
-    for (const std::string scheme :
-         {"arpwatch", "snort-arpspoof", "lease-monitor", "active-probe"}) {
+    for (const detect::RegisteredScheme& entry : registry.entries()) {
+        const std::string& scheme = entry.name;
         const auto offline = canonical_lines(offline_alerts(trace, scheme));
-        ASSERT_FALSE(offline.empty()) << scheme << " raised no alerts; the case is vacuous";
+        if (std::find(kMonitorSchemes.begin(), kMonitorSchemes.end(), scheme) !=
+            kMonitorSchemes.end()) {
+            ASSERT_FALSE(offline.empty()) << scheme << " raised no alerts; the case is vacuous";
+        }
         for (const std::size_t shards : {1, 2, 4}) {
             for (const bool stream : {true, false}) {
                 SCOPED_TRACE(scheme + " shards=" + std::to_string(shards) +
@@ -592,37 +719,47 @@ TEST(ServeSnapshotTest, RestoreResumesExactlyWhereTheStreamFroze) {
     const std::string snap_path = ::testing::TempDir() + "/arpsec_serve_snap.json";
     const detect::Registry registry;
 
-    // Leg 1: first half, no END, client hangs up — state freezes with no
-    // grace window, exactly what the snapshot must capture.
-    auto first = Server::create(registry, ServerOptions{});
-    ASSERT_TRUE(first.ok()) << first.error();
-    const auto leg1 = serve_script(*first.value(),
-                                   encode_stream(trace, 0, half, true, false),
-                                   /*close_after=*/true);
-    ASSERT_TRUE(leg1.ok()) << leg1.error();
-    EXPECT_FALSE(leg1.value().ended_by_end_record);
-    const auto snap = first.value()->write_snapshot(snap_path);
-    ASSERT_TRUE(snap.ok()) << snap.error();
-
-    // Leg 2: a fresh server restores the snapshot and serves the rest.
-    ServerOptions opts;
-    opts.restore_path = snap_path;
-    auto second = Server::create(registry, opts);
-    ASSERT_TRUE(second.ok()) << second.error();
-    const auto leg2 = serve_script(
-        *second.value(), encode_stream(trace, half, trace.frames.size()));
-    ASSERT_TRUE(leg2.ok()) << leg2.error();
-    EXPECT_TRUE(leg2.value().ended_by_end_record);
-
-    // The union of both legs' alerts is the offline single-run alert set.
-    std::vector<detect::Alert> combined = leg1.value().alerts;
-    combined.insert(combined.end(), leg2.value().alerts.begin(),
-                    leg2.value().alerts.end());
-    const auto resumed = canonical_lines(std::move(combined));
-    const auto offline =
-        canonical_lines(offline_alerts(trace));
+    std::vector<detect::Alert> offline_all;
+    for (const std::string& scheme : kMonitorSchemes) {
+        const auto alerts = offline_alerts(trace, scheme);
+        offline_all.insert(offline_all.end(), alerts.begin(), alerts.end());
+    }
+    const auto offline = canonical_lines(std::move(offline_all));
     ASSERT_FALSE(offline.empty()) << "trace produced no alerts; test is vacuous";
-    EXPECT_EQ(resumed, offline);
+
+    for (const std::size_t shards : {1, 2, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        ServerOptions opts;
+        opts.schemes = kMonitorSchemes;
+        opts.shards = shards;
+
+        // Leg 1: first half, no END, client hangs up — state freezes with no
+        // grace window, exactly what the snapshot must capture.
+        auto first = Server::create(registry, opts);
+        ASSERT_TRUE(first.ok()) << first.error();
+        const auto leg1 = serve_script(*first.value(),
+                                       encode_stream(trace, 0, half, true, false),
+                                       /*close_after=*/true);
+        ASSERT_TRUE(leg1.ok()) << leg1.error();
+        EXPECT_FALSE(leg1.value().ended_by_end_record);
+        const auto snap = first.value()->write_snapshot(snap_path);
+        ASSERT_TRUE(snap.ok()) << snap.error();
+
+        // Leg 2: a fresh server restores the snapshot and serves the rest.
+        opts.restore_path = snap_path;
+        auto second = Server::create(registry, opts);
+        ASSERT_TRUE(second.ok()) << second.error();
+        const auto leg2 = serve_script(
+            *second.value(), encode_stream(trace, half, trace.frames.size()));
+        ASSERT_TRUE(leg2.ok()) << leg2.error();
+        EXPECT_TRUE(leg2.value().ended_by_end_record);
+
+        // The union of both legs' alerts is the offline single-run alert set.
+        std::vector<detect::Alert> combined = leg1.value().alerts;
+        combined.insert(combined.end(), leg2.value().alerts.begin(),
+                        leg2.value().alerts.end());
+        EXPECT_EQ(canonical_lines(std::move(combined)), offline);
+    }
 }
 
 TEST(ServeSnapshotTest, RestoreRejectsSeedMismatch) {
@@ -668,6 +805,27 @@ TEST(ServeSnapshotTest, RestoreRejectsMismatchedTopology) {
     auto second = Server::create(registry, opts);
     ASSERT_TRUE(second.ok()) << second.error();
     EXPECT_FALSE(serve_script(*second.value(), encode_stream(trace, 50, 60)).ok());
+
+    // A v1 snapshot split its stations by the old subnet key: restored here,
+    // they would sit on shards that no longer see their frames.
+    std::ifstream in{snap_path};
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto v1 = telemetry::Json::parse(text.str());
+    ASSERT_TRUE(v1.has_value());
+    (*v1)["schema"] = "arpsec.serve-snapshot.v1";
+    const std::string v1_path = ::testing::TempDir() + "/arpsec_serve_v1.json";
+    {
+        std::ofstream out{v1_path};
+        out << v1->dump(2) << "\n";
+    }
+    ServerOptions v1_opts;
+    v1_opts.restore_path = v1_path;
+    auto third = Server::create(registry, v1_opts);
+    ASSERT_TRUE(third.ok()) << third.error();
+    const auto refused = serve_script(*third.value(), encode_stream(trace, 50, 60));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error(), std::string{"snapshot: schema is not "} + kSnapshotSchema);
 }
 
 // Copy of JSON object `obj` without member `key`.

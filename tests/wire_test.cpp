@@ -397,28 +397,55 @@ TEST(FrameViewThreadedTest, FlushedWorkerHitsAccountExactly) {
     EXPECT_EQ(s.arp_misses, 0u);
 }
 
+TEST(FrameViewThreadedTest, FlushedWorkerMissesAccountExactly) {
+    // The serve shape: each worker captures and parses its own frames, so
+    // every capture pays one header miss and one ARP miss on that worker.
+    // Misses batch like hits; once flushed they balance exactly.
+    const FrameView primed = make_primed_arp_view();
+    const Bytes bytes(primed.bytes().begin(), primed.bytes().end());
+    reset_frameview_stats();
+    constexpr std::size_t kThreads = 4;
+    constexpr std::uint64_t kFrames = 300;
+    const auto errors = arpsec::exp::run_indexed(kThreads, kThreads, [&bytes](std::size_t) {
+        for (std::uint64_t i = 0; i < kFrames; ++i) {
+            const FrameView view{FrameBuffer::capture(std::span<const std::uint8_t>{bytes})};
+            if (view.arp() == nullptr) throw std::runtime_error("captured arp did not parse");
+        }
+        flush_frameview_hits();
+    });
+    for (const auto& e : errors) EXPECT_EQ(e, "");
+    const auto s = frameview_stats();
+    EXPECT_EQ(s.parse_misses, kThreads * kFrames);
+    EXPECT_EQ(s.arp_misses, kThreads * kFrames);
+}
+
 TEST(FrameViewThreadedTest, UnflushedWorkerBatchesAreDroppedByDesign) {
     const FrameView view = make_primed_arp_view();
     reset_frameview_stats();
-    // The documented cost of thread-local hit batching: a worker that exits
+    // The documented cost of thread-local batching: a worker that exits
     // without flush_frameview_hits() takes its tally with it. This pins
     // that the accounting really is batch-then-flush (not per-call atomics)
-    // — if this test ever sees nonzero hits, the hot path regressed to
-    // atomic RMWs.
+    // — if this test ever sees nonzero hits or misses, the hot path
+    // regressed to atomic RMWs.
     const auto errors = arpsec::exp::run_indexed(2, 2, [&view](std::size_t) {
-        for (int i = 0; i < 100; ++i) static_cast<void>(view.ok());
+        for (int i = 0; i < 100; ++i) {
+            static_cast<void>(view.ok());
+            static_cast<void>(FrameView{FrameBuffer::capture(view.bytes())}.arp());
+        }
         // deliberately no flush
     });
     for (const auto& e : errors) EXPECT_EQ(e, "");
     const auto s = frameview_stats();
     EXPECT_EQ(s.parse_hits, 0u);
     EXPECT_EQ(s.parse_misses, 0u);
+    EXPECT_EQ(s.arp_misses, 0u);
 }
 
 TEST(FrameViewThreadedTest, PrimedOnWorkerThreadIsReadableAfterJoin) {
-    // The serve intake thread primes views and publishes them to shard
-    // workers through the ring's release/acquire edge; run_indexed's join
-    // is the same shape. Prime on a worker, read on the main thread.
+    // A view primed on one thread and read on another after a
+    // synchronizing edge (replay's run_all fan-out has this shape;
+    // run_indexed's join is the edge). Prime on a worker, read on the
+    // main thread.
     EthernetFrame f;
     f.ether_type = EtherType::kArp;
     f.payload = ArpPacket::request(MacAddress::local(9), Ipv4Address{10, 0, 0, 9},

@@ -55,8 +55,9 @@ int usage(const char* argv0) {
         "  --conns N             serve N connections, then exit (default 1)\n"
         "  --alerts PATH         write the canonical alert-stream file on exit\n"
         "  --summary PATH        write the final serve-summary JSON\n"
-        "  --snapshot PATH       write arpsec.serve-snapshot.v1 after serving\n"
-        "  --restore PATH        restore a snapshot before serving\n"
+        "  --snapshot PATH       write arpsec.serve-snapshot.v2 after serving\n"
+        "  --restore PATH        restore a v2 snapshot taken with the same\n"
+        "                        --shards and --schemes before serving\n"
         "  --scorecard PATH      append scorecard JSONL lines here\n"
         "  --scorecard-every N   ...every N admitted frames\n"
         "  --no-alert-stream     do not send live kAlert records to the client\n"

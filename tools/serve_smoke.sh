@@ -2,7 +2,7 @@
 # Serve smoke, run via ctest (arpsec_serve_smoke) and the CI arpsec-serve
 # job: a unix-socket round trip through arpsec-served must produce an alert
 # file byte-identical to offline arpsec-replay (arpwatch at one shard, then
-# the four monitor schemes at two shards on a 50k-frame trace), and the
+# every registered scheme at four shards on a 50k-frame trace), and the
 # snapshot -> freeze -> restore -> resume flow must reproduce the offline
 # run as a set.
 #
@@ -89,26 +89,34 @@ if ! cmp union_sorted.jsonl offline_sorted.jsonl; then
 fi
 echo "serve smoke: snapshot/restore resume matches the offline run"
 
-# --- leg 3: four monitor schemes x 2 shards, 50k frames -------------------
+# --- leg 3: every registered scheme x 4 shards, 50k frames ---------------
 # Thousands of alert records stream back while the loadgen is still
 # writing frames; a client that does not read them stalls the daemon, so
 # the loadgen runs under a timeout that turns a stall into a failure.
-MONITOR=arpwatch,snort-arpspoof,lease-monitor,active-probe
 "$TRACE_TOOL" --frames 50000 --jobs 2 --out trace50k.pcap > /dev/null
-"$REPLAY_TOOL" --pcap trace50k.pcap --schemes "$MONITOR" --no-timing \
+# arpsec-replay runs every registered scheme by default; the daemon runs
+# only arpwatch by default, so it gets the replay's scheme list explicitly.
+"$REPLAY_TOOL" --pcap trace50k.pcap --no-timing \
     --alerts replay50k_alerts.jsonl --out replay50k_artifact.json > /dev/null
-"$SERVED_TOOL" --unix "$SOCK" --schemes "$MONITOR" --shards 2 \
+ALL_SCHEMES=$(grep -o '"scheme": "[^"]*"' replay50k_artifact.json | cut -d'"' -f4 |
+    paste -sd, -)
+if [ -z "$ALL_SCHEMES" ]; then
+    echo "all-scheme leg FAILED: no scheme list in replay50k_artifact.json" >&2
+    exit 1
+fi
+"$SERVED_TOOL" --unix "$SOCK" --schemes "$ALL_SCHEMES" --shards 4 \
     --alerts served50k_alerts.jsonl > served50k.log 2>&1 &
 SERVED_PID=$!
 wait_listen "$SERVED_PID" served50k.log
 if ! timeout 60 "$LOADGEN_TOOL" --pcap trace50k.pcap --unix "$SOCK" > loadgen50k.log 2>&1; then
-    echo "four-scheme leg FAILED: loadgen failed or stalled (see loadgen50k.log)" >&2
+    echo "all-scheme leg FAILED: loadgen failed or stalled (see loadgen50k.log)" >&2
     kill "$SERVED_PID" 2> /dev/null || true
     exit 1
 fi
 wait "$SERVED_PID"
 if ! cmp served50k_alerts.jsonl replay50k_alerts.jsonl; then
-    echo "serve<->replay equivalence FAILED: four-scheme alert files differ" >&2
+    echo "serve<->replay equivalence FAILED: all-scheme alert files differ" >&2
     exit 1
 fi
-echo "serve smoke: 4 schemes x 2 shards, alerts byte-identical to offline replay"
+echo "serve smoke: $(echo "$ALL_SCHEMES" | tr , '\n' | wc -l) schemes x 4 shards," \
+    "alerts byte-identical to offline replay"
