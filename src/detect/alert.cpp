@@ -1,5 +1,10 @@
 #include "detect/alert.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <utility>
+
 namespace arpsec::detect {
 
 std::string to_string(AlertKind k) {
@@ -25,9 +30,24 @@ void AlertSink::export_metrics(telemetry::MetricsRegistry& registry) const {
     if (!alerts_.empty()) {
         first.set(static_cast<std::int64_t>(alerts_.front().at.nanos() / 1000));
     }
+    // Tally first, then touch each counter once: a registry lookup builds
+    // its name string and walks a std::map, too much to pay per alert.
+    std::array<std::uint64_t, kAlertKindCount> per_kind{};
+    std::vector<std::pair<const std::string*, std::uint64_t>> per_scheme;
     for (const Alert& a : alerts_) {
-        registry.counter("detect.alerts.kind." + detect::to_string(a.kind)).inc();
-        registry.counter("detect.alerts.scheme." + a.scheme).inc();
+        ++per_kind[static_cast<std::size_t>(a.kind)];
+        auto it = std::find_if(per_scheme.begin(), per_scheme.end(),
+                               [&](const auto& entry) { return *entry.first == a.scheme; });
+        if (it == per_scheme.end()) it = per_scheme.insert(it, {&a.scheme, 0});
+        ++it->second;
+    }
+    for (std::size_t k = 0; k < kAlertKindCount; ++k) {
+        if (per_kind[k] == 0) continue;
+        registry.counter("detect.alerts.kind." + detect::to_string(static_cast<AlertKind>(k)))
+            .inc(per_kind[k]);
+    }
+    for (const auto& [scheme, n] : per_scheme) {
+        registry.counter("detect.alerts.scheme." + *scheme).inc(n);
     }
 }
 

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -23,6 +25,10 @@ enum class AlertKind {
     kRogueDhcp,          // DHCP server traffic on an untrusted port
     kRateAnomaly,        // ARP rate limit exceeded
 };
+
+/// Number of AlertKind values: kRateAnomaly must stay the last one.
+inline constexpr std::size_t kAlertKindCount =
+    static_cast<std::size_t>(AlertKind::kRateAnomaly) + 1;
 
 [[nodiscard]] std::string to_string(AlertKind k);
 
@@ -53,6 +59,8 @@ public:
     [[nodiscard]] const std::vector<Alert>& alerts() const { return alerts_; }
     [[nodiscard]] std::size_t count() const { return alerts_.size(); }
     void clear() { alerts_.clear(); }
+    /// Moves the collected alerts out, leaving the sink empty.
+    [[nodiscard]] std::vector<Alert> take() { return std::exchange(alerts_, {}); }
 
     /// Publishes alert totals into `registry`: `detect.alerts.total`, a
     /// per-kind breakdown under `detect.alerts.kind.<kind>`, a per-scheme

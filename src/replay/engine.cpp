@@ -1,16 +1,16 @@
 #include "replay/engine.hpp"
 
+#include <algorithm>
 #include <memory>
-#include <stdexcept>
+#include <span>
 
 #include "replay/score.hpp"
 #include "replay/session.hpp"
 #include "telemetry/metrics.hpp"
-#include "wire/ethernet.hpp"
+#include "wire/frame.hpp"
 
 namespace arpsec::replay {
 
-using common::Duration;
 using common::SimTime;
 using telemetry::Json;
 
@@ -32,89 +32,33 @@ Json SchemeScore::to_json() const {
     return j;
 }
 
-std::vector<wire::FrameView> Engine::make_views(const LabeledTrace& trace) {
-    std::vector<wire::FrameView> views;
-    views.reserve(trace.frames.size());
-    for (const TraceFrame& f : trace.frames) {
-        wire::FrameView view{wire::FrameBuffer::capture(std::span<const std::uint8_t>(f.bytes))};
-        view.prime();
-        views.push_back(std::move(view));
-    }
-    return views;
+namespace {
+
+double ratio(std::size_t num, std::size_t den) {
+    return den == 0 ? 1.0 : static_cast<double>(num) / static_cast<double>(den);
 }
 
-common::Expected<SchemeScore> Engine::run(const LabeledTrace& trace,
-                                          const std::string& scheme_name) const {
-    return run(trace, make_views(trace), scheme_name);
-}
-
-common::Expected<SchemeScore> Engine::run(const LabeledTrace& trace,
-                                          std::span<const wire::FrameView> views,
-                                          const std::string& scheme_name) const {
-    using Result = common::Expected<SchemeScore>;
-    if (views.size() != trace.frames.size()) {
-        return Result::failure("replay: views/frames size mismatch");
-    }
-    std::unique_ptr<detect::Scheme> scheme = registry_->make(scheme_name);
-    if (scheme == nullptr) {
-        return Result::failure("replay: unknown scheme '" + scheme_name + "'");
-    }
-
-    // The offline LAN, scheme deployment, and feed loop live in
-    // SchemeSession — the same object the serve shards stream into, which
-    // is what makes the serve<->replay equivalence gate hold by
-    // construction.
-    SessionOptions session_options;
-    session_options.seed = trace.seed == 0 ? 1 : trace.seed;
-    session_options.directory = trace.directory;
-    SchemeSession session{std::move(scheme), session_options};
-
+/// Scores a finished session and moves its alerts into the score.
+SchemeScore score_session(SchemeSession& session, const std::string& name,
+                          const std::vector<SimTime>& attack_times,
+                          const EngineOptions& options, double wall_seconds) {
     SchemeScore score;
-    score.scheme = scheme_name;
-    score.attack_frames = trace.attack_count();
-
-    // The Rep allocations behind the views are scattered on the heap and
-    // the working set of a 100k-frame trace exceeds cache; prefetching a
-    // few frames ahead hides the streaming miss for every scheme.
-    constexpr std::size_t kPrefetchAhead = 8;
-
-    common::Stopwatch watch;
-    for (std::size_t i = 0; i < trace.frames.size(); ++i) {
-        if (i + kPrefetchAhead < views.size()) views[i + kPrefetchAhead].prefetch();
-        const TraceFrame& f = trace.frames[i];
-        session.feed(f.at, views[i]);
-    }
-    // The session tracks the max timestamp it saw, which equals
-    // trace.last_at() after a full feed.
-    session.finish(options_.grace);
-    const double elapsed = watch.elapsed_seconds();
+    score.scheme = name;
     score.frames = session.frames();
     score.malformed = session.malformed();
+    score.attack_frames = attack_times.size();
 
-    std::vector<SimTime> attack_times;
-    for (const TraceFrame& f : trace.frames) {
-        if (f.attack) attack_times.push_back(f.at);
-    }
-    const detect::AlertSink& alerts = session.alerts();
-    const MatchCounts match =
-        match_alerts(std::move(attack_times), alerts.alerts(), options_.match_window);
+    detect::AlertSink& alerts = session.alerts();
+    const MatchCounts match = match_alerts(attack_times, alerts.alerts(), options.match_window);
+    score.alerts = alerts.count();
     score.true_positive_alerts = match.true_positive_alerts;
     score.false_positive_alerts = match.false_positive_alerts;
     score.detected_attacks = match.detected_attacks;
-
-    score.alerts = alerts.count();
-    score.alert_list = alerts.alerts();
-    score.precision = score.alerts == 0
-                          ? 1.0
-                          : static_cast<double>(score.true_positive_alerts) /
-                                static_cast<double>(score.alerts);
-    score.recall = score.attack_frames == 0
-                       ? 1.0
-                       : static_cast<double>(score.detected_attacks) /
-                             static_cast<double>(score.attack_frames);
-    if (options_.timing && elapsed > 0.0) {
-        score.wall_seconds = elapsed;
-        score.frames_per_second = static_cast<double>(score.frames) / elapsed;
+    score.precision = ratio(score.true_positive_alerts, score.alerts);
+    score.recall = ratio(score.detected_attacks, score.attack_frames);
+    if (options.timing && wall_seconds > 0.0) {
+        score.wall_seconds = wall_seconds;
+        score.frames_per_second = static_cast<double>(score.frames) / wall_seconds;
     }
 
     telemetry::MetricsRegistry& metrics = session.metrics();
@@ -123,24 +67,87 @@ common::Expected<SchemeScore> Engine::run(const LabeledTrace& trace,
     metrics.counter("replay.frames.attack").inc(score.attack_frames);
     alerts.export_metrics(metrics);
     score.metrics = metrics.snapshot_json();
-    // This may be a short-lived worker thread (run_all fan-out): drain its
-    // batched FrameView hit tallies before it exits.
-    wire::flush_frameview_hits();
+    score.alert_list = alerts.take();
     return score;
+}
+
+}  // namespace
+
+common::Expected<SchemeScore> Engine::run(const LabeledTrace& trace,
+                                          const std::string& scheme_name) const {
+    auto outcomes = run_all(trace, {scheme_name}, 1);
+    if (outcomes[0].failed) return common::Expected<SchemeScore>::failure(outcomes[0].error);
+    return std::move(outcomes[0].value);
 }
 
 std::vector<exp::Outcome<SchemeScore>> Engine::run_all(const LabeledTrace& trace,
                                                        const std::vector<std::string>& schemes,
                                                        std::size_t jobs) const {
-    // Parse the whole trace once, before any worker thread exists: priming
-    // writes every memo on this thread, so workers only ever read the
-    // shared buffers (no synchronization needed on the memo fields).
-    const std::vector<wire::FrameView> views = make_views(trace);
-    return exp::map_indexed<SchemeScore>(schemes.size(), jobs, [&](std::size_t i) {
-        auto result = run(trace, views, schemes[i]);
-        if (!result.ok()) throw std::runtime_error(result.error());
-        return std::move(result).value();
+    std::vector<exp::Outcome<SchemeScore>> out(schemes.size());
+    std::vector<std::unique_ptr<detect::Scheme>> made(schemes.size());
+    std::vector<std::size_t> known;  // slots of registered schemes, in input order
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+        made[i] = registry_->make(schemes[i]);
+        if (made[i] == nullptr) {
+            out[i].failed = true;
+            out[i].error = "replay: unknown scheme '" + schemes[i] + "'";
+        } else {
+            known.push_back(i);
+        }
+    }
+
+    SessionOptions session_options;
+    session_options.seed = trace.seed == 0 ? 1 : trace.seed;
+    session_options.directory = trace.directory;
+    std::vector<SimTime> attack_times;
+    for (const TraceFrame& f : trace.frames) {
+        if (f.attack) attack_times.push_back(f.at);
+    }
+
+    const std::size_t workers = std::min(std::max<std::size_t>(jobs, 1), known.size());
+    const auto errors = exp::run_indexed(workers, workers, [&](std::size_t w) {
+        // The offline LAN, scheme deployment and feed loop live in
+        // SchemeSession: the same object the serve shards stream into, which
+        // is what makes the serve<->replay equivalence gate hold by
+        // construction.
+        std::vector<std::size_t> slots;
+        std::vector<std::unique_ptr<SchemeSession>> sessions;
+        for (std::size_t k = w; k < known.size(); k += workers) {
+            slots.push_back(known[k]);
+            sessions.push_back(
+                std::make_unique<SchemeSession>(std::move(made[known[k]]), session_options));
+        }
+
+        common::Stopwatch watch;
+        for (const TraceFrame& f : trace.frames) {
+            // This worker's own copy: the view and its parse memo live and
+            // die here, shared only by this worker's sessions.
+            const wire::FrameView view{
+                wire::FrameBuffer::capture(std::span<const std::uint8_t>(f.bytes))};
+            for (auto& session : sessions) session->feed(f.at, view);
+        }
+        // Each session tracks the max timestamp it saw, which equals
+        // trace.last_at() after a full feed.
+        for (auto& session : sessions) session->finish(options_.grace);
+        const double wall = watch.elapsed_seconds();
+
+        for (std::size_t k = 0; k < slots.size(); ++k) {
+            out[slots[k]].value =
+                score_session(*sessions[k], schemes[slots[k]], attack_times, options_, wall);
+            sessions[k].reset();  // free each LAN as soon as it is scored
+        }
+        // This may be a short-lived worker thread: drain its batched
+        // FrameView tallies before it exits.
+        wire::flush_frameview_hits();
     });
+    for (std::size_t w = 0; w < workers; ++w) {
+        if (errors[w].empty()) continue;
+        for (std::size_t k = w; k < known.size(); k += workers) {
+            out[known[k]].failed = true;
+            out[known[k]].error = errors[w];
+        }
+    }
+    return out;
 }
 
 Json Engine::artifact(const LabeledTrace& trace, const std::vector<SchemeScore>& scores,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "replay/session.hpp"
 #include "replay/trace.hpp"
 #include "telemetry/json.hpp"
-#include "wire/frame.hpp"
 
 namespace arpsec::replay {
 
@@ -41,6 +39,8 @@ struct SchemeScore {
     std::size_t detected_attacks = 0;
     double precision = 1.0;  // TP alerts / alerts (1.0 when no alerts fired)
     double recall = 1.0;     // detected attacks / attacks (1.0 when no attacks)
+    /// Wall clock of the worker pass that fed this scheme, and frames over
+    /// it: shared by every scheme on that worker. 0 without timing.
     double wall_seconds = 0.0;
     double frames_per_second = 0.0;
     telemetry::Json metrics = telemetry::Json::object();
@@ -65,30 +65,20 @@ public:
     explicit Engine(const detect::Registry& registry, EngineOptions options = {})
         : registry_(&registry), options_(options) {}
 
-    /// Wraps every trace frame in a primed FrameView: the Ethernet header
-    /// and (for ARP frames) the payload are parsed exactly once, here, and
-    /// memoized in the shared buffer. Priming on the calling thread is what
-    /// makes the views safe to share across run_all's worker threads — the
-    /// memo is written before any fan-out and only read after.
-    [[nodiscard]] static std::vector<wire::FrameView> make_views(const LabeledTrace& trace);
-
-    /// Fails when `scheme` is not registered. Parses each frame itself;
-    /// prefer the pre-built-views overload when replaying the same trace
-    /// through more than one scheme.
+    /// The one-scheme case of run_all, on the calling thread. Fails when
+    /// `scheme` is not registered.
     [[nodiscard]] common::Expected<SchemeScore> run(const LabeledTrace& trace,
                                                     const std::string& scheme) const;
 
-    /// Same, but feeds pre-built views (`views[i]` must wrap
-    /// `trace.frames[i]`, as produced by make_views) so the per-frame parse
-    /// cost is paid once per trace instead of once per (trace, scheme).
-    [[nodiscard]] common::Expected<SchemeScore> run(const LabeledTrace& trace,
-                                                    std::span<const wire::FrameView> views,
-                                                    const std::string& scheme) const;
-
-    /// Fans schemes out over exp::map_indexed; scores come back in input
-    /// order, so reports are byte-identical for every `jobs` value. The
-    /// trace is parsed into shared views once, up front — every scheme and
-    /// every worker replays the same immutable buffers.
+    /// Frame-major replay. Unknown scheme names fail their own slot before
+    /// any worker starts; the J = min(jobs, known schemes) workers then
+    /// split the rest, worker w owning schemes w, w+J, w+2J, ... of them.
+    /// Each worker walks the trace once: per frame it captures one
+    /// FrameView, feeds it to each of its sessions and drops it, so no view
+    /// outlives its frame or crosses threads. Then it scores its sessions.
+    /// A scheme's wall_seconds/frames_per_second are those of its worker's
+    /// whole pass, shared by every scheme on that worker. Scores come back
+    /// in input order and are byte-identical for every `jobs` value.
     [[nodiscard]] std::vector<exp::Outcome<SchemeScore>> run_all(
         const LabeledTrace& trace, const std::vector<std::string>& schemes,
         std::size_t jobs) const;

@@ -62,7 +62,7 @@ common::Expected<LabeledTrace> PcapFileSource::load() {
     auto labels = TraceLabels::parse(buf.str());
     if (!labels.ok()) return Result::failure(labels.error());
 
-    return join_labels(pcap.value(), labels.value(), pcap_path_);
+    return join_labels(std::move(pcap).value(), labels.value(), pcap_path_);
 }
 
 common::Expected<LabeledTrace> ScenarioTraceSource::load() {

@@ -1,6 +1,7 @@
 #include "replay/trace.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace arpsec::replay {
 
@@ -102,6 +103,11 @@ TraceLabels labels_of(const LabeledTrace& trace) {
 
 common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
                                            const TraceLabels& labels, std::string origin) {
+    return join_labels(wire::PcapTrace{pcap}, labels, std::move(origin));
+}
+
+common::Expected<LabeledTrace> join_labels(wire::PcapTrace&& pcap, const TraceLabels& labels,
+                                           std::string origin) {
     using Result = common::Expected<LabeledTrace>;
     if (labels.frame_count != pcap.records.size()) {
         return Result::failure("labels: frame_count " + std::to_string(labels.frame_count) +
@@ -113,8 +119,8 @@ common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
     trace.origin = std::move(origin);
     trace.directory = labels.directory;
     trace.frames.reserve(pcap.records.size());
-    for (const wire::PcapRecord& rec : pcap.records) {
-        trace.frames.push_back({rec.at, rec.bytes, false});
+    for (wire::PcapRecord& rec : pcap.records) {
+        trace.frames.push_back({rec.at, std::move(rec.bytes), false});
     }
     for (const std::size_t idx : labels.attack_frames) {
         if (idx >= trace.frames.size()) {

@@ -54,7 +54,14 @@ struct TraceLabels {
 
 /// Joins a parsed pcap with its sidecar; fails when the label document
 /// disagrees with the capture (frame count mismatch, index out of range).
+/// Copies the record bytes.
 [[nodiscard]] common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
+                                                         const TraceLabels& labels,
+                                                         std::string origin);
+
+/// Same, but moves each record's bytes into the trace instead of copying
+/// them.
+[[nodiscard]] common::Expected<LabeledTrace> join_labels(wire::PcapTrace&& pcap,
                                                          const TraceLabels& labels,
                                                          std::string origin);
 

@@ -93,9 +93,9 @@ class FrameView;
 /// bytes themselves are never copied or mutated after construction.
 ///
 /// The memo (Ethernet header, ARP/IPv4 payload) is populated on first
-/// access and is NOT synchronized: buffers that cross threads (replay
-/// run_all) must be primed via FrameView::prime() on the owning thread
-/// first, after which concurrent access is read-only.
+/// access and is NOT synchronized, so a buffer stays on one thread. No
+/// FrameView crosses threads: replay workers and serve shard workers each
+/// capture their own view of every frame they feed.
 class FrameBuffer {
 public:
     FrameBuffer() = default;
@@ -268,8 +268,8 @@ public:
     }
 
     /// Prefetch hint: pulls the shared memo's hot cache lines toward the
-    /// CPU. Replay's scoring loop visits views in order but the Rep
-    /// allocations are scattered on the heap, so prefetching a few frames
+    /// CPU. A loop over an array of views visits them in order but the Rep
+    /// allocations are scattered on the heap, so prefetching a few views
     /// ahead hides the per-buffer streaming miss.
     void prefetch() const {
 #if defined(__GNUC__) || defined(__clang__)
@@ -281,10 +281,9 @@ public:
 #endif
     }
 
-    /// Eagerly populates the header and payload (ARP or IPv4) memos. Call
-    /// on the owning thread before sharing a view across threads (replay
-    /// fan-out); after priming, every accessor except frame() is read-only
-    /// (frame() keeps its own lazy memo and stays single-thread only).
+    /// Eagerly populates the header and payload (ARP or IPv4) memos that
+    /// the accessors would otherwise fill on first use, so a profiler can
+    /// time the parse apart from the code that reads it.
     void prime() const;
 
 private:

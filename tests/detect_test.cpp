@@ -790,5 +790,43 @@ TEST(AlertTest, ToStringContainsFields) {
     EXPECT_NE(s.find("hello"), std::string::npos);
 }
 
+TEST(AlertTest, ExportMetricsCountsPerKindAndScheme) {
+    // Three schemes interleaved in one sink, five kinds including the last
+    // enumerator; the golden string pins every metric name and value.
+    const auto alert = [](std::int64_t at_us, const char* scheme, AlertKind kind) {
+        Alert a;
+        a.at = common::SimTime{at_us * 1000};
+        a.scheme = scheme;
+        a.kind = kind;
+        return a;
+    };
+    AlertSink sink;
+    sink.report(alert(1500, "arpwatch", AlertKind::kIpMacChange));
+    sink.report(alert(1600, "snort-arpspoof", AlertKind::kUnicastRequest));
+    sink.report(alert(1700, "arpwatch", AlertKind::kFlipFlop));
+    sink.report(alert(1800, "arpwatch", AlertKind::kIpMacChange));
+    sink.report(alert(1900, "snort-arpspoof", AlertKind::kRateAnomaly));
+    sink.report(alert(2000, "lease-monitor", AlertKind::kSpoofSuspected));
+    sink.report(alert(2100, "snort-arpspoof", AlertKind::kUnicastRequest));
+
+    telemetry::MetricsRegistry registry;
+    sink.export_metrics(registry);
+    EXPECT_EQ(registry.snapshot_json().dump(),
+              R"({"counters":{"detect.alerts.kind.flip-flop":1,)"
+              R"("detect.alerts.kind.ip-mac-change":2,"detect.alerts.kind.rate-anomaly":1,)"
+              R"("detect.alerts.kind.spoof-suspected":1,"detect.alerts.kind.unicast-request":2,)"
+              R"("detect.alerts.scheme.arpwatch":3,"detect.alerts.scheme.lease-monitor":1,)"
+              R"("detect.alerts.scheme.snort-arpspoof":3,"detect.alerts.total":7},)"
+              R"("gauges":{"detect.first_alert_us":{"value":1500,"high_water":1500}},)"
+              R"("histograms":{}})");
+
+    telemetry::MetricsRegistry empty;
+    AlertSink{}.export_metrics(empty);
+    EXPECT_EQ(empty.snapshot_json().dump(),
+              R"({"counters":{"detect.alerts.total":0},)"
+              R"("gauges":{"detect.first_alert_us":{"value":-1,"high_water":0}},)"
+              R"("histograms":{}})");
+}
+
 }  // namespace
 }  // namespace arpsec::detect

@@ -13,6 +13,7 @@
 #include "replay/session.hpp"
 #include "replay/source.hpp"
 #include "replay/trace.hpp"
+#include "serve/alert_stream.hpp"
 #include "wire/dhcp_message.hpp"
 #include "wire/udp_datagram.hpp"
 
@@ -88,17 +89,28 @@ TEST(TraceLabelsTest, JoinRejectsDisagreeingSidecar) {
             {f.at, static_cast<std::uint32_t>(f.bytes.size()), f.bytes});
     }
 
-    TraceLabels wrong_count = labels_of(trace);
-    wrong_count.frame_count += 1;
-    EXPECT_FALSE(join_labels(pcap, wrong_count, "test").ok());
+    // The lvalue overload copies the record bytes and the rvalue one moves
+    // them; both must agree with the trace. The copying join runs first,
+    // so the moving join also checks that it left `pcap` whole.
+    for (const bool move : {false, true}) {
+        SCOPED_TRACE(move ? "moving join" : "copying join");
+        const auto join = [&](const TraceLabels& labels) {
+            return move ? join_labels(wire::PcapTrace{pcap}, labels, "test")
+                        : join_labels(pcap, labels, "test");
+        };
 
-    TraceLabels bad_index = labels_of(trace);
-    bad_index.attack_frames.push_back(trace.frames.size());  // out of range
-    EXPECT_FALSE(join_labels(pcap, bad_index, "test").ok());
+        TraceLabels wrong_count = labels_of(trace);
+        wrong_count.frame_count += 1;
+        EXPECT_FALSE(join(wrong_count).ok());
 
-    const auto joined = join_labels(pcap, labels_of(trace), "test");
-    ASSERT_TRUE(joined.ok()) << joined.error();
-    EXPECT_TRUE(traces_identical(joined.value(), trace));
+        TraceLabels bad_index = labels_of(trace);
+        bad_index.attack_frames.push_back(trace.frames.size());  // out of range
+        EXPECT_FALSE(join(bad_index).ok());
+
+        const auto joined = join(labels_of(trace));
+        ASSERT_TRUE(joined.ok()) << joined.error();
+        EXPECT_TRUE(traces_identical(joined.value(), trace));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -210,10 +222,33 @@ TEST(EngineTest, NullSchemeNeverAlerts) {
 TEST(EngineTest, UnknownSchemeIsATypedError) {
     const LabeledTrace trace = load_small();
     const detect::Registry registry;
-    const auto score = Engine{registry}.run(trace, "no-such-scheme");
+    EngineOptions opts;
+    opts.timing = false;
+    const Engine engine{registry, opts};
+    const auto score = engine.run(trace, "no-such-scheme");
     ASSERT_FALSE(score.ok());
     EXPECT_NE(score.error().find("no-such-scheme"), std::string::npos)
         << score.error();
+
+    // Among known names, an unknown one fails only its own slot; the others
+    // score exactly as they do alone.
+    const std::vector<std::string> schemes{"arpwatch", "no-such-scheme", "none",
+                                           "snort-arpspoof"};
+    for (const std::size_t jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const auto outcomes = engine.run_all(trace, schemes, jobs);
+        ASSERT_EQ(outcomes.size(), schemes.size());
+        EXPECT_TRUE(outcomes[1].failed);
+        EXPECT_NE(outcomes[1].error.find("no-such-scheme"), std::string::npos)
+            << outcomes[1].error;
+        for (const std::size_t i : {0u, 2u, 3u}) {
+            ASSERT_FALSE(outcomes[i].failed) << schemes[i] << ": " << outcomes[i].error;
+            const auto alone = engine.run(trace, schemes[i]);
+            ASSERT_TRUE(alone.ok()) << alone.error();
+            EXPECT_EQ(outcomes[i].value.to_json().dump(2), alone->to_json().dump(2))
+                << schemes[i];
+        }
+    }
 }
 
 // Pcap capture order is not timestamp order: a multi-segment capture can
@@ -450,24 +485,54 @@ TEST(SchemeSessionTest, LeaseMonitorSnapshotKeepsLeases) {
     }
 }
 
+std::vector<std::string> alert_lines(const std::vector<detect::Alert>& alerts) {
+    std::vector<std::string> lines;
+    for (const detect::Alert& a : alerts) lines.push_back(serve::alert_line(a));
+    return lines;
+}
+
 TEST(EngineTest, RunAllIsIdenticalForAnyJobsValue) {
     const LabeledTrace trace = load_small();
     const detect::Registry registry;
     EngineOptions opts;
     opts.timing = false;
     const Engine engine{registry, opts};
-    const std::vector<std::string> schemes{"none", "arpwatch", "snort-arpspoof",
-                                           "static-entries"};
+    std::vector<std::string> schemes;
+    for (const auto& entry : registry.entries()) schemes.push_back(entry.name);
 
+    // Reference: each scheme alone in a SchemeSession, fed one freshly
+    // captured view per frame.
+    SessionOptions session_options;
+    session_options.seed = trace.seed == 0 ? 1 : trace.seed;
+    session_options.directory = trace.directory;
+    std::vector<std::vector<std::string>> lone;
+    for (const std::string& name : schemes) {
+        SchemeSession session{registry.make(name), session_options};
+        for (const TraceFrame& f : trace.frames) session.feed(f.at, view_of(f.bytes));
+        session.finish(opts.grace);
+        lone.push_back(alert_lines(session.alerts().alerts()));
+    }
+
+    // 1 worker, uneven groups (15 over 2 and 4) and more jobs than schemes.
     const auto serial = engine.run_all(trace, schemes, 1);
-    const auto fanned = engine.run_all(trace, schemes, 4);
     ASSERT_EQ(serial.size(), schemes.size());
-    ASSERT_EQ(fanned.size(), schemes.size());
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         ASSERT_FALSE(serial[i].failed) << serial[i].error;
-        ASSERT_FALSE(fanned[i].failed) << fanned[i].error;
-        EXPECT_EQ(serial[i].value.to_json().dump(2), fanned[i].value.to_json().dump(2))
-            << schemes[i];
+        EXPECT_EQ(serial[i].value.scheme, schemes[i]);
+        EXPECT_EQ(serial[i].value.frames, trace.frames.size()) << schemes[i];
+        EXPECT_EQ(alert_lines(serial[i].value.alert_list), lone[i]) << schemes[i];
+        EXPECT_EQ(serial[i].value.alerts, lone[i].size()) << schemes[i];
+    }
+    for (const std::size_t jobs : {2u, 4u, 16u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const auto fanned = engine.run_all(trace, schemes, jobs);
+        ASSERT_EQ(fanned.size(), schemes.size());
+        for (std::size_t i = 0; i < schemes.size(); ++i) {
+            ASSERT_FALSE(fanned[i].failed) << fanned[i].error;
+            EXPECT_EQ(serial[i].value.to_json().dump(2), fanned[i].value.to_json().dump(2))
+                << schemes[i];
+            EXPECT_EQ(alert_lines(fanned[i].value.alert_list), lone[i]) << schemes[i];
+        }
     }
 }
 

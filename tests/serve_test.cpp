@@ -207,12 +207,14 @@ TEST(ServeCreateTest, GraceDefaultMatchesReplayEngine) {
 
 TEST(ServeShardTest, RoutingIsStableAndBounded) {
     const auto trace = small_trace();
-    const auto views = replay::Engine::make_views(trace);
-    for (const auto& view : views) {
+    for (const auto& frame : trace.frames) {
+        const wire::FrameView view{
+            wire::FrameBuffer::capture(std::span<const std::uint8_t>(frame.bytes))};
         EXPECT_EQ(shard_of(view, 1), 0u);
         const std::size_t first = shard_of(view, 4);
         EXPECT_LT(first, 4u);
         EXPECT_EQ(shard_of(view, 4), first);  // same frame, same shard
+        EXPECT_EQ(shard_of(frame.bytes, 4), first);
     }
 }
 
@@ -220,14 +222,13 @@ TEST(ServeShardTest, SpreadsAcrossShards) {
     // A realistic LAN trace — every station in one /24 — must spread evenly,
     // or the sharded daemon degenerates to one busy worker.
     const auto trace = small_trace();
-    const auto views = replay::Engine::make_views(trace);
     const auto hits = [&](std::size_t shards) {
         std::vector<std::size_t> out(shards, 0);
-        for (const auto& view : views) ++out[shard_of(view, shards)];
+        for (const auto& frame : trace.frames) ++out[shard_of(frame.bytes, shards)];
         return out;
     };
     const auto two = hits(2);
-    const double mean = static_cast<double>(views.size()) / 2.0;
+    const double mean = static_cast<double>(trace.frames.size()) / 2.0;
     EXPECT_LE(static_cast<double>(*std::max_element(two.begin(), two.end())) / mean, 1.25)
         << two[0] << " vs " << two[1] << " frames";
     const auto four = hits(4);

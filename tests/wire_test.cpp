@@ -295,94 +295,39 @@ TEST(FrameViewTest, Ipv4MemoizedOncePerBuffer) {
 }
 
 // ---------------------------------------------------------------------------
-// FrameView across threads — the sharing contract the serve intake->shard
-// hop rides on: prime on one thread, then hand the view to N readers. Threads are
-// spawned through exp::run_indexed (the sanctioned concurrency entry point;
-// its join is the happens-before edge), and the whole battery runs under
-// the TSan CI job, so any unsynchronized memo access fails there.
+// FrameView tallies on worker threads. No view crosses threads: replay
+// workers and serve shard workers each capture their own view of every frame
+// they feed, and their hit and miss tallies batch per thread until the
+// worker flushes. Threads are spawned through exp::run_indexed (the
+// sanctioned concurrency entry point; its join is the happens-before edge),
+// and the whole battery runs under the TSan CI job.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-FrameView make_primed_arp_view() {
+Bytes arp_frame_bytes() {
     EthernetFrame f;
     f.ether_type = EtherType::kArp;
     f.payload = ArpPacket::request(MacAddress::local(1), Ipv4Address{10, 0, 0, 1},
                                    Ipv4Address{10, 0, 0, 2})
                     .serialize();
-    FrameView view{FrameBuffer::capture(f.serialize())};
-    view.prime();
-    return view;
-}
-
-FrameView make_primed_ipv4_view() {
-    Ipv4Packet p;
-    p.src = Ipv4Address{10, 0, 0, 3};
-    p.dst = Ipv4Address{10, 0, 0, 4};
-    p.protocol = IpProto::kUdp;
-    EthernetFrame f;
-    f.ether_type = EtherType::kIpv4;
-    f.payload = p.serialize();
-    FrameView view{FrameBuffer::capture(f.serialize())};
-    view.prime();
-    return view;
+    return f.serialize();
 }
 
 }  // namespace
 
-TEST(FrameViewThreadedTest, ConcurrentPrimeOnPrimedRepIsReadOnly) {
-    const FrameView view = make_primed_arp_view();
-    reset_frameview_stats();
-    // After the owning thread primed, prime() is a pure memo check: four
-    // threads hammering it concurrently must neither reparse (no misses)
-    // nor race (TSan job). It also counts no hits — only accessors do.
-    const auto errors = arpsec::exp::run_indexed(4, 4, [&view](std::size_t) {
-        for (int i = 0; i < 1000; ++i) view.prime();
-        flush_frameview_hits();
-    });
-    for (const auto& e : errors) EXPECT_EQ(e, "");
-    const auto s = frameview_stats();
-    EXPECT_EQ(s.parse_misses, 0u);
-    EXPECT_EQ(s.arp_misses, 0u);
-    EXPECT_EQ(s.parse_hits, 0u);
-    EXPECT_EQ(s.arp_hits, 0u);
-    ASSERT_NE(view.arp(), nullptr);
-    EXPECT_EQ(view.arp()->sender_ip, (Ipv4Address{10, 0, 0, 1}));
-}
-
-TEST(FrameViewThreadedTest, MemoPointerIdentityAcrossThreads) {
-    const FrameView view = make_primed_arp_view();
-    const FrameView sibling{view.buffer()};  // second view, same Rep
-    const ArpPacket* expected = view.arp();
-    ASSERT_NE(expected, nullptr);
-    // Every thread must observe the same memoized ArpPacket object —
-    // pointer identity, not just value equality: a reparse would mint a
-    // fresh object and break the parse-once guarantee.
-    constexpr std::size_t kThreads = 4;
-    std::vector<const ArpPacket*> seen(kThreads, nullptr);
-    std::vector<const ArpPacket*> seen_sibling(kThreads, nullptr);
-    const auto errors =
-        arpsec::exp::run_indexed(kThreads, kThreads, [&](std::size_t t) {
-            seen[t] = view.arp();
-            seen_sibling[t] = sibling.arp();
-            flush_frameview_hits();
-        });
-    for (const auto& e : errors) EXPECT_EQ(e, "");
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(seen[t], expected) << "thread " << t;
-        EXPECT_EQ(seen_sibling[t], expected) << "thread " << t;
-    }
-}
-
 TEST(FrameViewThreadedTest, FlushedWorkerHitsAccountExactly) {
-    const FrameView view = make_primed_arp_view();
+    const Bytes bytes = arp_frame_bytes();
     reset_frameview_stats();
     constexpr std::size_t kThreads = 4;
     constexpr std::uint64_t kIters = 500;
-    // Each iteration pays exactly one parse hit (ok()) and one arp hit
+    // Each worker primes a view of its own (one header and one ARP miss),
+    // then every iteration pays exactly one parse hit (ok()) and one arp hit
     // (arp()); each worker drains its thread-local batch before exiting, so
     // the process-wide totals must balance to the call count exactly.
-    const auto errors = arpsec::exp::run_indexed(kThreads, kThreads, [&view](std::size_t) {
+    const auto errors = arpsec::exp::run_indexed(kThreads, kThreads, [&bytes](std::size_t) {
+        const FrameView view{FrameBuffer::capture(std::span<const std::uint8_t>{bytes})};
+        view.prime();
         for (std::uint64_t i = 0; i < kIters; ++i) {
             if (!view.ok()) throw std::runtime_error("primed view not ok");
             if (view.arp() == nullptr) throw std::runtime_error("primed arp memo gone");
@@ -393,16 +338,15 @@ TEST(FrameViewThreadedTest, FlushedWorkerHitsAccountExactly) {
     const auto s = frameview_stats();
     EXPECT_EQ(s.parse_hits, kThreads * kIters);
     EXPECT_EQ(s.arp_hits, kThreads * kIters);
-    EXPECT_EQ(s.parse_misses, 0u);
-    EXPECT_EQ(s.arp_misses, 0u);
+    EXPECT_EQ(s.parse_misses, kThreads);
+    EXPECT_EQ(s.arp_misses, kThreads);
 }
 
 TEST(FrameViewThreadedTest, FlushedWorkerMissesAccountExactly) {
-    // The serve shape: each worker captures and parses its own frames, so
+    // The worker shape: each worker captures and parses its own frames, so
     // every capture pays one header miss and one ARP miss on that worker.
     // Misses batch like hits; once flushed they balance exactly.
-    const FrameView primed = make_primed_arp_view();
-    const Bytes bytes(primed.bytes().begin(), primed.bytes().end());
+    const Bytes bytes = arp_frame_bytes();
     reset_frameview_stats();
     constexpr std::size_t kThreads = 4;
     constexpr std::uint64_t kFrames = 300;
@@ -420,14 +364,15 @@ TEST(FrameViewThreadedTest, FlushedWorkerMissesAccountExactly) {
 }
 
 TEST(FrameViewThreadedTest, UnflushedWorkerBatchesAreDroppedByDesign) {
-    const FrameView view = make_primed_arp_view();
+    const Bytes bytes = arp_frame_bytes();
     reset_frameview_stats();
     // The documented cost of thread-local batching: a worker that exits
     // without flush_frameview_hits() takes its tally with it. This pins
     // that the accounting really is batch-then-flush (not per-call atomics)
     // — if this test ever sees nonzero hits or misses, the hot path
     // regressed to atomic RMWs.
-    const auto errors = arpsec::exp::run_indexed(2, 2, [&view](std::size_t) {
+    const auto errors = arpsec::exp::run_indexed(2, 2, [&bytes](std::size_t) {
+        const FrameView view{FrameBuffer::capture(std::span<const std::uint8_t>{bytes})};
         for (int i = 0; i < 100; ++i) {
             static_cast<void>(view.ok());
             static_cast<void>(FrameView{FrameBuffer::capture(view.bytes())}.arp());
@@ -439,62 +384,6 @@ TEST(FrameViewThreadedTest, UnflushedWorkerBatchesAreDroppedByDesign) {
     EXPECT_EQ(s.parse_hits, 0u);
     EXPECT_EQ(s.parse_misses, 0u);
     EXPECT_EQ(s.arp_misses, 0u);
-}
-
-TEST(FrameViewThreadedTest, PrimedOnWorkerThreadIsReadableAfterJoin) {
-    // A view primed on one thread and read on another after a
-    // synchronizing edge (replay's run_all fan-out has this shape;
-    // run_indexed's join is the edge). Prime on a worker, read on the
-    // main thread.
-    EthernetFrame f;
-    f.ether_type = EtherType::kArp;
-    f.payload = ArpPacket::request(MacAddress::local(9), Ipv4Address{10, 0, 0, 9},
-                                   Ipv4Address{10, 0, 0, 10})
-                    .serialize();
-    const FrameView view{FrameBuffer::capture(f.serialize())};
-    const auto errors = arpsec::exp::run_indexed(1, 2, [&view](std::size_t) {
-        view.prime();
-        flush_frameview_hits();
-    });
-    EXPECT_EQ(errors[0], "");
-    reset_frameview_stats();
-    ASSERT_TRUE(view.ok());
-    ASSERT_NE(view.arp(), nullptr);  // memo written on the worker, read here
-    EXPECT_EQ(view.arp()->sender_ip, (Ipv4Address{10, 0, 0, 9}));
-    const auto s = frameview_stats();
-    EXPECT_EQ(s.parse_misses, 0u);
-    EXPECT_EQ(s.arp_misses, 0u);
-}
-
-TEST(FrameViewThreadedTest, MixedTrafficSharedAcrossThreadsKeepsValues) {
-    // A miniature replay working set: ARP and IPv4 views primed up front,
-    // then four readers replaying the whole set concurrently, checking the
-    // decoded values (not just pointers) stay correct from every thread.
-    std::vector<FrameView> views;
-    for (int i = 0; i < 8; ++i) {
-        views.push_back(i % 2 == 0 ? make_primed_arp_view() : make_primed_ipv4_view());
-    }
-    const auto errors = arpsec::exp::run_indexed(4, 4, [&views](std::size_t) {
-        for (int pass = 0; pass < 50; ++pass) {
-            for (std::size_t i = 0; i < views.size(); ++i) {
-                const FrameView& v = views[i];
-                if (!v.ok()) throw std::runtime_error("view not ok");
-                if (i % 2 == 0) {
-                    const ArpPacket* arp = v.arp();
-                    if (arp == nullptr || arp->sender_ip != (Ipv4Address{10, 0, 0, 1})) {
-                        throw std::runtime_error("arp memo corrupted");
-                    }
-                } else {
-                    const Ipv4Packet* ip = v.ipv4();
-                    if (ip == nullptr || ip->dst != (Ipv4Address{10, 0, 0, 4})) {
-                        throw std::runtime_error("ipv4 memo corrupted");
-                    }
-                }
-            }
-        }
-        flush_frameview_hits();
-    });
-    for (const auto& e : errors) EXPECT_EQ(e, "");
 }
 
 // ---------------------------------------------------------------------------

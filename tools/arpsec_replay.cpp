@@ -6,9 +6,11 @@
 //   $ arpsec-replay --pcap trace.pcap                       # all schemes
 //   $ arpsec-replay --pcap t.pcap --schemes arpwatch,dai --jobs 4 --out replay.json
 //
-// Schemes fan out via exp::map_indexed, so stdout and the artifact are
-// byte-identical for every --jobs value when --no-timing is given (wall
-// clock is inherently nondeterministic, so timing columns are zeroed).
+// Schemes split over --jobs workers that each walk the trace once, so
+// stdout and the artifact are byte-identical for every --jobs value when
+// --no-timing is given (wall clock is inherently nondeterministic, so
+// timing columns are zeroed). The frames/s column is the trace over the
+// wall of the worker pass that fed the scheme.
 
 #include <cstdio>
 #include <cstdlib>
