@@ -7,7 +7,10 @@
 // wall of five replays) goes to stderr and the BENCH_replay_throughput.json
 // perf-trajectory point, and per-scheme scores with the worker-pass
 // timings go to the sweep artifact (--out, default
-// replay_throughput.runs.json).
+// replay_throughput.runs.json). The trace is also written to the working
+// directory as a pcap plus sidecar, and each of the five repetitions times
+// PcapFileSource::load of it: the load layer, reported beside the replay
+// figure.
 
 #include <algorithm>
 #include <cstdio>
@@ -26,6 +29,8 @@ namespace {
 
 constexpr const char* kTrajectoryPath = "BENCH_replay_throughput.json";
 constexpr const char* kTrajectorySchema = "arpsec.bench-trajectory.v1";
+constexpr const char* kPcapPath = "replay_throughput.pcap";
+constexpr const char* kLabelsPath = "replay_throughput.pcap.labels.json";
 
 }  // namespace
 
@@ -43,25 +48,48 @@ int main(int argc, char** argv) {
         return 1;
     }
 
+    const auto wrote = replay::write_trace(trace.value(), kPcapPath, kLabelsPath,
+                                           "replay_throughput");
+    if (!wrote.ok()) {
+        std::fprintf(stderr, "[bench] replay_throughput: %s\n", wrote.error().c_str());
+        return 1;
+    }
+
     const detect::Registry registry;
     std::vector<std::string> schemes;
     for (const auto& entry : registry.entries()) schemes.push_back(entry.name);
 
     // A smoke replay lasts a few ms, too short to time once on a shared
-    // host: the figure is the median wall of kRuns identical replays. The
-    // scorecard comes from the first; every run gives the same one.
+    // host: each figure is the median of kRuns identical repetitions. The
+    // scorecard comes from the first; every run gives the same one. The
+    // replay runs on the in-memory trace, so the load does not change it.
     constexpr std::size_t kRuns = 5;
     const replay::Engine engine{registry};
     std::vector<exp::Outcome<replay::SchemeScore>> outcomes;
     std::vector<double> walls;
+    std::vector<double> loads;
     for (std::size_t r = 0; r < kRuns; ++r) {
+        {  // the loaded copy is freed before the replay is timed
+            common::Stopwatch load_watch;
+            const auto loaded = replay::PcapFileSource{kPcapPath, kLabelsPath}.load();
+            loads.push_back(load_watch.elapsed_seconds());
+            if (!loaded.ok()) {
+                std::fprintf(stderr, "[bench] replay_throughput: %s\n",
+                             loaded.error().c_str());
+                return 1;
+            }
+        }
         common::Stopwatch watch;
         auto run = engine.run_all(trace.value(), schemes, opt.jobs);
         walls.push_back(watch.elapsed_seconds());
         if (r == 0) outcomes = std::move(run);
     }
+    std::remove(kPcapPath);
+    std::remove(kLabelsPath);
     std::sort(walls.begin(), walls.end());
+    std::sort(loads.begin(), loads.end());
     const double wall = walls[kRuns / 2];
+    const double load_seconds = loads[kRuns / 2];
     const std::size_t failures = exp::report_case_failures("replay_throughput", outcomes);
 
     std::vector<replay::SchemeScore> scores;
@@ -83,10 +111,13 @@ int main(int argc, char** argv) {
 
     const std::size_t frames = trace.value().frames.size();
     const double frames_per_second = wall > 0.0 ? static_cast<double>(frames) / wall : 0.0;
+    const double load_ns_per_frame =
+        frames > 0 ? load_seconds * 1e9 / static_cast<double>(frames) : 0.0;
     std::fprintf(stderr,
                  "[bench] replay_throughput: %zu frames x %zu schemes in %.4f s = %.0f "
-                 "frames/s (--jobs %zu)\n",
-                 frames, scores.size(), wall, frames_per_second, opt.jobs);
+                 "frames/s (--jobs %zu); pcap load %.4f s = %.0f ns/frame\n",
+                 frames, scores.size(), wall, frames_per_second, opt.jobs, load_seconds,
+                 load_ns_per_frame);
 
     exp::SweepArtifact artifact("replay_throughput");
     artifact.set_meta("trace_frames", static_cast<std::uint64_t>(frames));
@@ -94,8 +125,8 @@ int main(int argc, char** argv) {
     artifact.add_json(replay::Engine::artifact(trace.value(), scores, "replay_throughput"));
 
     // Perf-trajectory point: end-to-end frames/sec (trace frames over the
-    // median run_all wall) for run-over-run comparison, plus per-scheme
-    // quality.
+    // median run_all wall) for run-over-run comparison, the median pcap
+    // load, plus per-scheme quality.
     // Written unconditionally next to the sweep artifact.
     telemetry::Json traj = telemetry::Json::object();
     traj["schema"] = kTrajectorySchema;
@@ -105,6 +136,8 @@ int main(int argc, char** argv) {
     traj["frames"] = static_cast<std::uint64_t>(frames);
     traj["wall_seconds"] = wall;
     traj["frames_per_second"] = frames_per_second;
+    traj["load_seconds"] = load_seconds;
+    traj["load_ns_per_frame"] = load_ns_per_frame;
     telemetry::Json rows = telemetry::Json::array();
     for (const auto& s : scores) {
         telemetry::Json row = telemetry::Json::object();

@@ -1,10 +1,10 @@
 #include "replay/source.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -52,17 +52,28 @@ Epoch render_epoch(const check::GenOptions& gen, std::uint64_t seed) {
 
 common::Expected<LabeledTrace> PcapFileSource::load() {
     using Result = common::Expected<LabeledTrace>;
-    auto pcap = wire::PcapReader::read_file(pcap_path_);
+    std::vector<TraceFrame> frames;
+    auto pcap = wire::PcapReader::stream_file(pcap_path_, [&](wire::PcapRecord&& rec) {
+        frames.push_back({rec.at, std::move(rec.bytes), false});
+    });
     if (!pcap.ok()) return Result::failure(pcap.error());
+    if (pcap->link_type != wire::kLinkTypeEthernet) {
+        return Result::failure("pcap: unsupported link type " + std::to_string(pcap->link_type) +
+                               " (want 1, Ethernet)");
+    }
 
     std::ifstream in{labels_path_};
     if (!in) return Result::failure("labels: cannot open '" + labels_path_ + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    auto labels = TraceLabels::parse(buf.str());
+    std::string text;
+    std::array<char, 4096> chunk;
+    while (in.read(chunk.data(), chunk.size()) || in.gcount() > 0) {
+        text.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
+    }
+    if (in.bad()) return Result::failure("labels: cannot read '" + labels_path_ + "'");
+    auto labels = TraceLabels::parse(text);
     if (!labels.ok()) return Result::failure(labels.error());
 
-    return join_labels(std::move(pcap).value(), labels.value(), pcap_path_);
+    return label_frames(std::move(frames), labels.value(), pcap_path_);
 }
 
 common::Expected<LabeledTrace> ScenarioTraceSource::load() {

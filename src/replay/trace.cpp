@@ -101,36 +101,36 @@ TraceLabels labels_of(const LabeledTrace& trace) {
     return labels;
 }
 
-common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
-                                           const TraceLabels& labels, std::string origin) {
-    return join_labels(wire::PcapTrace{pcap}, labels, std::move(origin));
-}
-
-common::Expected<LabeledTrace> join_labels(wire::PcapTrace&& pcap, const TraceLabels& labels,
-                                           std::string origin) {
+common::Expected<LabeledTrace> label_frames(std::vector<TraceFrame> frames,
+                                            const TraceLabels& labels, std::string origin) {
     using Result = common::Expected<LabeledTrace>;
-    if (labels.frame_count != pcap.records.size()) {
+    if (labels.frame_count != frames.size()) {
         return Result::failure("labels: frame_count " + std::to_string(labels.frame_count) +
                                " does not match pcap record count " +
-                               std::to_string(pcap.records.size()));
-    }
-    LabeledTrace trace;
-    trace.seed = labels.seed;
-    trace.origin = std::move(origin);
-    trace.directory = labels.directory;
-    trace.frames.reserve(pcap.records.size());
-    for (wire::PcapRecord& rec : pcap.records) {
-        trace.frames.push_back({rec.at, std::move(rec.bytes), false});
+                               std::to_string(frames.size()));
     }
     for (const std::size_t idx : labels.attack_frames) {
-        if (idx >= trace.frames.size()) {
+        if (idx >= frames.size()) {
             return Result::failure("labels: attack frame index " + std::to_string(idx) +
-                                   " out of range (" + std::to_string(trace.frames.size()) +
+                                   " out of range (" + std::to_string(frames.size()) +
                                    " frames)");
         }
-        trace.frames[idx].attack = true;
+        frames[idx].attack = true;
     }
+    LabeledTrace trace;
+    trace.frames = std::move(frames);
+    trace.directory = labels.directory;
+    trace.seed = labels.seed;
+    trace.origin = std::move(origin);
     return trace;
+}
+
+common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
+                                           const TraceLabels& labels, std::string origin) {
+    std::vector<TraceFrame> frames;
+    frames.reserve(pcap.records.size());
+    for (const wire::PcapRecord& rec : pcap.records) frames.push_back({rec.at, rec.bytes, false});
+    return label_frames(std::move(frames), labels, std::move(origin));
 }
 
 }  // namespace arpsec::replay

@@ -52,16 +52,16 @@ struct TraceLabels {
 /// Extracts the sidecar view of an in-memory labeled trace.
 [[nodiscard]] TraceLabels labels_of(const LabeledTrace& trace);
 
-/// Joins a parsed pcap with its sidecar; fails when the label document
-/// disagrees with the capture (frame count mismatch, index out of range).
-/// Copies the record bytes.
-[[nodiscard]] common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
-                                                         const TraceLabels& labels,
-                                                         std::string origin);
+/// Labels the frames of a capture, in record order, with its sidecar;
+/// fails when the label document disagrees with the capture (frame count
+/// mismatch, index out of range). The one check behind both loaders.
+[[nodiscard]] common::Expected<LabeledTrace> label_frames(std::vector<TraceFrame> frames,
+                                                          const TraceLabels& labels,
+                                                          std::string origin);
 
-/// Same, but moves each record's bytes into the trace instead of copying
-/// them.
-[[nodiscard]] common::Expected<LabeledTrace> join_labels(wire::PcapTrace&& pcap,
+/// Joins a parsed pcap with its sidecar through `label_frames`. Copies the
+/// record bytes.
+[[nodiscard]] common::Expected<LabeledTrace> join_labels(const wire::PcapTrace& pcap,
                                                          const TraceLabels& labels,
                                                          std::string origin);
 

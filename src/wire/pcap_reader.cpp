@@ -1,6 +1,8 @@
 #include "wire/pcap_reader.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 namespace arpsec::wire {
@@ -32,83 +34,6 @@ std::string fmt_error(const std::string& what, std::size_t offset) {
 
 }  // namespace
 
-common::Expected<PcapTrace> PcapReader::parse(std::span<const std::uint8_t> data) {
-    using Result = common::Expected<PcapTrace>;
-    if (data.size() < kGlobalHeaderSize) {
-        return Result::failure("pcap: file too short for the 24-byte global header (" +
-                               std::to_string(data.size()) + " bytes)");
-    }
-
-    const std::uint32_t magic = read_u32(data, 0, /*swapped=*/false);
-    PcapTrace trace;
-    switch (magic) {
-        case kMagicMicroLe:
-            break;
-        case kMagicNanoLe:
-            trace.nanosecond = true;
-            break;
-        case kMagicMicroBe:
-            trace.big_endian = true;
-            break;
-        case kMagicNanoBe:
-            trace.big_endian = true;
-            trace.nanosecond = true;
-            break;
-        default: {
-            std::ostringstream os;
-            os << "pcap: unrecognized magic 0x" << std::hex << magic;
-            return Result::failure(os.str());
-        }
-    }
-
-    // On a little-endian host the byte-swapped magics mean "decode big-endian".
-    const bool swapped = trace.big_endian;
-    trace.snaplen = read_u32(data, 16, swapped);
-    trace.link_type = read_u32(data, 20, swapped);
-
-    std::size_t off = kGlobalHeaderSize;
-    while (off < data.size()) {
-        if (data.size() - off < kRecordHeaderSize) {
-            return Result::failure(fmt_error(
-                "truncated record header in record #" + std::to_string(trace.records.size()),
-                off));
-        }
-        const std::uint32_t ts_sec = read_u32(data, off, swapped);
-        const std::uint32_t ts_frac = read_u32(data, off + 4, swapped);
-        const std::uint32_t incl_len = read_u32(data, off + 8, swapped);
-        const std::uint32_t orig_len = read_u32(data, off + 12, swapped);
-        off += kRecordHeaderSize;
-
-        if (incl_len > trace.snaplen && incl_len > 0x0004'0000u) {
-            // Far beyond any plausible snap length: a corrupt length field
-            // would otherwise drag the cursor past unrelated bytes.
-            return Result::failure(fmt_error(
-                "implausible captured length " + std::to_string(incl_len) + " in record #" +
-                    std::to_string(trace.records.size()),
-                off - kRecordHeaderSize));
-        }
-        if (data.size() - off < incl_len) {
-            return Result::failure(fmt_error(
-                "truncated record body in record #" + std::to_string(trace.records.size()) +
-                    " (want " + std::to_string(incl_len) + " bytes, have " +
-                    std::to_string(data.size() - off) + ")",
-                off));
-        }
-
-        PcapRecord rec;
-        const std::int64_t frac_nanos =
-            trace.nanosecond ? static_cast<std::int64_t>(ts_frac)
-                             : static_cast<std::int64_t>(ts_frac) * 1000;
-        rec.at = common::SimTime{static_cast<std::int64_t>(ts_sec) * 1'000'000'000 + frac_nanos};
-        rec.orig_len = orig_len;
-        rec.bytes.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
-                         data.begin() + static_cast<std::ptrdiff_t>(off + incl_len));
-        trace.records.push_back(std::move(rec));
-        off += incl_len;
-    }
-    return Result{std::move(trace)};
-}
-
 void PcapStreamReader::feed(std::span<const std::uint8_t> data) {
     bytes_fed_ += data.size();
     // Reclaim consumed prefix before appending; the threshold keeps the
@@ -134,11 +59,9 @@ PcapStreamReader::Status PcapStreamReader::poll(PcapRecord& out) {
 
     if (!header_done_) {
         if (data.size() < PcapReader::kGlobalHeaderSize) {
-            if (finished_ && !data.empty()) {
-                return fail("pcap: file too short for the 24-byte global header (" +
-                            std::to_string(data.size()) + " bytes)");
-            }
-            return finished_ ? Status::kEnd : Status::kNeedMore;
+            if (!finished_) return Status::kNeedMore;
+            return fail("pcap: file too short for the 24-byte global header (" +
+                        std::to_string(data.size()) + " bytes)");
         }
         const std::uint32_t magic = read_u32(data, 0, /*swapped=*/false);
         switch (magic) {
@@ -183,8 +106,8 @@ PcapStreamReader::Status PcapStreamReader::poll(PcapRecord& out) {
     const std::uint32_t orig_len = read_u32(data, 12, big_endian_);
 
     if (incl_len > snaplen_ && incl_len > 0x0004'0000u) {
-        // Same plausibility bound as the batch parser: a corrupt length
-        // field must not make the stream wait forever for phantom bytes.
+        // Far beyond any plausible snap length: a corrupt length field must
+        // not make the stream wait forever for phantom bytes.
         return fail(fmt_error("implausible captured length " + std::to_string(incl_len) +
                                   " in record #" + std::to_string(records_),
                               base_ + pos_));
@@ -212,15 +135,80 @@ PcapStreamReader::Status PcapStreamReader::poll(PcapRecord& out) {
     return Status::kRecord;
 }
 
+namespace {
+
+/// The one decode loop behind every PcapReader entry point: polls a fresh
+/// decoder dry, handing each record to `on_record`, and calls `refill` to
+/// feed it the next chunk, or finish() it, whenever it needs more.
+template <typename Refill>
+common::Expected<PcapTrace> drain(Refill refill, const PcapReader::RecordSink& on_record) {
+    PcapStreamReader reader;
+    PcapRecord rec;
+    for (;;) {
+        switch (reader.poll(rec)) {
+            case PcapStreamReader::Status::kRecord:
+                on_record(std::move(rec));
+                break;
+            case PcapStreamReader::Status::kNeedMore:
+                refill(reader);
+                break;
+            case PcapStreamReader::Status::kEnd: {
+                PcapTrace header;
+                header.link_type = reader.link_type();
+                header.snaplen = reader.snaplen();
+                header.nanosecond = reader.nanosecond();
+                header.big_endian = reader.big_endian();
+                return header;
+            }
+            case PcapStreamReader::Status::kError:
+                return common::Expected<PcapTrace>::failure(reader.last_error());
+        }
+    }
+}
+
+}  // namespace
+
+common::Expected<PcapTrace> PcapReader::parse(std::span<const std::uint8_t> data) {
+    std::vector<PcapRecord> records;
+    auto trace = drain(
+        [&](PcapStreamReader& reader) {
+            const std::size_t n = std::min(kChunkSize, data.size());
+            if (n == 0) reader.finish();
+            reader.feed(data.first(n));
+            data = data.subspan(n);
+        },
+        [&](PcapRecord&& rec) { records.push_back(std::move(rec)); });
+    if (trace.ok()) trace->records = std::move(records);
+    return trace;
+}
+
 common::Expected<PcapTrace> PcapReader::read_file(const std::string& path) {
+    std::vector<PcapRecord> records;
+    auto trace =
+        stream_file(path, [&](PcapRecord&& rec) { records.push_back(std::move(rec)); });
+    if (trace.ok()) trace->records = std::move(records);
+    return trace;
+}
+
+common::Expected<PcapTrace> PcapReader::stream_file(const std::string& path,
+                                                    const RecordSink& on_record) {
     using Result = common::Expected<PcapTrace>;
     std::ifstream in{path, std::ios::binary};
     if (!in) return Result::failure("pcap: cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string raw = buf.str();
-    return parse(std::span<const std::uint8_t>{
-        reinterpret_cast<const std::uint8_t*>(raw.data()), raw.size()});
+    // Not zero-filled: an empty capture costs one short read, not a 64 KiB memset.
+    const auto chunk = std::make_unique_for_overwrite<std::uint8_t[]>(kChunkSize);
+    bool unreadable = false;
+    auto header = drain(
+        [&](PcapStreamReader& reader) {
+            in.read(reinterpret_cast<char*>(chunk.get()), kChunkSize);
+            const auto n = static_cast<std::size_t>(in.gcount());
+            unreadable = in.bad();  // e.g. a directory: it opens, but read() fails
+            if (n == 0 || unreadable) reader.finish();
+            reader.feed({chunk.get(), n});
+        },
+        on_record);
+    if (unreadable) return Result::failure("pcap: cannot read '" + path + "'");
+    return header;
 }
 
 }  // namespace arpsec::wire

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -10,6 +11,9 @@
 #include "wire/buffer.hpp"
 
 namespace arpsec::wire {
+
+/// LINKTYPE_ETHERNET: the only link layer the schemes can parse.
+inline constexpr std::uint32_t kLinkTypeEthernet = 1;
 
 /// One captured frame: timestamp, the captured bytes (caplen), and the
 /// original on-wire length (orig_len >= bytes.size() when the capture was
@@ -22,7 +26,7 @@ struct PcapRecord {
 
 /// A fully parsed classic-pcap capture file.
 struct PcapTrace {
-    std::uint32_t link_type = 1;  // LINKTYPE_ETHERNET
+    std::uint32_t link_type = kLinkTypeEthernet;
     std::uint32_t snaplen = 65535;
     bool nanosecond = false;      // nanosecond-resolution magic variant
     bool big_endian = false;      // file written on a big-endian capturer
@@ -31,32 +35,47 @@ struct PcapTrace {
 
 /// Reads classic libpcap captures (the input half of PcapWriter): both byte
 /// orders (magic 0xa1b2c3d4 and its swap) and both timestamp resolutions
-/// (microsecond 0xa1b2c3d4, nanosecond 0xa1b23c4d). Every read is bounds
-/// checked; malformed or truncated input is surfaced as a typed
-/// common::Expected failure naming the offending record — parsers in
-/// src/wire/ never assert on attacker-controlled bytes.
+/// (microsecond 0xa1b2c3d4, nanosecond 0xa1b23c4d). Every entry point
+/// drives the one PcapStreamReader decoder in kChunkSize pieces, so every
+/// read is bounds checked the same way and malformed or truncated input
+/// is surfaced as the same typed common::Expected failure naming the
+/// offending record — parsers in src/wire/ never assert on
+/// attacker-controlled bytes.
 class PcapReader {
 public:
     static constexpr std::size_t kGlobalHeaderSize = 24;
     static constexpr std::size_t kRecordHeaderSize = 16;
+    /// Input is fed to the decoder this many bytes at a time.
+    static constexpr std::size_t kChunkSize = 64 * 1024;
+
+    using RecordSink = std::function<void(PcapRecord&&)>;
 
     /// Parses a whole capture from memory.
     static common::Expected<PcapTrace> parse(std::span<const std::uint8_t> data);
 
     /// Reads and parses `path`; I/O problems are failures too.
     static common::Expected<PcapTrace> read_file(const std::string& path);
+
+    /// Streams `path` through the decoder, handing each record to
+    /// `on_record` as soon as it completes; no buffer the size of the file
+    /// is ever held. Returns the global header (with no records).
+    static common::Expected<PcapTrace> stream_file(const std::string& path,
+                                                   const RecordSink& on_record);
 };
 
 /// Incremental classic-pcap parser: feed transport/file chunks of any
-/// size, poll records out as they complete. This is the streaming half of
-/// `PcapReader::parse` — a chunk boundary landing mid-header or mid-body
-/// simply reports `kNeedMore` and resumes when the rest arrives, which is
-/// what a tail -f style capture follower or a socket forwarder needs.
+/// size, poll records out as they complete. This is the decoder behind
+/// every `PcapReader` entry point — a chunk boundary landing mid-header or
+/// mid-body simply reports `kNeedMore` and resumes when the rest arrives,
+/// which is what a tail -f style capture follower or a socket forwarder
+/// needs.
 ///
 /// Errors are sticky: pcap has no record-level resync marker, so a corrupt
 /// header (bad magic, implausible captured length) poisons the rest of the
 /// stream and every later poll repeats the typed error. Truncation is only
-/// an error once the caller declares the stream over via `finish()`.
+/// an error once the caller declares the stream over via `finish()`; a
+/// stream that ends before its 24-byte global header, an empty one
+/// included, is truncated too.
 class PcapStreamReader {
 public:
     enum class Status {
@@ -97,7 +116,7 @@ private:
     bool header_done_ = false;
     bool finished_ = false;
     bool failed_ = false;
-    std::uint32_t link_type_ = 1;
+    std::uint32_t link_type_ = kLinkTypeEthernet;
     std::uint32_t snaplen_ = 65535;
     bool nanosecond_ = false;
     bool big_endian_ = false;

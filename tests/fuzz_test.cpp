@@ -201,6 +201,60 @@ Bytes fuzzed_capture(common::Rng& rng, std::size_t records) {
     return data;
 }
 
+/// What PcapStreamReader makes of a capture: its records up to the first
+/// error, and that error's text (empty when the stream ended cleanly).
+struct StreamOutcome {
+    std::vector<wire::PcapRecord> records;
+    std::string error;
+};
+
+/// Feeds `data` in one piece, or in chunks of 1..300 bytes drawn from
+/// `rng` when it is non-null, polling the decoder dry after every feed.
+StreamOutcome stream_decode(std::span<const std::uint8_t> data, common::Rng* rng) {
+    wire::PcapStreamReader reader;
+    StreamOutcome out;
+    const auto drain = [&] {
+        wire::PcapRecord rec;
+        for (;;) {
+            const auto status = reader.poll(rec);
+            if (status != wire::PcapStreamReader::Status::kRecord) {
+                if (status == wire::PcapStreamReader::Status::kError) {
+                    out.error = reader.last_error();
+                }
+                return status;
+            }
+            out.records.push_back(std::move(rec));
+            rec = {};
+        }
+    };
+    while (!data.empty()) {
+        const std::size_t n = rng == nullptr
+                                  ? data.size()
+                                  : std::min<std::size_t>(data.size(), 1 + rng->next_below(300));
+        reader.feed(data.first(n));
+        data = data.subspan(n);
+        if (drain() == wire::PcapStreamReader::Status::kError) return out;
+    }
+    reader.finish();
+    drain();
+    return out;
+}
+
+/// Seeded random chunking must not change what the decoder reports: the
+/// same records, or the same error text.
+void expect_chunking_invariant(std::span<const std::uint8_t> data, std::uint64_t seed) {
+    const StreamOutcome whole = stream_decode(data, nullptr);
+    common::Rng rng(seed);
+    const StreamOutcome chunked = stream_decode(data, &rng);
+    EXPECT_EQ(chunked.error, whole.error);
+    ASSERT_EQ(chunked.records.size(), whole.records.size());
+    for (std::size_t i = 0; i < whole.records.size(); ++i) {
+        EXPECT_EQ(chunked.records[i].at.nanos(), whole.records[i].at.nanos()) << "record " << i;
+        EXPECT_EQ(chunked.records[i].orig_len, whole.records[i].orig_len) << "record " << i;
+        EXPECT_EQ(chunked.records[i].bytes, whole.records[i].bytes) << "record " << i;
+    }
+}
+
 }  // namespace
 
 class PcapReaderFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -211,6 +265,7 @@ TEST_P(PcapReaderFuzzTest, ParsesWellFormedFuzzedCaptures) {
     const auto trace = wire::PcapReader::parse(data);
     ASSERT_TRUE(trace.ok()) << trace.error();
     EXPECT_EQ(trace->records.size(), 50u);
+    expect_chunking_invariant(data, GetParam());
 }
 
 TEST_P(PcapReaderFuzzTest, SurvivesTruncationAtEveryLength) {
@@ -219,9 +274,13 @@ TEST_P(PcapReaderFuzzTest, SurvivesTruncationAtEveryLength) {
     common::Rng rng(GetParam() ^ 0x7137);
     const Bytes data = fuzzed_capture(rng, 8);
     for (std::size_t len = 0; len <= data.size(); ++len) {
-        const auto trace =
-            wire::PcapReader::parse(std::span<const std::uint8_t>{data.data(), len});
-        if (!trace.ok()) EXPECT_FALSE(trace.error().empty()) << "length " << len;
+        SCOPED_TRACE("length " + std::to_string(len));
+        const std::span<const std::uint8_t> prefix{data.data(), len};
+        const auto trace = wire::PcapReader::parse(prefix);
+        if (!trace.ok()) {
+            EXPECT_FALSE(trace.error().empty());
+        }
+        expect_chunking_invariant(prefix, GetParam() + len);
     }
 }
 
@@ -237,7 +296,10 @@ TEST_P(PcapReaderFuzzTest, SurvivesByteMutations) {
                 static_cast<std::uint8_t>(rng.next_u64());
         }
         const auto trace = wire::PcapReader::parse(mutated);
-        if (!trace.ok()) EXPECT_FALSE(trace.error().empty());
+        if (!trace.ok()) {
+            EXPECT_FALSE(trace.error().empty());
+        }
+        expect_chunking_invariant(mutated, GetParam() + static_cast<std::uint64_t>(round));
     }
 }
 
@@ -247,7 +309,10 @@ TEST_P(PcapReaderFuzzTest, SurvivesPureGarbage) {
         Bytes garbage(rng.next_below(512));
         for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next_u64());
         const auto trace = wire::PcapReader::parse(garbage);
-        if (!trace.ok()) EXPECT_FALSE(trace.error().empty());
+        if (!trace.ok()) {
+            EXPECT_FALSE(trace.error().empty());
+        }
+        expect_chunking_invariant(garbage, GetParam() + static_cast<std::uint64_t>(round));
     }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,12 @@ LabeledTrace load_small(std::size_t jobs = 1) {
     auto trace = ScenarioTraceSource{small_options(jobs)}.load();
     EXPECT_TRUE(trace.ok()) << trace.error();
     return trace.value();
+}
+
+void write_text(const std::string& path, const std::string& text) {
+    std::ofstream out{path};
+    out << text;
+    ASSERT_TRUE(out.good()) << path;
 }
 
 bool traces_identical(const LabeledTrace& a, const LabeledTrace& b) {
@@ -82,35 +89,52 @@ TEST(TraceLabelsTest, RejectsWrongSchemaAndGarbage) {
 }
 
 TEST(TraceLabelsTest, JoinRejectsDisagreeingSidecar) {
-    const LabeledTrace trace = load_small();
+    // µs-aligned, so the disk round trip is exact.
+    LabeledTrace trace = load_small();
+    for (TraceFrame& f : trace.frames) f.at = common::SimTime{f.at.nanos() / 1000 * 1000};
+    const std::size_t n = trace.frames.size();
     wire::PcapTrace pcap;
     for (const auto& f : trace.frames) {
         pcap.records.push_back(
             {f.at, static_cast<std::uint32_t>(f.bytes.size()), f.bytes});
     }
+    const std::string path = ::testing::TempDir() + "/arpsec_replay_join.pcap";
+    const std::string labels_path = path + ".labels.json";
+    ASSERT_TRUE(write_trace(trace, path, labels_path, "replay_test").ok());
 
-    // The lvalue overload copies the record bytes and the rvalue one moves
-    // them; both must agree with the trace. The copying join runs first,
-    // so the moving join also checks that it left `pcap` whole.
-    for (const bool move : {false, true}) {
-        SCOPED_TRACE(move ? "moving join" : "copying join");
+    // join_labels copies the records of a parsed pcap, so every call sees
+    // `pcap` whole; PcapFileSource streams them from disk. Both apply the
+    // sidecar through label_frames and must refuse it with the same error.
+    for (const bool from_disk : {false, true}) {
+        SCOPED_TRACE(from_disk ? "PcapFileSource::load" : "join_labels");
         const auto join = [&](const TraceLabels& labels) {
-            return move ? join_labels(wire::PcapTrace{pcap}, labels, "test")
-                        : join_labels(pcap, labels, "test");
+            if (!from_disk) return join_labels(pcap, labels, path);
+            write_text(labels_path, labels.to_json("replay_test").dump(2));
+            return PcapFileSource{path, labels_path}.load();
         };
 
         TraceLabels wrong_count = labels_of(trace);
         wrong_count.frame_count += 1;
-        EXPECT_FALSE(join(wrong_count).ok());
+        const auto counted = join(wrong_count);
+        ASSERT_FALSE(counted.ok());
+        EXPECT_EQ(counted.error(), "labels: frame_count " + std::to_string(n + 1) +
+                                       " does not match pcap record count " +
+                                       std::to_string(n));
 
         TraceLabels bad_index = labels_of(trace);
-        bad_index.attack_frames.push_back(trace.frames.size());  // out of range
-        EXPECT_FALSE(join(bad_index).ok());
+        bad_index.attack_frames.push_back(n);  // out of range
+        const auto indexed = join(bad_index);
+        ASSERT_FALSE(indexed.ok());
+        EXPECT_EQ(indexed.error(), "labels: attack frame index " + std::to_string(n) +
+                                       " out of range (" + std::to_string(n) + " frames)");
 
         const auto joined = join(labels_of(trace));
         ASSERT_TRUE(joined.ok()) << joined.error();
         EXPECT_TRUE(traces_identical(joined.value(), trace));
+        EXPECT_EQ(joined->origin, path);
     }
+    std::remove(path.c_str());
+    std::remove(labels_path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -142,34 +166,51 @@ TEST(ScenarioTraceSourceTest, IdenticalForAnyJobsValue) {
 // ---------------------------------------------------------------------------
 
 TEST(PcapFileSourceTest, RoundTripsThroughDisk) {
-    const LabeledTrace trace = load_small();
-    const std::string pcap = ::testing::TempDir() + "/arpsec_replay_rt.pcap";
-    const std::string labels = pcap + ".labels.json";
-    const auto wrote = write_trace(trace, pcap, labels, "replay_test");
-    ASSERT_TRUE(wrote.ok()) << wrote.error();
+    // The small trace fits in two read chunks; the large one spans many,
+    // so records straddle chunk boundaries.
+    for (const std::size_t target_frames : {std::size_t{600}, std::size_t{3000}}) {
+        SCOPED_TRACE("target_frames " + std::to_string(target_frames));
+        ScenarioTraceSource::Options opts = small_options();
+        opts.target_frames = target_frames;
+        const auto generated = ScenarioTraceSource{opts}.load();
+        ASSERT_TRUE(generated.ok()) << generated.error();
+        const LabeledTrace& trace = generated.value();
+        std::size_t pcap_bytes = wire::PcapReader::kGlobalHeaderSize;
+        for (const TraceFrame& f : trace.frames) {
+            pcap_bytes += wire::PcapReader::kRecordHeaderSize + f.bytes.size();
+        }
+        if (target_frames > 600) {
+            EXPECT_GT(pcap_bytes, 4 * wire::PcapReader::kChunkSize);
+        }
 
-    auto loaded = PcapFileSource{pcap, labels}.load();
-    ASSERT_TRUE(loaded.ok()) << loaded.error();
-    EXPECT_EQ(loaded->origin, pcap);
-    EXPECT_EQ(loaded->seed, trace.seed);
-    ASSERT_EQ(loaded->frames.size(), trace.frames.size());
-    for (std::size_t i = 0; i < trace.frames.size(); ++i) {
-        EXPECT_EQ(loaded->frames[i].bytes, trace.frames[i].bytes) << "frame " << i;
-        EXPECT_EQ(loaded->frames[i].attack, trace.frames[i].attack) << "frame " << i;
-        // Classic pcap stores microseconds: timestamps survive the disk
-        // round trip at µs resolution, sub-µs digits are truncated.
-        EXPECT_EQ(loaded->frames[i].at.nanos(),
-                  trace.frames[i].at.nanos() / 1000 * 1000)
-            << "frame " << i;
+        const std::string pcap = ::testing::TempDir() + "/arpsec_replay_rt.pcap";
+        const std::string labels = pcap + ".labels.json";
+        const auto wrote = write_trace(trace, pcap, labels, "replay_test");
+        ASSERT_TRUE(wrote.ok()) << wrote.error();
+
+        auto loaded = PcapFileSource{pcap, labels}.load();
+        ASSERT_TRUE(loaded.ok()) << loaded.error();
+        EXPECT_EQ(loaded->origin, pcap);
+        EXPECT_EQ(loaded->seed, trace.seed);
+        ASSERT_EQ(loaded->frames.size(), trace.frames.size());
+        for (std::size_t i = 0; i < trace.frames.size(); ++i) {
+            EXPECT_EQ(loaded->frames[i].bytes, trace.frames[i].bytes) << "frame " << i;
+            EXPECT_EQ(loaded->frames[i].attack, trace.frames[i].attack) << "frame " << i;
+            // Classic pcap stores microseconds: timestamps survive the disk
+            // round trip at µs resolution, sub-µs digits are truncated.
+            EXPECT_EQ(loaded->frames[i].at.nanos(),
+                      trace.frames[i].at.nanos() / 1000 * 1000)
+                << "frame " << i;
+        }
+        ASSERT_EQ(loaded->directory.size(), trace.directory.size());
+        for (std::size_t i = 0; i < trace.directory.size(); ++i) {
+            EXPECT_EQ(loaded->directory[i].name, trace.directory[i].name);
+            EXPECT_EQ(loaded->directory[i].ip, trace.directory[i].ip);
+            EXPECT_EQ(loaded->directory[i].mac, trace.directory[i].mac);
+        }
+        std::remove(pcap.c_str());
+        std::remove(labels.c_str());
     }
-    ASSERT_EQ(loaded->directory.size(), trace.directory.size());
-    for (std::size_t i = 0; i < trace.directory.size(); ++i) {
-        EXPECT_EQ(loaded->directory[i].name, trace.directory[i].name);
-        EXPECT_EQ(loaded->directory[i].ip, trace.directory[i].ip);
-        EXPECT_EQ(loaded->directory[i].mac, trace.directory[i].mac);
-    }
-    std::remove(pcap.c_str());
-    std::remove(labels.c_str());
 }
 
 TEST(PcapFileSourceTest, MissingSidecarIsATypedError) {
@@ -177,6 +218,53 @@ TEST(PcapFileSourceTest, MissingSidecarIsATypedError) {
         PcapFileSource{"/nonexistent.pcap", "/nonexistent.labels.json"}.load();
     ASSERT_FALSE(loaded.ok());
     EXPECT_FALSE(loaded.error().empty());
+}
+
+TEST(PcapFileSourceTest, UnreadableSidecarIsAnIoError) {
+    // A directory opens but cannot be read: an I/O error, not bad JSON.
+    const LabeledTrace trace = load_small();
+    const std::string pcap = ::testing::TempDir() + "/arpsec_replay_dir_sidecar.pcap";
+    const std::string dir = ::testing::TempDir();
+    ASSERT_TRUE(write_trace(trace, pcap, pcap + ".labels.json", "replay_test").ok());
+    const auto loaded = PcapFileSource{pcap, dir}.load();
+    std::remove(pcap.c_str());
+    std::remove((pcap + ".labels.json").c_str());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error(), "labels: cannot read '" + dir + "'");
+}
+
+TEST(PcapFileSourceTest, RefusesNonEthernetCapture) {
+    // A Linux-cooked capture (LINKTYPE_LINUX_SLL, 113) with one record: the
+    // schemes would mis-parse its frames as Ethernet.
+    wire::Bytes data;
+    const auto le32 = [&data](std::uint32_t v) {
+        for (int shift = 0; shift < 32; shift += 8) {
+            data.push_back(static_cast<std::uint8_t>(v >> shift));
+        }
+    };
+    le32(0xa1b2c3d4u);
+    le32(0x00040002u);  // version 2.4
+    le32(0);            // thiszone
+    le32(0);            // sigfigs
+    le32(65535);        // snaplen
+    le32(113);          // LINKTYPE_LINUX_SLL
+    le32(1);            // ts_sec
+    le32(0);            // ts_usec
+    le32(16);           // incl_len
+    le32(16);           // orig_len
+    data.insert(data.end(), 16, 0x00);
+    const std::string pcap = ::testing::TempDir() + "/arpsec_replay_sll.pcap";
+    const std::string labels = pcap + ".labels.json";
+    write_text(pcap, std::string(data.begin(), data.end()));
+    TraceLabels sidecar;
+    sidecar.frame_count = 1;
+    write_text(labels, sidecar.to_json("replay_test").dump(2));
+
+    const auto loaded = PcapFileSource{pcap, labels}.load();
+    std::remove(pcap.c_str());
+    std::remove(labels.c_str());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error(), "pcap: unsupported link type 113 (want 1, Ethernet)");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -793,6 +794,15 @@ Bytes read_all(const std::string& path) {
     return out;
 }
 
+void write_all(const std::string& path, std::span<const std::uint8_t> bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!bytes.empty()) {
+        EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    }
+    std::fclose(f);
+}
+
 /// A hand-built big-endian capture: global header + one 4-byte record.
 Bytes big_endian_fixture(bool nanosecond) {
     const auto be32 = [](Bytes& out, std::uint32_t v) {
@@ -890,49 +900,105 @@ TEST(PcapReaderTest, WrongMagicIsATypedError) {
 }
 
 TEST(PcapReaderTest, ShortGlobalHeaderIsATypedError) {
-    const Bytes data{0xd4, 0xc3, 0xb2, 0xa1};
-    const auto trace = PcapReader::parse(data);
-    ASSERT_FALSE(trace.ok());
-    EXPECT_NE(trace.error().find("global header"), std::string::npos) << trace.error();
+    // An empty file included: the in-memory parse, the file read and the
+    // decoder behind both report the same typed error.
+    const std::string path = ::testing::TempDir() + "/arpsec_short.pcap";
+    for (const Bytes& data : {Bytes{}, Bytes{0xd4, 0xc3, 0xb2, 0xa1}}) {
+        const std::string want = "pcap: file too short for the 24-byte global header (" +
+                                 std::to_string(data.size()) + " bytes)";
+        const auto parsed = PcapReader::parse(data);
+        ASSERT_FALSE(parsed.ok());
+        EXPECT_EQ(parsed.error(), want);
+        write_all(path, data);
+        const auto read = PcapReader::read_file(path);
+        ASSERT_FALSE(read.ok());
+        EXPECT_EQ(read.error(), want);
+        PcapStreamReader stream;
+        stream.feed(data);
+        stream.finish();
+        PcapRecord rec;
+        EXPECT_EQ(stream.poll(rec), PcapStreamReader::Status::kError);
+        EXPECT_EQ(stream.last_error(), want);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(PcapReaderTest, TruncatedFinalRecordIsATypedError) {
+    // Two records, then 2500: a file of three 64 KiB read chunks, so the
+    // file read resumes across chunk boundaries and every clip lands in its
+    // final chunk. The file read and the in-memory parse must report the
+    // same error at the same absolute offset.
     const std::string path = ::testing::TempDir() + "/arpsec_truncated.pcap";
-    {
-        PcapWriter w(path);
-        w.write(common::SimTime{1'000'000'000}, Bytes(60, 0x11));
-        w.write(common::SimTime{2'000'000'000}, Bytes(60, 0x22));
+    for (const std::size_t frames : {std::size_t{2}, std::size_t{2500}}) {
+        SCOPED_TRACE(std::to_string(frames) + " records");
+        {
+            PcapWriter w(path);
+            for (std::size_t i = 0; i < frames; ++i) {
+                w.write(common::SimTime{static_cast<std::int64_t>(i + 1) * 1'000'000'000},
+                        Bytes(60, static_cast<std::uint8_t>(i)));
+            }
+        }
+        const Bytes data = read_all(path);
+        if (frames > 2) {
+            EXPECT_GT(data.size(), 2 * PcapReader::kChunkSize);
+        }
+        const std::string last = "record #" + std::to_string(frames - 1);
+        const std::size_t header_at = data.size() - (PcapReader::kRecordHeaderSize + 60);
+        const std::size_t body_at = header_at + PcapReader::kRecordHeaderSize;
+        struct Clip {
+            std::size_t keep;
+            std::string error;  // empty: the prefix must parse
+        };
+        const std::vector<Clip> clips = {
+            // Mid-body of the final record...
+            {data.size() - 30, "pcap: truncated record body in " + last +
+                                   " (want 60 bytes, have 30) at offset " +
+                                   std::to_string(body_at)},
+            // ...inside its header instead...
+            {header_at + 6, "pcap: truncated record header in " + last + " at offset " +
+                                std::to_string(header_at)},
+            // ...and exactly before it: truncation only kills the whole file
+            // when it happens mid-record.
+            {header_at, ""},
+        };
+        for (const Clip& clip : clips) {
+            const std::span<const std::uint8_t> clipped(data.data(), clip.keep);
+            write_all(path, clipped);
+            const auto from_file = PcapReader::read_file(path);
+            const auto from_memory = PcapReader::parse(clipped);
+            if (!clip.error.empty()) {
+                ASSERT_FALSE(from_file.ok());
+                ASSERT_FALSE(from_memory.ok());
+                EXPECT_EQ(from_file.error(), clip.error);
+                EXPECT_EQ(from_memory.error(), clip.error);
+                continue;
+            }
+            ASSERT_TRUE(from_file.ok()) << from_file.error();
+            ASSERT_TRUE(from_memory.ok()) << from_memory.error();
+            ASSERT_EQ(from_file->records.size(), frames - 1);
+            ASSERT_EQ(from_memory->records.size(), frames - 1);
+            for (std::size_t i = 0; i + 1 < frames; ++i) {
+                const Bytes want(60, static_cast<std::uint8_t>(i));
+                EXPECT_EQ(from_file->records[i].bytes, want) << "record " << i;
+                EXPECT_EQ(from_memory->records[i].bytes, want) << "record " << i;
+            }
+        }
     }
-    Bytes data = read_all(path);
     std::remove(path.c_str());
-
-    // Clip the middle of the final record's body: typed error, names record 1.
-    Bytes clipped_body{data.begin(), data.end() - 30};
-    const auto body_err = PcapReader::parse(clipped_body);
-    ASSERT_FALSE(body_err.ok());
-    EXPECT_NE(body_err.error().find("truncated record body"), std::string::npos)
-        << body_err.error();
-    EXPECT_NE(body_err.error().find("#1"), std::string::npos) << body_err.error();
-
-    // Clip into the final record's header instead.
-    Bytes clipped_header{data.begin(), data.end() - (60 + 10)};
-    const auto header_err = PcapReader::parse(clipped_header);
-    ASSERT_FALSE(header_err.ok());
-    EXPECT_NE(header_err.error().find("truncated record header"), std::string::npos)
-        << header_err.error();
-
-    // The intact prefix still parses: truncation only kills the whole file
-    // when it happens mid-record.
-    Bytes intact{data.begin(), data.begin() + 24 + 16 + 60};
-    const auto one = PcapReader::parse(intact);
-    ASSERT_TRUE(one.ok()) << one.error();
-    EXPECT_EQ(one->records.size(), 1u);
 }
 
 TEST(PcapReaderTest, MissingFileIsATypedError) {
     const auto trace = PcapReader::read_file("/nonexistent/arpsec.pcap");
     ASSERT_FALSE(trace.ok());
     EXPECT_NE(trace.error().find("cannot open"), std::string::npos) << trace.error();
+}
+
+TEST(PcapReaderTest, UnreadablePathIsAnIoError) {
+    // A directory opens but cannot be read: an I/O error, not an empty capture.
+    const std::string dir = ::testing::TempDir();
+    const auto trace = PcapReader::read_file(dir);
+    ASSERT_FALSE(trace.ok());
+    EXPECT_EQ(trace.error(), "pcap: cannot read '" + dir + "'");
 }
 
 // ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/version.hpp"
@@ -130,7 +132,7 @@ int main(int argc, char** argv) {
     }
 
     const arpsec::replay::Engine engine{registry, engine_opts};
-    const auto outcomes = engine.run_all(trace.value(), schemes, jobs);
+    auto outcomes = engine.run_all(trace.value(), schemes, jobs);
 
     bool failed = false;
     std::vector<arpsec::replay::SchemeScore> scores;
@@ -141,7 +143,7 @@ int main(int argc, char** argv) {
             failed = true;
             continue;
         }
-        scores.push_back(outcomes[i].value);
+        scores.push_back(std::move(outcomes[i].value));
     }
 
     std::printf("replayed %zu frames (%zu attacks) from %s\n", trace.value().frames.size(),
@@ -161,9 +163,11 @@ int main(int argc, char** argv) {
     table.print();
 
     if (!alerts_path.empty()) {
+        // The artifact below needs each score's counts, not its alert list.
         std::vector<arpsec::detect::Alert> all_alerts;
-        for (const auto& s : scores) {
-            all_alerts.insert(all_alerts.end(), s.alert_list.begin(), s.alert_list.end());
+        for (auto& s : scores) {
+            all_alerts.insert(all_alerts.end(), std::make_move_iterator(s.alert_list.begin()),
+                              std::make_move_iterator(s.alert_list.end()));
         }
         if (!arpsec::serve::write_alert_file(alerts_path, std::move(all_alerts))) {
             std::fprintf(stderr, "arpsec-replay: cannot write %s\n", alerts_path.c_str());
