@@ -5,15 +5,20 @@
 namespace arpsec::common {
 
 std::atomic<LogLevel> Log::level_{LogLevel::kWarn};
-std::FILE* Log::sink_ = nullptr;
 
 namespace {
 
-/// Serializes sink reconfiguration against in-flight writes from sweep
-/// workers; also keeps each log line contiguous in the output.
-std::mutex& sink_mutex() {
-    static std::mutex m;
-    return m;
+/// The log sink and the mutex that guards it. Every read or write of `file`
+/// holds `mutex`, which serializes sink reconfiguration against in-flight
+/// writes from sweep workers and keeps each log line contiguous.
+struct Sink {
+    std::mutex mutex;
+    std::FILE* file = nullptr;  // nullptr writes to stderr
+};
+
+Sink& log_sink() {
+    static Sink s;
+    return s;
 }
 
 const char* level_name(LogLevel l) {
@@ -34,15 +39,17 @@ void Log::set_level(LogLevel level) { level_.store(level, std::memory_order_rela
 LogLevel Log::level() { return level_.load(std::memory_order_relaxed); }
 
 void Log::set_sink(std::FILE* sink) {
-    const std::lock_guard<std::mutex> lock{sink_mutex()};
-    sink_ = sink;
+    Sink& s = log_sink();
+    const std::lock_guard<std::mutex> lock{s.mutex};
+    s.file = sink;
 }
 
 void Log::write(LogLevel level, SimTime now, std::string_view component,
                 std::string_view message) {
     if (!enabled(level)) return;
-    const std::lock_guard<std::mutex> lock{sink_mutex()};
-    std::FILE* out = sink_ != nullptr ? sink_ : stderr;
+    Sink& s = log_sink();
+    const std::lock_guard<std::mutex> lock{s.mutex};
+    std::FILE* out = s.file != nullptr ? s.file : stderr;
     std::fprintf(out, "[%12.6fs] %-5s %.*s: %.*s\n", now.to_seconds(), level_name(level),
                  static_cast<int>(component.size()), component.data(),
                  static_cast<int>(message.size()), message.data());

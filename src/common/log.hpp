@@ -13,9 +13,9 @@ enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
 /// Process-wide log configuration. The simulator itself is single-threaded,
 /// but the sweep engine (src/exp/) runs many independent scenarios on a
-/// worker pool, so the sink is mutex-guarded (one line is written atomically,
-/// never interleaved) and the level is an atomic; output goes to stderr by
-/// default.
+/// worker pool, so the level is an atomic and the sink lives in log.cpp,
+/// beside the mutex that every set_sink and write holds (one line is written
+/// atomically, never interleaved). Output goes to stderr by default.
 class Log {
 public:
     static void set_level(LogLevel level);
@@ -32,7 +32,6 @@ public:
 
 private:
     static std::atomic<LogLevel> level_;
-    static std::FILE* sink_;  // guards: sink_mutex (the file-local mutex in log.cpp)
 };
 
 }  // namespace arpsec::common

@@ -52,10 +52,15 @@ void AlertSink::export_metrics(telemetry::MetricsRegistry& registry) const {
 }
 
 std::string Alert::to_string() const {
-    return "[" + at.to_string() + "] " + scheme + ": " + detect::to_string(kind) + " ip=" +
-           ip.to_string() + " claimed=" + claimed_mac.to_string() +
-           (previous_mac.is_zero() ? "" : " was=" + previous_mac.to_string()) +
-           (detail.empty() ? "" : " (" + detail + ")");
+    // Appended, not `"literal" + std::string` chains: GCC 12 reports a false
+    // -Wrestrict on the inserting operator+ overloads at -O2 and above.
+    std::string out{"["};
+    out.append(at.to_string()).append("] ").append(scheme).append(": ");
+    out.append(detect::to_string(kind)).append(" ip=").append(ip.to_string());
+    out.append(" claimed=").append(claimed_mac.to_string());
+    if (!previous_mac.is_zero()) out.append(" was=").append(previous_mac.to_string());
+    if (!detail.empty()) out.append(" (").append(detail).append(")");
+    return out;
 }
 
 }  // namespace arpsec::detect

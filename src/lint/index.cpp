@@ -256,9 +256,6 @@ struct Scanner {
         FunctionDef fn;
         fn.name = tok(k).text;
         fn.line = tok(k).line;
-        if (k >= 2 && is_punct(tok(k - 1), "::") && is_ident(tok(k - 2))) {
-            fn.qualifier = tok(k - 2).text;
-        }
         fn.params = parse_params(open, close);
         fn.body_begin = code[body];
         fn.body_end = body_close < size() ? code[body_close] : tokens.size();
@@ -361,66 +358,10 @@ void collect_fields(const std::vector<Token>& tokens, const std::vector<std::siz
                 f.name = tokens[code[run[name_pos]]].text;
                 f.line = tokens[code[run[name_pos]]].line;
                 f.type = join_tokens(tokens, code, run.front(), run[name_pos]);
-                if (f.type.find("mutex") != std::string::npos) {
-                    out.mutex_fields.insert(f.name);
-                }
                 out.fields.push_back(std::move(f));
             }
         }
         run.clear();
-    }
-}
-
-/// Extracts `// guards: <mutex>` annotations: the comment trails a member
-/// declaration, so the annotated field is the declarator just before the
-/// preceding ';'.
-void collect_guarded_fields(const std::vector<Token>& tokens, TuIndex& out) {
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (tokens[i].kind != TokenKind::kComment) continue;
-        const std::size_t at = tokens[i].text.find("guards:");
-        if (at == std::string_view::npos) continue;
-        std::string_view rest = tokens[i].text.substr(at + std::string_view{"guards:"}.size());
-        while (!rest.empty() && (rest.front() == ' ' || rest.front() == '\t')) {
-            rest.remove_prefix(1);
-        }
-        std::size_t len = 0;
-        while (len < rest.size() &&
-               (std::isalnum(static_cast<unsigned char>(rest[len])) != 0 || rest[len] == '_')) {
-            ++len;
-        }
-        if (len == 0) continue;
-        const std::string mutex_name{rest.substr(0, len)};
-
-        // Walk back to the ';' ending the annotated declaration, then to
-        // the declarator name (the identifier before '=' when present).
-        std::size_t j = i;
-        while (j > 0 && tokens[j - 1].kind == TokenKind::kComment) --j;
-        if (j == 0 || !is_punct(tokens[j - 1], ";")) continue;
-        std::size_t decl_end = j - 1;  // the ';'
-        std::size_t decl_begin = decl_end;
-        while (decl_begin > 0) {
-            const Token& t = tokens[decl_begin - 1];
-            if (is_punct(t, ";") || is_punct(t, "{") || is_punct(t, "}") || is_punct(t, ":")) {
-                break;
-            }
-            --decl_begin;
-        }
-        std::size_t stop = decl_end;
-        for (std::size_t q = decl_begin; q < decl_end; ++q) {
-            if (is_punct(tokens[q], "=")) {
-                stop = q;
-                break;
-            }
-        }
-        while (stop > decl_begin) {
-            --stop;
-            if (tokens[stop].kind == TokenKind::kComment) continue;
-            if (is_ident(tokens[stop])) {
-                out.guarded_fields.push_back(
-                    {std::string{tokens[stop].text}, mutex_name, tokens[stop].line});
-                break;
-            }
-        }
     }
 }
 
@@ -433,7 +374,6 @@ TuIndex build_index(std::string_view text) {
     Scanner scanner{idx.tokens, code, idx};
     scanner.run();
     collect_fields(idx.tokens, code, idx);
-    collect_guarded_fields(idx.tokens, idx);
     return idx;
 }
 
@@ -444,9 +384,6 @@ void merge_into(TreeIndex& tree, const std::string& module, const TuIndex& tu) {
             return d.enumerators == e.enumerators;
         });
         if (!dup) defs.push_back(e);
-    }
-    for (const auto& g : tu.guarded_fields) {
-        tree.guarded_fields[g.field] = g;
     }
     if (!module.empty()) {
         tree.module_symbols[module].insert(tu.symbols.begin(), tu.symbols.end());

@@ -25,7 +25,6 @@ struct Param {
 /// One function (or member function) definition with a body.
 struct FunctionDef {
     std::string name;
-    std::string qualifier;  // `X` in `X::name(...)` definitions, else ""
     std::vector<Param> params;
     std::size_t body_begin = 0;  // token index of the opening '{'
     std::size_t body_end = 0;    // token index of the matching '}'
@@ -40,37 +39,26 @@ struct FieldDef {
     std::size_t line = 0;
 };
 
-/// A field carrying a `// guards: <mutex>` annotation: the lock-discipline
-/// rule requires every use inside a function body to hold that mutex.
-struct GuardedField {
-    std::string field;
-    std::string mutex_name;
-    std::size_t line = 0;
-};
-
 /// Per-translation-unit symbol index: a heuristic single-pass parse of the
 /// token stream. It does not try to be a C++ front end — it recovers the
 /// symbols the semantic lint rules need (enums with enumerators, function
-/// bodies with parameter types, annotated/mutex fields, call sites) and
-/// stays silent where it cannot be sure.
+/// bodies with parameter types, field declarations, the symbols a file
+/// defines) and stays silent where it cannot be sure.
 struct TuIndex {
     std::vector<Token> tokens;  // full stream, comments included
     std::vector<EnumDef> enums;
     std::vector<FunctionDef> functions;
-    std::vector<FieldDef> fields;          // non-function declarations seen
-    std::vector<GuardedField> guarded_fields;
-    std::set<std::string> mutex_fields;    // fields with a *mutex* type
-    std::set<std::string> symbols;         // classes, enums, functions, enumerators
+    std::vector<FieldDef> fields;   // non-function declarations seen
+    std::set<std::string> symbols;  // classes, enums, functions, enumerators
 };
 
 [[nodiscard]] TuIndex build_index(std::string_view text);
 
 /// Facts merged across every file of the tree (pass 1 of lint_tree), so a
 /// switch in one TU can be checked against an enum defined in a header and
-/// a guarded field annotated in a header is enforced in its .cpp.
+/// a qualified name can be checked against the module that defines it.
 struct TreeIndex {
     std::map<std::string, std::vector<EnumDef>, std::less<>> enums;
-    std::map<std::string, GuardedField, std::less<>> guarded_fields;
     std::map<std::string, std::set<std::string>, std::less<>> module_symbols;
 };
 

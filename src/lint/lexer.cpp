@@ -86,8 +86,11 @@ std::vector<Region> scan_regions(std::string_view text) {
                 // run of non-paren, non-space chars up to 16 bytes.
                 const std::size_t open = text.find('(', i + 1);
                 if (open != std::string_view::npos && open - i <= 17) {
-                    const std::string term =
-                        ")" + std::string{text.substr(i + 1, open - i - 1)} + "\"";
+                    // Appended: GCC 12 reports a false -Wrestrict on
+                    // `")" + std::string` at -O2 and above.
+                    std::string term{")"};
+                    term.append(text.substr(i + 1, open - i - 1));
+                    term += '"';
                     std::size_t close = text.find(term, open + 1);
                     std::size_t end = close == std::string_view::npos ? n : close + term.size();
                     flush_code(i - plen);

@@ -66,8 +66,8 @@ struct Token {
 /// Tokenizes `text`. Never throws and never reads out of bounds, whatever
 /// the input bytes (the fuzz suite drives attacker-generated frames through
 /// it); unknown bytes become single-character punctuation tokens.
-/// Whitespace is dropped; comments are kept as tokens so annotation-reading
-/// passes (`// guards: mu_`) can see them in stream order.
+/// Whitespace is dropped; comments are kept as kComment tokens, which the
+/// structural passes skip.
 [[nodiscard]] std::vector<Token> lex(std::string_view text);
 
 }  // namespace arpsec::lint

@@ -102,20 +102,6 @@ constexpr std::array<std::string_view, 4> kThreadTokenBans = {
     "std::mutex",
 };
 
-/// Parser entry points returning common::Expected whose result must never be
-/// discarded: a dropped parse failure silently corrupts reproduced figures.
-constexpr std::array<std::string_view, 9> kExpectedEntryPoints = {
-    "ArpPacket::parse",
-    "EthernetFrame::parse",
-    "Ipv4Packet::parse",
-    "UdpDatagram::parse",
-    "TcpSegment::parse",
-    "DhcpMessage::parse",
-    "MacAddress::parse",
-    "Ipv4Address::parse",
-    "Json::parse",
-};
-
 bool starts_with(std::string_view s, std::string_view prefix) {
     return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
@@ -139,16 +125,6 @@ std::set<std::string> allow_markers(std::string_view line) {
         pos = close + 1;
     }
     return out;
-}
-
-/// Index of the matching close paren for the open paren at `open`, or npos.
-std::size_t match_paren(std::string_view line, std::size_t open) {
-    int depth = 0;
-    for (std::size_t i = open; i < line.size(); ++i) {
-        if (line[i] == '(') ++depth;
-        if (line[i] == ')' && --depth == 0) return i;
-    }
-    return std::string_view::npos;
 }
 
 /// `src/<module>/...` (anywhere in the path) -> module name, else "".
@@ -250,35 +226,6 @@ void check_no_sockets(const FileContext& ctx, std::vector<Violation>& out) {
     }
 }
 
-void check_discarded_expected(const FileContext& ctx, std::vector<Violation>& out) {
-    for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
-        const std::string_view code = ctx.code_lines[i];
-        const std::string_view trimmed = trim(code);
-        for (const auto entry : kExpectedEntryPoints) {
-            const std::size_t pos = trimmed.find(entry);
-            if (pos == std::string_view::npos) continue;
-            // The call must open the statement: walk back over namespace
-            // qualifiers and confirm nothing (assignment, return, argument
-            // context) consumes the result.
-            std::size_t start = pos;
-            while (start > 0 && (ident_char(trimmed[start - 1]) || trimmed[start - 1] == ':')) {
-                --start;
-            }
-            if (start != 0) continue;
-            const std::size_t open = trimmed.find('(', pos + entry.size());
-            if (open != pos + entry.size()) continue;
-            const std::size_t close = match_paren(trimmed, open);
-            if (close == std::string_view::npos) continue;
-            if (trim(trimmed.substr(close + 1)) != ";") continue;
-            out.push_back({std::string{ctx.path}, i + 1, "discarded-expected",
-                           "result of '" + std::string{entry} +
-                               "' (an Expected) is discarded; a dropped parse failure "
-                               "silently corrupts results",
-                           std::string{trim(ctx.raw_lines[i])}});
-        }
-    }
-}
-
 void check_naked_new(const FileContext& ctx, std::vector<Violation>& out) {
     for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
         const std::string_view code = ctx.code_lines[i];
@@ -364,7 +311,6 @@ std::vector<Violation> lint_text(std::string_view path, std::string_view text,
     check_determinism(ctx, found);
     check_no_threads(ctx, found);
     check_no_sockets(ctx, found);
-    check_discarded_expected(ctx, found);
     check_naked_new(ctx, found);
     check_assert_in_parser(ctx, found);
     check_pragma_once(ctx, found);
@@ -374,7 +320,6 @@ std::vector<Violation> lint_text(std::string_view path, std::string_view text,
     const SemanticInput sem{path, ctx.module, tu, tree, ctx.raw_lines};
     check_untrusted_read_bounds(sem, found);
     check_exhaustive_switch(sem, found);
-    check_lock_discipline(sem, found);
     check_symbol_layering(sem, found);
     check_no_frame_copy(sem, found);
 
@@ -495,22 +440,18 @@ const std::vector<RuleInfo>& rule_catalog() {
         {"no-sockets-outside-serve",
          "OS networking headers only in src/serve/ — the simulator can never "
          "touch a real network"},
-        {"discarded-expected",
-         "results of Expected-returning parser entry points must be consumed"},
         {"naked-new", "no raw new/malloc; ownership must be typed"},
         {"assert-in-parser",
          "src/wire/ parsers must validate via Expected, not assert()"},
         {"pragma-once", "every header starts with #pragma once"},
         {"include-layering",
-         "src/ modules may only include modules they link against"},
+         "src/ modules may only include modules the layering table lists for them"},
         {"untrusted-read-bounds",
          "src/wire/ reads of untrusted bytes need a dominating size/require() check"},
         {"exhaustive-switch",
          "switches over repo enums cover every enumerator or carry an annotated default"},
-        {"lock-discipline",
-         "fields annotated '// guards: <mutex>' are only touched holding that mutex"},
         {"symbol-layering",
-         "src/ modules may only name symbols of modules they link against"},
+         "src/ modules may only name symbols of modules the layering table lists for them"},
         {"no-frame-copy",
          "outside src/wire/, frames flow through FrameBuffer/FrameView — no "
          "EthernetFrame serialize()/parse()"},
@@ -542,8 +483,7 @@ std::vector<Violation> Linter::lint_tree(const std::string& root) {
     const std::vector<fs::path> files = collect_source_files(root);
 
     // Pass 1: load every file and merge its symbols into the tree index so
-    // pass 2 can resolve enums, guard annotations, and module symbols across
-    // file boundaries.
+    // pass 2 can resolve enums and module symbols across file boundaries.
     struct Loaded {
         std::string rel;
         std::string text;

@@ -18,7 +18,7 @@ struct Violation {
     std::string message;  // human-readable explanation
     std::string snippet;  // the offending source line, trimmed
     std::size_t fix_line = 0;
-    std::string fix_insert;
+    std::string fix_insert{};  // `{}`: rules omit it without -Wmissing-field-initializers
 };
 
 /// A file lint_tree() could not lint (unreadable, invalid UTF-8) — surfaced
@@ -39,9 +39,9 @@ struct RuleInfo {
 
 /// Repo-native static analysis. v1 rules are textual scans over comment- and
 /// string-stripped source; v2 rules (untrusted-read-bounds,
-/// exhaustive-switch, lock-discipline, symbol-layering) run on the token
+/// exhaustive-switch, symbol-layering, no-frame-copy) run on the token
 /// stream and the per-TU symbol index, with lint_tree() merging per-file
-/// facts first so enums and guard annotations cross file boundaries.
+/// facts first so enums and module symbols cross file boundaries.
 /// `// lint:allow(<rule>)` on the offending line or the line above
 /// suppresses a finding.
 class Linter {
@@ -54,8 +54,8 @@ public:
 
     /// Walks src/, tests/, tools/, bench/, and examples/ under `root` and
     /// lints every .cpp/.hpp file, in sorted path order. Pass 1 indexes
-    /// every file (enums, guarded fields, module symbols); pass 2 lints
-    /// against the merged facts.
+    /// every file (enums, module symbols); pass 2 lints against the merged
+    /// facts.
     [[nodiscard]] std::vector<Violation> lint_tree(const std::string& root);
 
     /// Number of files linted by the last lint_tree() call.

@@ -101,8 +101,6 @@ bool untrusted_type(const std::string& type) {
 constexpr std::array<std::string_view, 4> kSizeProbes = {"size", "length", "empty",
                                                          "remaining"};
 constexpr std::array<std::string_view, 4> kUncheckedReads = {"data", "front", "back", "begin"};
-constexpr std::array<std::string_view, 3> kLockTypes = {"lock_guard", "scoped_lock",
-                                                        "unique_lock"};
 
 }  // namespace
 
@@ -154,12 +152,14 @@ void check_untrusted_read_bounds(const SemanticInput& in, std::vector<Violation>
                     continue;
                 }
                 if (all_checked || checked.count(t.text) != 0) continue;
+                // Appended: GCC 12 reports a false -Wrestrict on
+                // `"'" + std::string` at -O2 and above.
+                std::string message{"'"};
+                message.append(t.text).append(".").append(m);
+                message.append("()' reads untrusted bytes before any size check; guard with '");
+                message.append(t.text).append(".size()' / require() first");
                 out.push_back({std::string{in.path}, t.line, "untrusted-read-bounds",
-                               "'" + std::string{t.text} + "." + std::string{m} +
-                                   "()' reads untrusted bytes before any size check; guard "
-                                   "with '" +
-                                   std::string{t.text} + ".size()' / require() first",
-                               snippet_at(in.raw_lines, t.line)});
+                               std::move(message), snippet_at(in.raw_lines, t.line)});
                 continue;
             }
             if (is_punct(tokens[after], "[")) {
@@ -346,46 +346,6 @@ void check_exhaustive_switch(const SemanticInput& in, std::vector<Violation>& ou
                            "enumerators fall through\n" +
                            indent + "        break;\n";
             out.push_back(std::move(v));
-        }
-    }
-}
-
-void check_lock_discipline(const SemanticInput& in, std::vector<Violation>& out) {
-    if (in.module != "common" && in.module != "exp" && in.module != "telemetry") return;
-    const std::vector<Token>& tokens = in.tu.tokens;
-
-    // field name -> GuardedField (annotation may live in a header while the
-    // uses sit in the .cpp, hence the tree-level map).
-    std::map<std::string, GuardedField, std::less<>> guarded;
-    if (in.tree != nullptr) {
-        guarded = in.tree->guarded_fields;
-    }
-    for (const GuardedField& g : in.tu.guarded_fields) guarded[g.field] = g;
-    if (guarded.empty()) return;
-
-    for (const FunctionDef& fn : in.tu.functions) {
-        std::set<std::string, std::less<>> held;
-        for (std::size_t i = fn.body_begin; i < fn.body_end && i < tokens.size(); ++i) {
-            const Token& t = tokens[i];
-            if (!is_ident(t)) continue;
-            if (std::find(kLockTypes.begin(), kLockTypes.end(), t.text) != kLockTypes.end()) {
-                // The mutex being locked is named somewhere before the ';'
-                // ending the declaration: `lock_guard<mutex> l{sink_mutex()}`.
-                for (std::size_t k = i + 1; k < fn.body_end && k < tokens.size(); ++k) {
-                    if (is_punct(tokens[k], ";")) break;
-                    if (is_ident(tokens[k])) held.insert(std::string{tokens[k].text});
-                }
-                continue;
-            }
-            const auto g = guarded.find(t.text);
-            if (g == guarded.end()) continue;
-            if (held.count(g->second.mutex_name) != 0) continue;
-            out.push_back({std::string{in.path}, t.line, "lock-discipline",
-                           "'" + g->second.field + "' is annotated '// guards: " +
-                               g->second.mutex_name + "' but is touched in '" + fn.name +
-                               "' without holding that mutex (construct a lock_guard/"
-                               "scoped_lock first)",
-                           snippet_at(in.raw_lines, t.line)});
         }
     }
 }

@@ -38,12 +38,6 @@ void check_untrusted_read_bounds(const SemanticInput& in, std::vector<Violation>
 /// annotated with `// lint:allow(exhaustive-switch)`.
 void check_exhaustive_switch(const SemanticInput& in, std::vector<Violation>& out);
 
-/// lock-discipline: fields annotated `// guards: <mutex>` may only be
-/// touched in function bodies that constructed a lock_guard / scoped_lock /
-/// unique_lock over that mutex first. Enforced in src/common/, src/exp/,
-/// src/telemetry/.
-void check_lock_discipline(const SemanticInput& in, std::vector<Violation>& out);
-
 /// no-frame-copy: outside src/wire/ (and tests/, which legitimately build
 /// raw-byte fixtures), Ethernet frames travel through the shared
 /// FrameBuffer / FrameView fabric. `EthernetFrame::parse` re-parses bytes

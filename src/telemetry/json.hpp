@@ -72,7 +72,7 @@ public:
     [[nodiscard]] std::string dump(int indent = -1) const;
 
     /// Strict-ish recursive-descent parse; nullopt on malformed input.
-    static std::optional<Json> parse(std::string_view text);
+    [[nodiscard]] static std::optional<Json> parse(std::string_view text);
 
 private:
     void dump_to(std::string& out, int indent, int depth) const;

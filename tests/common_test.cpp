@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/expected.hpp"
 #include "common/hex.hpp"
@@ -8,6 +13,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
+#include "exp/executor.hpp"
 
 namespace arpsec::common {
 namespace {
@@ -225,8 +231,8 @@ TEST(ExpectedTest, RvalueAccessMoves) {
     const std::string moved = *std::move(e);
     EXPECT_EQ(moved, "payload");
 
-    auto make_err = [] { return Expected<int>::failure("gone"); };
-    const std::string err = make_err().error();
+    Expected<int> failed = Expected<int>::failure("gone");
+    const std::string err = std::move(failed).error();
     EXPECT_EQ(err, "gone");
 }
 
@@ -265,6 +271,61 @@ TEST(LogTest, WriteFormatsLine) {
     EXPECT_NE(line.find("switch"), std::string::npos);
     EXPECT_NE(line.find("cam full"), std::string::npos);
     EXPECT_NE(line.find("1.5"), std::string::npos);
+}
+
+// Sweep workers log concurrently, and the sink may be re-installed while
+// they do, so Log::set_sink and Log::write both hold the sink's mutex. Three
+// writers (components "1".."3") log numbered lines into one tmpfile() sink
+// while a fourth worker keeps re-installing that same sink: every line must
+// arrive whole, exactly once. A missing lock in either function is a data
+// race on the sink, which the TSan CI job reports. Threads come from
+// exp::run_indexed.
+TEST(LogTest, ConcurrentWritesAndSinkSwapsKeepLinesWhole) {
+    constexpr std::size_t kWriters = 3;
+    constexpr std::size_t kLinesPerWriter = 2000;
+    std::FILE* f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    const LogLevel before = Log::level();
+    Log::set_level(LogLevel::kWarn);
+    Log::set_sink(f);
+    std::atomic<std::size_t> writers_done{0};
+    const std::vector<std::string> errors =
+        exp::run_indexed(kWriters + 1, kWriters + 1, [&](std::size_t worker) {
+            if (worker == 0) {
+                while (writers_done.load() < kWriters) Log::set_sink(f);
+                return;
+            }
+            const std::string component = std::to_string(worker);
+            for (std::size_t i = 0; i < kLinesPerWriter; ++i) {
+                Log::write(LogLevel::kWarn, SimTime{}, component, "line " + std::to_string(i));
+            }
+            ++writers_done;
+        });
+    Log::set_sink(nullptr);
+    Log::set_level(before);
+    for (const std::string& e : errors) EXPECT_EQ(e, "");
+
+    std::string text;
+    std::rewind(f);
+    char buf[4096];
+    for (std::size_t n = 0; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) text.append(buf, n);
+    std::fclose(f);
+    std::vector<std::string> got;
+    for (std::size_t at = 0, nl = 0; (nl = text.find('\n', at)) != std::string::npos; at = nl + 1) {
+        got.push_back(text.substr(at, nl - at));
+    }
+
+    std::vector<std::string> want;
+    for (std::size_t w = 1; w <= kWriters; ++w) {
+        for (std::size_t i = 0; i < kLinesPerWriter; ++i) {
+            want.push_back("[    0.000000s] WARN  " + std::to_string(w) + ": line " +
+                           std::to_string(i));
+        }
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want) << "a log line was torn, lost or duplicated";
 }
 
 // ---------------------------------------------------------------------------

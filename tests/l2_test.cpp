@@ -114,8 +114,11 @@ struct Fabric {
     explicit Fabric(std::size_t stations, CamConfig cam = CamConfig()) : net(1) {
         sw = &net.emplace_node<Switch>("switch", stations + 2, cam);
         for (std::size_t i = 0; i < stations; ++i) {
-            auto& s =
-                net.emplace_node<Station>("s" + std::to_string(i), MacAddress::local(i + 1));
+            // Appended: GCC 12 reports a false -Wrestrict on
+            // `"s" + std::to_string(i)` at -O2 and above.
+            std::string name{"s"};
+            name += std::to_string(i);
+            auto& s = net.emplace_node<Station>(name, MacAddress::local(i + 1));
             net.connect({s.id(), 0}, {sw->id(), static_cast<PortId>(i)});
             nodes.push_back(&s);
         }
