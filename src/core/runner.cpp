@@ -352,7 +352,9 @@ ScenarioResult ScenarioRunner::collect(detect::Scheme& scheme) {
             // DoS efficacy is judged on the targeted victim's own flow.
             r.attack_succeeded = r.victim_flow_attack_window.delivery_ratio() < 0.5;
             break;
-        default:  // lint:allow(exhaustive-switch): remaining kinds share the interception test
+        case AttackKind::kMitm:
+        case AttackKind::kHijackOffline:
+        case AttackKind::kReplyRace:
             r.attack_succeeded = r.attack_window.interception_ratio() > 0.05;
             break;
     }

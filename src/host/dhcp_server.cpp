@@ -97,7 +97,11 @@ void DhcpServer::handle(const DhcpMessage& msg) {
             if (it != leases_.end() && it->second.mac == msg.chaddr) leases_.erase(it);
             break;
         }
-        default:  // lint:allow(exhaustive-switch): server ignores client-bound message types
+        // Client-bound types, and DECLINE: the server acts on none of them.
+        case DhcpMessageType::kOffer:
+        case DhcpMessageType::kDecline:
+        case DhcpMessageType::kAck:
+        case DhcpMessageType::kNak:
             break;
     }
 }

@@ -405,7 +405,11 @@ void Host::dhcp_handle_reply(const DhcpMessage& msg) {
             ip_.reset();
             dhcp_send_discover();
             break;
-        default:  // lint:allow(exhaustive-switch): client ignores server-bound message types
+        // Server-bound message types: the client ignores them.
+        case DhcpMessageType::kDiscover:
+        case DhcpMessageType::kRequest:
+        case DhcpMessageType::kDecline:
+        case DhcpMessageType::kRelease:
             break;
     }
 }

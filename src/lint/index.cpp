@@ -38,14 +38,13 @@ std::string join_tokens(const std::vector<Token>& tokens, const std::vector<std:
     return out;
 }
 
-/// Indices of structural tokens: comments dropped, preprocessor directives
-/// dropped together with the rest of their (possibly continued) line, so
+/// Indices of structural tokens: preprocessor directives are dropped
+/// together with the rest of their (possibly continued) line, so
 /// `#include <thread>` never looks like expression tokens.
 std::vector<std::size_t> code_indices(const std::vector<Token>& tokens) {
     std::vector<std::size_t> code;
     code.reserve(tokens.size());
     for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (tokens[i].kind == TokenKind::kComment) continue;
         if (tokens[i].kind != TokenKind::kPreprocessor) {
             code.push_back(i);
             continue;
@@ -55,10 +54,6 @@ std::vector<std::size_t> code_indices(const std::vector<Token>& tokens) {
         std::size_t j = i + 1;
         bool continued = false;
         while (j < tokens.size()) {
-            if (tokens[j].kind == TokenKind::kComment) {
-                ++j;
-                continue;
-            }
             if (tokens[j].line != line && !continued) break;
             if (tokens[j].line != line) line = tokens[j].line;
             continued = is_punct(tokens[j], "\\");
@@ -81,19 +76,6 @@ std::size_t match_in_code(const std::vector<Token>& tokens, const std::vector<st
     return code.size();
 }
 
-}  // namespace
-
-std::size_t match_brace(const std::vector<Token>& tokens, std::size_t open) {
-    int depth = 0;
-    for (std::size_t i = open; i < tokens.size(); ++i) {
-        if (is_punct(tokens[i], "{")) ++depth;
-        if (is_punct(tokens[i], "}") && --depth == 0) return i;
-    }
-    return tokens.size();
-}
-
-namespace {
-
 struct Scanner {
     const std::vector<Token>& tokens;
     const std::vector<std::size_t>& code;
@@ -101,53 +83,6 @@ struct Scanner {
 
     [[nodiscard]] const Token& tok(std::size_t k) const { return tokens[code[k]]; }
     [[nodiscard]] std::size_t size() const { return code.size(); }
-
-    /// Parses `enum [class|struct] Name [: type] { enumerators }` starting
-    /// at code position k (the `enum` keyword). Returns the position to
-    /// resume from.
-    std::size_t parse_enum(std::size_t k) {
-        std::size_t j = k + 1;
-        if (j < size() && (is_ident(tok(j), "class") || is_ident(tok(j), "struct"))) ++j;
-        std::string name;
-        if (j < size() && is_ident(tok(j))) {
-            name = tok(j).text;
-            ++j;
-        }
-        const std::size_t name_line = j > 0 && j - 1 < size() ? tok(j - 1).line : 0;
-        while (j < size() && !is_punct(tok(j), "{") && !is_punct(tok(j), ";")) ++j;
-        if (j >= size() || is_punct(tok(j), ";")) return j;  // forward declaration
-
-        EnumDef def;
-        def.name = name;
-        def.line = name_line;
-        std::size_t p = j + 1;
-        while (p < size() && !is_punct(tok(p), "}")) {
-            if (is_ident(tok(p))) {
-                def.enumerators.emplace_back(tok(p).text);
-                out.symbols.emplace(tok(p).text);
-                ++p;
-                // Skip the optional `= constant-expression` up to ',' / '}'.
-                int depth = 0;
-                while (p < size()) {
-                    if (is_punct(tok(p), "(") || is_punct(tok(p), "{")) ++depth;
-                    if (is_punct(tok(p), ")") || is_punct(tok(p), "}")) {
-                        if (depth == 0) break;
-                        --depth;
-                    }
-                    if (depth == 0 && is_punct(tok(p), ",")) break;
-                    ++p;
-                }
-                if (p < size() && is_punct(tok(p), ",")) ++p;
-            } else {
-                ++p;
-            }
-        }
-        if (!def.name.empty()) {
-            out.symbols.insert(def.name);
-            out.enums.push_back(std::move(def));
-        }
-        return p;
-    }
 
     /// Splits the parameter list in (open, close) into typed params.
     std::vector<Param> parse_params(std::size_t open, std::size_t close) {
@@ -255,11 +190,9 @@ struct Scanner {
 
         FunctionDef fn;
         fn.name = tok(k).text;
-        fn.line = tok(k).line;
         fn.params = parse_params(open, close);
         fn.body_begin = code[body];
         fn.body_end = body_close < size() ? code[body_close] : tokens.size();
-        out.symbols.insert(fn.name);
         out.functions.push_back(std::move(fn));
         return body_close < size() ? body_close + 1 : size();
     }
@@ -268,16 +201,9 @@ struct Scanner {
         std::size_t k = 0;
         while (k < size()) {
             const Token& t = tok(k);
-            if (is_ident(t, "enum")) {
-                k = parse_enum(k) + 1;
-                continue;
-            }
             if (is_ident(t, "class") || is_ident(t, "struct") || is_ident(t, "union")) {
-                if (k + 1 < size() && is_ident(tok(k + 1))) {
-                    out.symbols.emplace(tok(k + 1).text);
-                }
                 // Walk the class head, then descend into the body so member
-                // functions and nested enums are indexed too.
+                // functions are indexed too.
                 std::size_t p = k + 1;
                 while (p < size() && !is_punct(tok(p), "{") && !is_punct(tok(p), ";")) ++p;
                 k = p + 1;
@@ -356,7 +282,6 @@ void collect_fields(const std::vector<Token>& tokens, const std::vector<std::siz
             if (name_pos > 0 && is_ident(tokens[code[run[name_pos]]])) {
                 FieldDef f;
                 f.name = tokens[code[run[name_pos]]].text;
-                f.line = tokens[code[run[name_pos]]].line;
                 f.type = join_tokens(tokens, code, run.front(), run[name_pos]);
                 out.fields.push_back(std::move(f));
             }
@@ -375,19 +300,6 @@ TuIndex build_index(std::string_view text) {
     scanner.run();
     collect_fields(idx.tokens, code, idx);
     return idx;
-}
-
-void merge_into(TreeIndex& tree, const std::string& module, const TuIndex& tu) {
-    for (const auto& e : tu.enums) {
-        auto& defs = tree.enums[e.name];
-        const bool dup = std::any_of(defs.begin(), defs.end(), [&](const EnumDef& d) {
-            return d.enumerators == e.enumerators;
-        });
-        if (!dup) defs.push_back(e);
-    }
-    if (!module.empty()) {
-        tree.module_symbols[module].insert(tu.symbols.begin(), tu.symbols.end());
-    }
 }
 
 }  // namespace arpsec::lint

@@ -158,7 +158,6 @@ const char* to_string(TokenKind kind) {
         case TokenKind::kCharLiteral: return "char";
         case TokenKind::kPunct: return "punct";
         case TokenKind::kPreprocessor: return "preprocessor";
-        case TokenKind::kComment: return "comment";
     }
     return "?";
 }
@@ -218,7 +217,7 @@ std::vector<Token> lex(std::string_view text) {
         switch (region.kind) {
             case RegionKind::kLineComment:
             case RegionKind::kBlockComment:
-                emit(TokenKind::kComment, region.begin, region.end);
+                // Dropped like whitespace, line breaks included.
                 if (text.substr(region.begin, region.end - region.begin).find('\n') !=
                     std::string_view::npos) {
                     at_line_start = true;

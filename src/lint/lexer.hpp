@@ -48,7 +48,6 @@ enum class TokenKind {
     kCharLiteral,
     kPunct,
     kPreprocessor,
-    kComment,
 };
 
 [[nodiscard]] const char* to_string(TokenKind kind);
@@ -66,8 +65,7 @@ struct Token {
 /// Tokenizes `text`. Never throws and never reads out of bounds, whatever
 /// the input bytes (the fuzz suite drives attacker-generated frames through
 /// it); unknown bytes become single-character punctuation tokens.
-/// Whitespace is dropped; comments are kept as kComment tokens, which the
-/// structural passes skip.
+/// Whitespace and comments are dropped; a comment counts as whitespace.
 [[nodiscard]] std::vector<Token> lex(std::string_view text);
 
 }  // namespace arpsec::lint

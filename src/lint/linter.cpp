@@ -5,7 +5,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -293,56 +292,6 @@ void check_include_layering(const FileContext& ctx, std::vector<Violation>& out)
     }
 }
 
-/// Full lint of one file, with optional tree-wide facts for the semantic
-/// rules.
-std::vector<Violation> lint_text(std::string_view path, std::string_view text,
-                                 const TreeIndex* tree) {
-    const std::string code = strip_comments_and_strings(text);
-
-    FileContext ctx;
-    ctx.path = path;
-    ctx.raw_lines = split_lines(text);
-    ctx.code_lines = split_lines(code);
-    ctx.is_header = path.size() >= 4 && path.substr(path.size() - 4) == ".hpp";
-    ctx.in_src = starts_with(path, "src/") || path.find("/src/") != std::string_view::npos;
-    ctx.module = module_of(path);
-
-    std::vector<Violation> found;
-    check_determinism(ctx, found);
-    check_no_threads(ctx, found);
-    check_no_sockets(ctx, found);
-    check_naked_new(ctx, found);
-    check_assert_in_parser(ctx, found);
-    check_pragma_once(ctx, found);
-    check_include_layering(ctx, found);
-
-    const TuIndex tu = build_index(text);
-    const SemanticInput sem{path, ctx.module, tu, tree, ctx.raw_lines};
-    check_untrusted_read_bounds(sem, found);
-    check_exhaustive_switch(sem, found);
-    check_symbol_layering(sem, found);
-    check_no_frame_copy(sem, found);
-
-    // Apply lint:allow(<rule>) markers from the flagged line or the line
-    // above (markers live in comments, so consult the raw text).
-    std::vector<Violation> kept;
-    for (auto& v : found) {
-        std::set<std::string> allowed;
-        if (v.line >= 1 && v.line <= ctx.raw_lines.size()) {
-            allowed = allow_markers(ctx.raw_lines[v.line - 1]);
-            if (v.line >= 2) {
-                for (auto& id : allow_markers(ctx.raw_lines[v.line - 2])) allowed.insert(id);
-            }
-        }
-        if (allowed.count(v.rule) != 0 || allowed.count("*") != 0) continue;
-        kept.push_back(std::move(v));
-    }
-    std::sort(kept.begin(), kept.end(), [](const Violation& a, const Violation& b) {
-        return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
-    });
-    return kept;
-}
-
 /// True when `text` is valid UTF-8 (ASCII included); reports the byte offset
 /// of the first bad sequence otherwise.
 std::optional<std::string> utf8_error(std::string_view text) {
@@ -448,8 +397,6 @@ const std::vector<RuleInfo>& rule_catalog() {
          "src/ modules may only include modules the layering table lists for them"},
         {"untrusted-read-bounds",
          "src/wire/ reads of untrusted bytes need a dominating size/require() check"},
-        {"exhaustive-switch",
-         "switches over repo enums cover every enumerator or carry an annotated default"},
         {"symbol-layering",
          "src/ modules may only name symbols of modules the layering table lists for them"},
         {"no-frame-copy",
@@ -473,43 +420,65 @@ std::string strip_comments_and_strings(std::string_view text) {
 
 std::vector<Violation> Linter::lint_source(std::string_view path,
                                            std::string_view text) const {
-    return lint_text(path, text, nullptr);
+    const std::string code = strip_comments_and_strings(text);
+
+    FileContext ctx;
+    ctx.path = path;
+    ctx.raw_lines = split_lines(text);
+    ctx.code_lines = split_lines(code);
+    ctx.is_header = path.size() >= 4 && path.substr(path.size() - 4) == ".hpp";
+    ctx.in_src = starts_with(path, "src/") || path.find("/src/") != std::string_view::npos;
+    ctx.module = module_of(path);
+
+    std::vector<Violation> found;
+    check_determinism(ctx, found);
+    check_no_threads(ctx, found);
+    check_no_sockets(ctx, found);
+    check_naked_new(ctx, found);
+    check_assert_in_parser(ctx, found);
+    check_pragma_once(ctx, found);
+    check_include_layering(ctx, found);
+
+    const TuIndex tu = build_index(text);
+    const SemanticInput sem{path, ctx.module, tu, ctx.raw_lines};
+    check_untrusted_read_bounds(sem, found);
+    check_symbol_layering(sem, found);
+    check_no_frame_copy(sem, found);
+
+    // Apply lint:allow(<rule>) markers from the flagged line or the line
+    // above (markers live in comments, so consult the raw text).
+    std::vector<Violation> kept;
+    for (auto& v : found) {
+        std::set<std::string> allowed;
+        if (v.line >= 1 && v.line <= ctx.raw_lines.size()) {
+            allowed = allow_markers(ctx.raw_lines[v.line - 1]);
+            if (v.line >= 2) {
+                for (auto& id : allow_markers(ctx.raw_lines[v.line - 2])) allowed.insert(id);
+            }
+        }
+        if (allowed.count(v.rule) != 0 || allowed.count("*") != 0) continue;
+        kept.push_back(std::move(v));
+    }
+    std::sort(kept.begin(), kept.end(), [](const Violation& a, const Violation& b) {
+        return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
+    });
+    return kept;
 }
 
 std::vector<Violation> Linter::lint_tree(const std::string& root) {
     namespace fs = std::filesystem;
     files_scanned_ = 0;
     skipped_.clear();
-    const std::vector<fs::path> files = collect_source_files(root);
-
-    // Pass 1: load every file and merge its symbols into the tree index so
-    // pass 2 can resolve enums and module symbols across file boundaries.
-    struct Loaded {
-        std::string rel;
-        std::string text;
-    };
-    std::vector<Loaded> loaded;
-    loaded.reserve(files.size());
-    TreeIndex tree;
-    for (const auto& file : files) {
+    std::vector<Violation> all;
+    for (const auto& file : collect_source_files(root)) {
         const std::string rel = fs::relative(file, root).generic_string();
         auto text = read_source_file(file);
         if (!text) {
             skipped_.push_back({rel, std::move(text).error()});
             continue;
         }
-        {
-            const TuIndex tu = build_index(*text);
-            merge_into(tree, module_of(rel), tu);
-        }
-        loaded.push_back({rel, std::move(*text)});
-    }
-
-    // Pass 2: lint against the merged facts.
-    std::vector<Violation> all;
-    for (const Loaded& l : loaded) {
         ++files_scanned_;
-        auto found = lint_text(l.rel, l.text, &tree);
+        auto found = lint_source(rel, *text);
         all.insert(all.end(), std::make_move_iterator(found.begin()),
                    std::make_move_iterator(found.end()));
     }

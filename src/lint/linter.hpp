@@ -38,24 +38,20 @@ struct RuleInfo {
 [[nodiscard]] const std::vector<RuleInfo>& rule_catalog();
 
 /// Repo-native static analysis. v1 rules are textual scans over comment- and
-/// string-stripped source; v2 rules (untrusted-read-bounds,
-/// exhaustive-switch, symbol-layering, no-frame-copy) run on the token
-/// stream and the per-TU symbol index, with lint_tree() merging per-file
-/// facts first so enums and module symbols cross file boundaries.
-/// `// lint:allow(<rule>)` on the offending line or the line above
-/// suppresses a finding.
+/// string-stripped source; v2 rules (untrusted-read-bounds, symbol-layering,
+/// no-frame-copy) run on the token stream and the per-TU index. Every rule
+/// reads one file at a time. `// lint:allow(<rule>)` on the offending line
+/// or the line above suppresses a finding.
 class Linter {
 public:
     /// Lints one translation unit given as text. `path` is the repo-relative
     /// path (e.g. "src/wire/arp_packet.cpp") and selects which rules apply.
-    /// Cross-file rules fall back to facts visible in this TU alone.
     [[nodiscard]] std::vector<Violation> lint_source(std::string_view path,
                                                      std::string_view text) const;
 
     /// Walks src/, tests/, tools/, bench/, and examples/ under `root` and
-    /// lints every .cpp/.hpp file, in sorted path order. Pass 1 indexes
-    /// every file (enums, module symbols); pass 2 lints against the merged
-    /// facts.
+    /// lints every .cpp/.hpp file with lint_source(), in sorted path order,
+    /// reading each file only while it is linted.
     [[nodiscard]] std::vector<Violation> lint_tree(const std::string& root);
 
     /// Number of files linted by the last lint_tree() call.

@@ -69,12 +69,6 @@ std::string snippet_at(const std::vector<std::string_view>& raw_lines, std::size
     return std::string{s};
 }
 
-/// Next non-comment token at or after `i`, or tokens.size().
-std::size_t next_code(const std::vector<Token>& tokens, std::size_t i) {
-    while (i < tokens.size() && tokens[i].kind == TokenKind::kComment) ++i;
-    return i;
-}
-
 bool type_contains(const std::string& type, std::string_view word) {
     std::size_t pos = 0;
     while ((pos = type.find(word, pos)) != std::string::npos) {
@@ -127,7 +121,7 @@ void check_untrusted_read_bounds(const SemanticInput& in, std::vector<Violation>
         for (std::size_t i = fn.body_begin; i < fn.body_end && i < tokens.size(); ++i) {
             const Token& t = tokens[i];
             if (!is_ident(t)) continue;
-            const std::size_t after = next_code(tokens, i + 1);
+            const std::size_t after = i + 1;
             if (after >= tokens.size()) break;
 
             if ((t.text == "require" || t.text == "ensure") &&
@@ -139,7 +133,7 @@ void check_untrusted_read_bounds(const SemanticInput& in, std::vector<Violation>
             if (taint_it == tainted.end()) continue;
 
             if (is_punct(tokens[after], ".")) {
-                const std::size_t member = next_code(tokens, after + 1);
+                const std::size_t member = after + 1;
                 if (member >= tokens.size() || !is_ident(tokens[member])) continue;
                 const std::string_view m = tokens[member].text;
                 if (std::find(kSizeProbes.begin(), kSizeProbes.end(), m) !=
@@ -174,182 +168,6 @@ void check_untrusted_read_bounds(const SemanticInput& in, std::vector<Violation>
     }
 }
 
-namespace {
-
-/// One parsed switch statement: case-label enumerators plus default info.
-struct SwitchShape {
-    std::size_t switch_line = 0;
-    std::size_t default_line = 0;           // 0 when absent
-    std::size_t close_line = 0;             // line of the switch's '}'
-    std::string qualifier;                  // `Q` from the first `Q::kX` label
-    std::vector<std::string> labels;        // leaf enumerator names
-    bool enum_like = true;                  // false on numeric/char labels
-};
-
-/// Token index of the matching close paren, ignoring comments.
-std::size_t match_paren_tok(const std::vector<Token>& tokens, std::size_t open) {
-    int depth = 0;
-    for (std::size_t i = open; i < tokens.size(); ++i) {
-        if (is_punct(tokens[i], "(")) ++depth;
-        if (is_punct(tokens[i], ")") && --depth == 0) return i;
-    }
-    return tokens.size();
-}
-
-}  // namespace
-
-void check_exhaustive_switch(const SemanticInput& in, std::vector<Violation>& out) {
-    const std::vector<Token>& tokens = in.tu.tokens;
-
-    // Enum fact base: the whole tree when available, else this TU.
-    std::map<std::string, std::vector<EnumDef>, std::less<>> local;
-    const std::map<std::string, std::vector<EnumDef>, std::less<>>* enums = &local;
-    if (in.tree != nullptr) {
-        enums = &in.tree->enums;
-    } else {
-        for (const EnumDef& e : in.tu.enums) local[e.name].push_back(e);
-    }
-    if (enums->empty()) return;
-
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (!is_ident(tokens[i]) || tokens[i].text != "switch") continue;
-        const std::size_t open_paren = next_code(tokens, i + 1);
-        if (open_paren >= tokens.size() || !is_punct(tokens[open_paren], "(")) continue;
-        const std::size_t close_paren = match_paren_tok(tokens, open_paren);
-        const std::size_t open_brace = next_code(tokens, close_paren + 1);
-        if (open_brace >= tokens.size() || !is_punct(tokens[open_brace], "{")) continue;
-        const std::size_t close_brace = match_brace(tokens, open_brace);
-
-        SwitchShape shape;
-        shape.switch_line = tokens[i].line;
-        shape.close_line =
-            close_brace < tokens.size() ? tokens[close_brace].line : tokens[i].line;
-
-        int depth = 0;
-        for (std::size_t k = open_brace; k < close_brace && k < tokens.size(); ++k) {
-            const Token& t = tokens[k];
-            if (is_punct(t, "{")) ++depth;
-            if (is_punct(t, "}")) --depth;
-            if (depth != 1 || !is_ident(t)) continue;
-            if (t.text == "default") {
-                const std::size_t colon = next_code(tokens, k + 1);
-                if (colon < tokens.size() && is_punct(tokens[colon], ":")) {
-                    shape.default_line = t.line;
-                }
-                continue;
-            }
-            if (t.text != "case") continue;
-            // Label tokens up to the ':' terminator ('::' lexes as one
-            // token, so a bare ':' is unambiguous).
-            std::vector<std::string_view> chain;
-            bool clean = true;
-            std::size_t k2 = k + 1;
-            while (k2 < close_brace && k2 < tokens.size()) {
-                const Token& lt = tokens[k2];
-                if (lt.kind == TokenKind::kComment) {
-                    ++k2;
-                    continue;
-                }
-                if (is_punct(lt, ":")) break;
-                if (is_ident(lt)) {
-                    chain.push_back(lt.text);
-                } else if (!is_punct(lt, "::")) {
-                    clean = false;  // numeric / char / expression label
-                }
-                ++k2;
-            }
-            if (!clean || chain.empty()) {
-                shape.enum_like = false;
-                break;
-            }
-            shape.labels.emplace_back(chain.back());
-            if (chain.size() >= 2 && shape.qualifier.empty()) {
-                shape.qualifier = std::string{chain[chain.size() - 2]};
-            }
-            k = k2;
-        }
-        if (!shape.enum_like || shape.labels.empty()) continue;
-
-        // Bind to a repo enum: every label must be an enumerator of one
-        // candidate definition (restricted by qualifier when present).
-        const EnumDef* best = nullptr;
-        std::vector<std::string> best_missing;
-        bool fully_covered = false;
-        auto consider = [&](const EnumDef& def) {
-            for (const std::string& label : shape.labels) {
-                if (std::find(def.enumerators.begin(), def.enumerators.end(), label) ==
-                    def.enumerators.end()) {
-                    return;
-                }
-            }
-            std::vector<std::string> missing;
-            for (const std::string& e : def.enumerators) {
-                if (std::find(shape.labels.begin(), shape.labels.end(), e) ==
-                    shape.labels.end()) {
-                    missing.push_back(e);
-                }
-            }
-            if (missing.empty()) {
-                fully_covered = true;
-                return;
-            }
-            if (best == nullptr || missing.size() < best_missing.size()) {
-                best = &def;
-                best_missing = std::move(missing);
-            }
-        };
-        if (!shape.qualifier.empty()) {
-            const auto it = enums->find(shape.qualifier);
-            if (it == enums->end()) continue;
-            for (const EnumDef& def : it->second) consider(def);
-        } else {
-            for (const auto& [name, defs] : *enums) {
-                for (const EnumDef& def : defs) consider(def);
-            }
-        }
-        if (fully_covered || best == nullptr) continue;
-
-        std::string missing_list;
-        for (const std::string& m : best_missing) {
-            if (!missing_list.empty()) missing_list += ", ";
-            missing_list += m;
-        }
-        if (shape.default_line != 0) {
-            out.push_back({std::string{in.path}, shape.default_line, "exhaustive-switch",
-                           "bare default over enum '" + best->name + "' hides enumerators: " +
-                               missing_list +
-                               "; cover them or annotate the default with "
-                               "lint:allow(exhaustive-switch)",
-                           snippet_at(in.raw_lines, shape.default_line)});
-        } else {
-            // Autofix: insert an annotated default just before the switch's
-            // closing brace, indented one level past it.
-            std::string indent;
-            if (shape.close_line >= 1 && shape.close_line <= in.raw_lines.size()) {
-                const std::string_view close = in.raw_lines[shape.close_line - 1];
-                for (const char c : close) {
-                    if (c == ' ' || c == '\t') {
-                        indent += c;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            Violation v{std::string{in.path}, shape.switch_line, "exhaustive-switch",
-                        "switch over enum '" + best->name +
-                            "' misses enumerators: " + missing_list +
-                            "; add the cases or an annotated default",
-                        snippet_at(in.raw_lines, shape.switch_line)};
-            v.fix_line = shape.close_line;
-            v.fix_insert = indent +
-                           "    default:  // lint:allow(exhaustive-switch): unhandled "
-                           "enumerators fall through\n" +
-                           indent + "        break;\n";
-            out.push_back(std::move(v));
-        }
-    }
-}
-
 void check_no_frame_copy(const SemanticInput& in, std::vector<Violation>& out) {
     // src/wire/ owns the frame codec; tests build raw-byte fixtures.
     if (in.path.find("src/wire/") != std::string_view::npos) return;
@@ -373,10 +191,10 @@ void check_no_frame_copy(const SemanticInput& in, std::vector<Violation>& out) {
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         const Token& t = tokens[i];
         if (!is_ident(t) || t.text != "EthernetFrame") continue;
-        std::size_t j = next_code(tokens, i + 1);
+        std::size_t j = i + 1;
         if (j >= tokens.size()) break;
         if (is_punct(tokens[j], "::")) {
-            const std::size_t k = next_code(tokens, j + 1);
+            const std::size_t k = j + 1;
             if (k < tokens.size() && is_ident(tokens[k]) && tokens[k].text == "parse") {
                 out.push_back({std::string{in.path}, t.line, "no-frame-copy",
                                "EthernetFrame::parse outside src/wire/ re-parses bytes the "
@@ -389,7 +207,7 @@ void check_no_frame_copy(const SemanticInput& in, std::vector<Violation>& out) {
         while (j < tokens.size() &&
                (is_punct(tokens[j], "&") || is_punct(tokens[j], "*") ||
                 (is_ident(tokens[j]) && tokens[j].text == "const"))) {
-            j = next_code(tokens, j + 1);
+            ++j;
         }
         if (j < tokens.size() && is_ident(tokens[j])) {
             frames.insert(std::string{tokens[j].text});
@@ -405,22 +223,22 @@ void check_no_frame_copy(const SemanticInput& in, std::vector<Violation>& out) {
                                    (is_punct(tokens[i - 1], ".") || is_punct(tokens[i - 1], "->"));
         const bool is_frame_value = frames.count(t.text) != 0;
         if (!is_view_frame && !is_frame_value) continue;
-        std::size_t j = next_code(tokens, i + 1);
+        std::size_t j = i + 1;
         if (is_view_frame) {
             // Skip the `()` of the frame() call.
             if (j >= tokens.size() || !is_punct(tokens[j], "(")) continue;
-            j = next_code(tokens, j + 1);
+            ++j;
             if (j >= tokens.size() || !is_punct(tokens[j], ")")) continue;
-            j = next_code(tokens, j + 1);
+            ++j;
         }
         if (j >= tokens.size() || !(is_punct(tokens[j], ".") || is_punct(tokens[j], "->"))) {
             continue;
         }
-        const std::size_t m = next_code(tokens, j + 1);
+        const std::size_t m = j + 1;
         if (m >= tokens.size() || !is_ident(tokens[m]) || tokens[m].text != "serialize") {
             continue;
         }
-        const std::size_t call = next_code(tokens, m + 1);
+        const std::size_t call = m + 1;
         if (call >= tokens.size() || !is_punct(tokens[call], "(")) continue;
         out.push_back({std::string{in.path}, t.line, "no-frame-copy",
                        "serializing an EthernetFrame outside src/wire/ copies wire bytes "
@@ -438,7 +256,7 @@ void check_symbol_layering(const SemanticInput& in, std::vector<Violation>& out)
 
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         if (!is_ident(tokens[i])) continue;
-        const std::size_t sep = next_code(tokens, i + 1);
+        const std::size_t sep = i + 1;
         if (sep >= tokens.size() || !is_punct(tokens[sep], "::")) continue;
         // Collect the whole `a::b::c` chain so `arpsec::wire::X` resolves
         // the module from the right segment.
@@ -446,11 +264,11 @@ void check_symbol_layering(const SemanticInput& in, std::vector<Violation>& out)
         std::size_t k = sep;
         std::size_t chain_end = i;
         while (k < tokens.size() && is_punct(tokens[k], "::")) {
-            const std::size_t nxt = next_code(tokens, k + 1);
+            const std::size_t nxt = k + 1;
             if (nxt >= tokens.size() || !is_ident(tokens[nxt])) break;
             chain.push_back(tokens[nxt].text);
             chain_end = nxt;
-            k = next_code(tokens, nxt + 1);
+            k = nxt + 1;
         }
         const std::size_t resume = chain_end;
 
@@ -460,15 +278,6 @@ void check_symbol_layering(const SemanticInput& in, std::vector<Violation>& out)
             const std::string_view symbol = chain[s + 1];
             if (mod == in.module) break;
             if (self->second.count(std::string{mod}) != 0) break;
-            // With a tree index, only flag symbols the named module really
-            // defines — an unrelated namespace segment stays silent.
-            if (in.tree != nullptr) {
-                const auto ms = in.tree->module_symbols.find(std::string{mod});
-                if (ms == in.tree->module_symbols.end() ||
-                    ms->second.count(std::string{symbol}) == 0) {
-                    break;
-                }
-            }
             out.push_back({std::string{in.path}, tokens[i].line, "symbol-layering",
                            "module '" + in.module + "' may not reach symbol '" +
                                std::string{mod} + "::" + std::string{symbol} +

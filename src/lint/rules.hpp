@@ -16,14 +16,11 @@ namespace arpsec::lint {
 /// from (symbol-layering) the listed modules.
 [[nodiscard]] const std::map<std::string, std::set<std::string>, std::less<>>& module_layering();
 
-/// Everything a token-level semantic rule needs about one file. `tree` is
-/// the cross-file fact base from lint_tree pass 1; it is null when linting a
-/// lone source string, in which case rules fall back to per-TU facts.
+/// Everything a token-level semantic rule needs about one file.
 struct SemanticInput {
     std::string_view path;
     std::string module;  // "" outside src/<module>/
     const TuIndex& tu;
-    const TreeIndex* tree = nullptr;
     const std::vector<std::string_view>& raw_lines;
 };
 
@@ -32,11 +29,6 @@ struct SemanticInput {
 /// indexed or multi-byte read (`v[i]`, `v.data()`, `v.front()`, ...) must be
 /// dominated by a size check (`v.size()`, `v.empty()`, `require(...)`).
 void check_untrusted_read_bounds(const SemanticInput& in, std::vector<Violation>& out);
-
-/// exhaustive-switch: a switch whose case labels are enumerators of a
-/// repo-defined enum must either cover every enumerator or carry a default
-/// annotated with `// lint:allow(exhaustive-switch)`.
-void check_exhaustive_switch(const SemanticInput& in, std::vector<Violation>& out);
 
 /// no-frame-copy: outside src/wire/ (and tests/, which legitimately build
 /// raw-byte fixtures), Ethernet frames travel through the shared

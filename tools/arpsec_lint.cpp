@@ -1,14 +1,15 @@
 // arpsec-lint — repo-native static analysis for the ARPSEC tree.
 //
 // Enforces the invariants the compiler cannot see; what the compiler can
-// hold (a discarded Expected is a -Werror=unused-result build error) has no
-// rule here. v1 rules are textual (sim determinism, thread and socket
-// confinement, parser hygiene, typed ownership, #pragma once, include
-// layering); v2 rules run on a token stream and per-TU symbol index
-// (untrusted-read-bounds dataflow in src/wire/, exhaustive switches over
-// repo enums, symbol-level layering, no frame copies). Registered as a CTest
-// test, so tier-1 verify fails on any violation not recorded in the
-// committed baseline.
+// hold (a discarded Expected is a -Werror=unused-result build error, a
+// switch missing an enumerator a -Werror=switch / -Werror=switch-enum one)
+// has no rule here. Every rule reads one file at a time. v1 rules are
+// textual (sim determinism, thread and socket confinement, parser hygiene,
+// typed ownership, #pragma once, include layering); v2 rules run on a token
+// stream and per-TU index (untrusted-read-bounds dataflow in src/wire/,
+// symbol-level layering, no frame copies). Registered as a CTest test, so
+// tier-1 verify fails on any violation not recorded in the committed
+// baseline.
 //
 //   $ arpsec-lint --root .                 # scan the repo, GCC-style output
 //   $ arpsec-lint --root . --json lint.json --sarif lint.sarif
