@@ -1,7 +1,8 @@
 // Serve throughput — frames/sec through the full online path: a client
-// thread encodes `arpsec.stream.v1` records into an in-process pipe, and
-// arpsec::serve::Server decodes and shards them, and each shard worker
-// parses and feeds them to its arpwatch session. Measured per shard count (1, 2, 4), with
+// thread encodes `arpsec.stream.v1` records into one end of a Unix-domain
+// socketpair (serve::make_pipe), arpsec::serve::Server decodes and shards
+// them from the other end, and each shard worker parses and feeds them to
+// its arpwatch session. Measured per shard count (1, 2, 4), with
 // alert streaming off so the number is intake+detection throughput, not
 // JSONL encoding.
 //
@@ -161,12 +162,16 @@ int main(int argc, char** argv) {
             return 1;
         }
 
-        serve::PipePair pipe = serve::make_pipe(1 << 22);
+        auto pipe = serve::make_pipe();
+        if (!pipe.ok()) {
+            std::fprintf(stderr, "[bench] serve_throughput: %s\n", pipe.error().c_str());
+            return 1;
+        }
         common::Stopwatch watch;
         std::optional<common::Expected<serve::ServeOutcome>> served;
         const std::string peer = exp::run_pair(
-            [&] { stream_trace(*pipe.client, trace.value(), laps); },
-            [&] { served = server.value()->serve(*pipe.server); });
+            [&] { stream_trace(*pipe->client, trace.value(), laps); },
+            [&] { served = server.value()->serve(*pipe->server); });
         const auto& outcome = *served;
         const double wall = watch.elapsed_seconds();
         if (!peer.empty()) {

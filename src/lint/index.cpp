@@ -201,7 +201,12 @@ struct Scanner {
         std::size_t k = 0;
         while (k < size()) {
             const Token& t = tok(k);
-            if (is_ident(t, "class") || is_ident(t, "struct") || is_ident(t, "union")) {
+            // Right after '<' or ',' the keyword introduces a template type
+            // parameter (`template <class T>`), not a class head.
+            const bool type_parameter =
+                k > 0 && (is_punct(tok(k - 1), "<") || is_punct(tok(k - 1), ","));
+            if ((is_ident(t, "class") || is_ident(t, "struct") || is_ident(t, "union")) &&
+                !type_parameter) {
                 // Walk the class head, then descend into the body so member
                 // functions are indexed too.
                 std::size_t p = k + 1;

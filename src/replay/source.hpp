@@ -10,21 +10,13 @@
 
 namespace arpsec::replay {
 
-/// Produces labeled traces for the replay engine, either recorded (pcap +
-/// sidecar) or synthesized from the DST checker's scenario generator.
-class TraceSource {
-public:
-    virtual ~TraceSource() = default;
-    [[nodiscard]] virtual common::Expected<LabeledTrace> load() = 0;
-};
-
 /// Loads a classic pcap plus its `arpsec.trace-labels.v1` sidecar.
-class PcapFileSource final : public TraceSource {
+class PcapFileSource {
 public:
     PcapFileSource(std::string pcap_path, std::string labels_path)
         : pcap_path_(std::move(pcap_path)), labels_path_(std::move(labels_path)) {}
 
-    [[nodiscard]] common::Expected<LabeledTrace> load() override;
+    [[nodiscard]] common::Expected<LabeledTrace> load();
 
 private:
     std::string pcap_path_;
@@ -39,7 +31,7 @@ private:
 /// resulting trace is byte-identical for every `jobs` value: epochs are
 /// appended strictly in seed order and the stop condition only looks at
 /// cumulative frame counts at epoch boundaries.
-class ScenarioTraceSource final : public TraceSource {
+class ScenarioTraceSource {
 public:
     struct Options {
         std::uint64_t first_seed = 1;
@@ -54,7 +46,7 @@ public:
 
     explicit ScenarioTraceSource(Options options) : options_(std::move(options)) {}
 
-    [[nodiscard]] common::Expected<LabeledTrace> load() override;
+    [[nodiscard]] common::Expected<LabeledTrace> load();
 
 private:
     Options options_;

@@ -159,11 +159,17 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
 
     // conn is written by the shard workers (kAlert batches) and, once they
     // are joined, by this thread (summary); each batch goes out whole under
-    // one lock so records never interleave mid-record.
+    // one lock so records never interleave mid-record. A failed write means
+    // the client is gone: the first one is kept and every later write is
+    // skipped.
     std::mutex write_mutex;
+    std::string write_error;
     const auto write_bytes = [&](const wire::Bytes& data) {
         std::lock_guard<std::mutex> lk(write_mutex);
-        (void)conn.write_all(std::span<const std::uint8_t>{data.data(), data.size()});
+        if (write_error.empty() &&
+            !conn.write_all(std::span<const std::uint8_t>{data.data(), data.size()})) {
+            write_error = "write to client failed";
+        }
     };
     const Shard::AlertWriter write_alerts =
         options_.stream_alerts ? Shard::AlertWriter{write_bytes} : nullptr;
@@ -375,10 +381,13 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
 
     served_ = true;
     outcome.summary = build_summary(outcome);
+    // A read or framing error stands; otherwise the first failed write, of
+    // an alert batch or of the summary, is the stream's error.
     if (outcome.transport_error.empty()) {
         wire::Bytes summary_record;
         wire::encode_summary(summary_record, outcome.summary.dump());
         write_bytes(summary_record);
+        outcome.transport_error = write_error;
     }
     if (options_.scorecard_every > 0) write_scorecard_line(c_frames.value());
     return Result{std::move(outcome)};

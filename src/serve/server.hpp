@@ -70,8 +70,10 @@ struct ServeOutcome {
     bool stopped = false;
     /// Idle timeout abandoned the stream.
     bool idled_out = false;
-    /// Non-empty when the transport failed or the framing latched fatal;
-    /// everything admitted before the failure was still processed.
+    /// Non-empty when a read failed, the framing latched fatal, or a write
+    /// to the client failed (every later alert batch and the summary are
+    /// then skipped); a read or framing error takes precedence over a failed
+    /// write. Everything admitted before the failure was still processed.
     std::string transport_error;
 };
 

@@ -8,11 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <utility>
 
 namespace arpsec::serve {
@@ -38,212 +34,85 @@ int wait_readable(int fd, int timeout_ms) {
     }
 }
 
-/// Socket-backed Connection shared by the Unix and TCP transports: after
-/// the handshake both are just stream fds.
-class FdConnection final : public Connection {
-public:
-    FdConnection(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {}
-    ~FdConnection() override { ::close(fd_); }
+}  // namespace
 
-    IoResult read_some(std::span<std::uint8_t> buf, int timeout_ms) override {
-        IoResult res;
-        if (timeout_ms >= 0) {
-            const int w = wait_readable(fd_, timeout_ms);
-            if (w == 1) {
-                res.kind = IoResult::Kind::kTimeout;
-                return res;
-            }
-            if (w < 0) {
-                res.kind = IoResult::Kind::kError;
-                res.error = errno_string("poll");
-                return res;
-            }
-        }
-        for (;;) {
-            const ssize_t n = ::read(fd_, buf.data(), buf.size());
-            if (n > 0) {
-                res.kind = IoResult::Kind::kData;
-                res.bytes = static_cast<std::size_t>(n);
-                return res;
-            }
-            if (n == 0) {
-                res.kind = IoResult::Kind::kEof;
-                return res;
-            }
-            if (errno == EINTR) continue;
-            res.kind = IoResult::Kind::kError;
-            res.error = errno_string("read");
-            return res;
-        }
-    }
+Connection::~Connection() { ::close(fd_); }
 
-    bool write_all(std::span<const std::uint8_t> data) override {
-        std::size_t off = 0;
-        while (off < data.size()) {
-            // MSG_NOSIGNAL: a vanished peer fails the write, not the process.
-            const ssize_t n =
-                ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-            if (n > 0) {
-                off += static_cast<std::size_t>(n);
-                continue;
-            }
-            if (n < 0 && errno == EINTR) continue;
-            return false;
-        }
-        return true;
-    }
-
-    /// shutdown() only: it wakes a read_some blocked on another thread
-    /// without pulling the descriptor out from under it; the destructor
-    /// releases the fd.
-    void close() override { ::shutdown(fd_, SHUT_RDWR); }
-
-    [[nodiscard]] std::string peer() const override { return peer_; }
-
-private:
-    const int fd_;
-    std::string peer_;
-};
-
-class FdListener final : public Listener {
-public:
-    FdListener(int fd, std::string address, std::string unlink_path)
-        : fd_(fd), address_(std::move(address)), unlink_path_(std::move(unlink_path)) {}
-    ~FdListener() override { close(); }
-
-    common::Expected<std::unique_ptr<Connection>> accept(int timeout_ms) override {
-        using Result = common::Expected<std::unique_ptr<Connection>>;
-        if (fd_ < 0) return Result::failure("listener closed");
+IoResult Connection::read_some(std::span<std::uint8_t> buf, int timeout_ms) {
+    IoResult res;
+    if (timeout_ms >= 0) {
         const int w = wait_readable(fd_, timeout_ms);
-        if (w == 1) return Result::failure("accept: timed out");
-        if (w < 0) return Result::failure(errno_string("poll"));
-        for (;;) {
-            const int client = ::accept(fd_, nullptr, nullptr);
-            if (client >= 0) {
-                return Result{std::unique_ptr<Connection>(
-                    std::make_unique<FdConnection>(client, address_))};
-            }
-            if (errno == EINTR) continue;
-            return Result::failure(errno_string("accept"));
-        }
-    }
-
-    void close() override {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-            if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
-        }
-    }
-
-    [[nodiscard]] std::string address() const override { return address_; }
-
-private:
-    int fd_ = -1;
-    std::string address_;
-    std::string unlink_path_;
-};
-
-// ---------------------------------------------------------------------------
-// In-process pipe
-// ---------------------------------------------------------------------------
-
-/// One direction of the pipe: a bounded byte queue with blocking reads and
-/// writes. Two of these, crossed over, make a full-duplex connection.
-struct PipeChannel {
-    explicit PipeChannel(std::size_t cap) : capacity(cap) {}
-
-    std::mutex m;
-    std::condition_variable cv;
-    std::deque<std::uint8_t> buf;
-    std::size_t capacity;
-    bool closed = false;
-
-    bool write_all(std::span<const std::uint8_t> data) {
-        std::size_t off = 0;
-        std::unique_lock<std::mutex> lk(m);
-        while (off < data.size()) {
-            cv.wait(lk, [&] { return closed || buf.size() < capacity; });
-            if (closed) return false;
-            while (off < data.size() && buf.size() < capacity) buf.push_back(data[off++]);
-            cv.notify_all();
-        }
-        return true;
-    }
-
-    IoResult read_some(std::span<std::uint8_t> out, int timeout_ms) {
-        IoResult res;
-        std::unique_lock<std::mutex> lk(m);
-        const auto ready = [&] { return closed || !buf.empty(); };
-        if (timeout_ms < 0) {
-            cv.wait(lk, ready);
-        } else if (!cv.wait_for(lk, std::chrono::milliseconds(timeout_ms), ready)) {
+        if (w == 1) {
             res.kind = IoResult::Kind::kTimeout;
             return res;
         }
-        if (buf.empty()) {
-            res.kind = IoResult::Kind::kEof;  // closed and drained
+        if (w < 0) {
+            res.kind = IoResult::Kind::kError;
+            res.error = errno_string("poll");
             return res;
         }
-        std::size_t n = 0;
-        while (n < out.size() && !buf.empty()) {
-            out[n++] = buf.front();
-            buf.pop_front();
+    }
+    for (;;) {
+        const ssize_t n = ::read(fd_, buf.data(), buf.size());
+        if (n > 0) {
+            res.kind = IoResult::Kind::kData;
+            res.bytes = static_cast<std::size_t>(n);
+            return res;
         }
-        cv.notify_all();
-        res.kind = IoResult::Kind::kData;
-        res.bytes = n;
+        if (n == 0) {
+            res.kind = IoResult::Kind::kEof;
+            return res;
+        }
+        if (errno == EINTR) continue;
+        res.kind = IoResult::Kind::kError;
+        res.error = errno_string("read");
         return res;
     }
+}
 
-    void close() {
-        {
-            std::lock_guard<std::mutex> lk(m);
-            closed = true;
+bool Connection::write_all(std::span<const std::uint8_t> data) {
+    std::size_t off = 0;
+    while (off < data.size()) {
+        // MSG_NOSIGNAL: a vanished peer fails the write, not the process.
+        const ssize_t n = ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+        if (n > 0) {
+            off += static_cast<std::size_t>(n);
+            continue;
         }
-        cv.notify_all();
+        if (n < 0 && errno == EINTR) continue;
+        return false;
     }
-};
+    return true;
+}
 
-struct PipeState {
-    explicit PipeState(std::size_t cap) : client_to_server(cap), server_to_client(cap) {}
-    PipeChannel client_to_server;
-    PipeChannel server_to_client;
-};
+void Connection::close() { ::shutdown(fd_, SHUT_RDWR); }
 
-class PipeConnection final : public Connection {
-public:
-    PipeConnection(std::shared_ptr<PipeState> state, bool is_client)
-        : state_(std::move(state)), is_client_(is_client) {}
-    ~PipeConnection() override { close(); }
+Listener::Listener(int fd, std::string address, std::string unlink_path)
+    : fd_(fd), address_(std::move(address)), unlink_path_(std::move(unlink_path)) {}
 
-    IoResult read_some(std::span<std::uint8_t> buf, int timeout_ms) override {
-        return inbound().read_some(buf, timeout_ms);
+Listener::~Listener() { close(); }
+
+common::Expected<std::unique_ptr<Connection>> Listener::accept(int timeout_ms) {
+    using Result = common::Expected<std::unique_ptr<Connection>>;
+    if (fd_ < 0) return Result::failure("listener closed");
+    const int w = wait_readable(fd_, timeout_ms);
+    if (w == 1) return Result::failure("accept: timed out");
+    if (w < 0) return Result::failure(errno_string("poll"));
+    for (;;) {
+        const int client = ::accept(fd_, nullptr, nullptr);
+        if (client >= 0) return Result{std::make_unique<Connection>(client)};
+        if (errno == EINTR) continue;
+        return Result::failure(errno_string("accept"));
     }
-    bool write_all(std::span<const std::uint8_t> data) override {
-        return outbound().write_all(data);
-    }
-    void close() override {
-        // Closing one endpoint tears down both directions: blocked peers
-        // wake with kEof once they drain what was already written.
-        state_->client_to_server.close();
-        state_->server_to_client.close();
-    }
-    [[nodiscard]] std::string peer() const override { return "pipe"; }
+}
 
-private:
-    PipeChannel& inbound() {
-        return is_client_ ? state_->server_to_client : state_->client_to_server;
+void Listener::close() {
+    if (fd_ >= 0) {
+        ::close(fd_);
+        fd_ = -1;
+        if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
     }
-    PipeChannel& outbound() {
-        return is_client_ ? state_->client_to_server : state_->server_to_client;
-    }
-
-    std::shared_ptr<PipeState> state_;
-    bool is_client_;
-};
-
-}  // namespace
+}
 
 common::Expected<std::unique_ptr<Listener>> listen_unix(const std::string& path) {
     using Result = common::Expected<std::unique_ptr<Listener>>;
@@ -267,8 +136,7 @@ common::Expected<std::unique_ptr<Listener>> listen_unix(const std::string& path)
         ::close(fd);
         return Result::failure(err);
     }
-    return Result{std::unique_ptr<Listener>(
-        std::make_unique<FdListener>(fd, "unix:" + path, path))};
+    return Result{std::make_unique<Listener>(fd, "unix:" + path, path)};
 }
 
 common::Expected<std::unique_ptr<Listener>> listen_tcp(std::uint16_t port) {
@@ -295,8 +163,8 @@ common::Expected<std::unique_ptr<Listener>> listen_tcp(std::uint16_t port) {
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
     ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
-    return Result{std::unique_ptr<Listener>(std::make_unique<FdListener>(
-        fd, "tcp:127.0.0.1:" + std::to_string(ntohs(bound.sin_port)), ""))};
+    return Result{std::make_unique<Listener>(
+        fd, "tcp:127.0.0.1:" + std::to_string(ntohs(bound.sin_port)), "")};
 }
 
 common::Expected<std::unique_ptr<Connection>> connect_unix(const std::string& path) {
@@ -314,8 +182,7 @@ common::Expected<std::unique_ptr<Connection>> connect_unix(const std::string& pa
         ::close(fd);
         return Result::failure(err);
     }
-    return Result{std::unique_ptr<Connection>(
-        std::make_unique<FdConnection>(fd, "unix:" + path))};
+    return Result{std::make_unique<Connection>(fd)};
 }
 
 common::Expected<std::unique_ptr<Connection>> connect_tcp(const std::string& host,
@@ -334,16 +201,19 @@ common::Expected<std::unique_ptr<Connection>> connect_tcp(const std::string& hos
         ::close(fd);
         return Result::failure(err);
     }
-    return Result{std::unique_ptr<Connection>(std::make_unique<FdConnection>(
-        fd, "tcp:" + host + ":" + std::to_string(port)))};
+    return Result{std::make_unique<Connection>(fd)};
 }
 
-PipePair make_pipe(std::size_t capacity) {
-    auto state = std::make_shared<PipeState>(capacity);
+common::Expected<PipePair> make_pipe() {
+    using Result = common::Expected<PipePair>;
+    int fds[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+        return Result::failure(errno_string("socketpair"));
+    }
     PipePair pair;
-    pair.client = std::make_unique<PipeConnection>(state, /*is_client=*/true);
-    pair.server = std::make_unique<PipeConnection>(std::move(state), /*is_client=*/false);
-    return pair;
+    pair.client = std::make_unique<Connection>(fds[0]);
+    pair.server = std::make_unique<Connection>(fds[1]);
+    return Result{std::move(pair)};
 }
 
 }  // namespace arpsec::serve

@@ -22,10 +22,10 @@ struct IoResult {
     std::string error;
 };
 
-/// One bidirectional byte stream carrying `arpsec.stream.v1` records.
-/// Implementations: Unix-domain socket, TCP socket, and an in-process pipe
-/// (deterministic tests, no kernel involved). The framing layer on top is
-/// identical for all three — that is the point of the abstraction.
+/// One bidirectional byte stream carrying `arpsec.stream.v1` records: a
+/// connected stream socket. Unix-domain and TCP clients, the connections a
+/// Listener accepts and both ends of make_pipe() are all this one class, so
+/// tests and benches run the socket code the daemon runs.
 ///
 /// Thread contract: one thread reads while others write (the daemon reads
 /// frames on the intake thread while its shard workers write kAlert
@@ -33,37 +33,58 @@ struct IoResult {
 /// the daemon holds one lock per write_all.
 class Connection {
 public:
-    virtual ~Connection() = default;
+    /// Takes ownership of `fd`, a connected stream socket.
+    explicit Connection(int fd) : fd_(fd) {}
+    /// Releases the descriptor.
+    ~Connection();
+    Connection(const Connection&) = delete;
+    Connection& operator=(const Connection&) = delete;
 
     /// Reads up to `buf.size()` bytes. `timeout_ms < 0` blocks
     /// indefinitely; `timeout_ms >= 0` returns kTimeout if nothing arrives
     /// in time (the serve read/idle timeout mechanism).
-    [[nodiscard]] virtual IoResult read_some(std::span<std::uint8_t> buf, int timeout_ms) = 0;
+    [[nodiscard]] IoResult read_some(std::span<std::uint8_t> buf, int timeout_ms);
 
     /// Writes the whole span (blocking). Returns false when the peer is
     /// gone; a daemon treats that as the client abandoning the stream.
-    [[nodiscard]] virtual bool write_all(std::span<const std::uint8_t> data) = 0;
+    [[nodiscard]] bool write_all(std::span<const std::uint8_t> data);
 
-    /// Closes both directions; a blocked read_some on another thread
-    /// returns kEof/kError promptly, and later writes fail.
-    virtual void close() = 0;
+    /// Shuts down both directions: a read_some blocked on another thread
+    /// returns kEof promptly, later writes on this end fail, and on a
+    /// Unix-domain socket so do the peer's. The descriptor stays open until
+    /// the destructor, so that reader never sees it reused.
+    void close();
 
-    /// Human-readable peer description for logs ("unix:/tmp/x.sock", "pipe").
-    [[nodiscard]] virtual std::string peer() const = 0;
+private:
+    const int fd_;
 };
 
 /// Accepts connections for the daemon side of socket transports.
 class Listener {
 public:
-    virtual ~Listener() = default;
+    /// Takes ownership of `fd`, a listening socket. `unlink_path`, when not
+    /// empty, is the Unix socket file that close() removes.
+    Listener(int fd, std::string address, std::string unlink_path);
+    /// Calls close().
+    ~Listener();
+    Listener(const Listener&) = delete;
+    Listener& operator=(const Listener&) = delete;
 
-    /// Waits up to `timeout_ms` (<0 = forever) for one client.
-    [[nodiscard]] virtual common::Expected<std::unique_ptr<Connection>> accept(
-        int timeout_ms) = 0;
+    /// Waits up to `timeout_ms` (<0 = forever) for one client. Fails with
+    /// exactly "accept: timed out" when none arrives in time.
+    [[nodiscard]] common::Expected<std::unique_ptr<Connection>> accept(int timeout_ms);
 
-    virtual void close() = 0;
+    /// Closes the socket (and removes a Unix socket's file); later accepts fail.
+    void close();
 
-    [[nodiscard]] virtual std::string address() const = 0;
+    /// "unix:<path>" or "tcp:127.0.0.1:<port>", with the port the kernel
+    /// bound when listen_tcp was given 0.
+    [[nodiscard]] std::string address() const { return address_; }
+
+private:
+    int fd_;
+    std::string address_;
+    std::string unlink_path_;
 };
 
 /// Unix-domain stream socket bound at `path` (unlinked first if stale).
@@ -76,14 +97,14 @@ public:
 [[nodiscard]] common::Expected<std::unique_ptr<Connection>> connect_tcp(
     const std::string& host, std::uint16_t port);
 
-/// In-process pipe: two connected endpoints backed by bounded buffers.
-/// Writes block when the buffer is full (transport-level backpressure),
-/// reads block until data or close. No file descriptors, fully
-/// deterministic scheduling apart — the equivalence ctest runs on this.
+/// The two connected ends of one Unix-domain socketpair(2): a stream with
+/// no listener and no path. Each direction buffers what the kernel's socket
+/// buffer holds (about 200 KiB on common Linux defaults); a writer blocks
+/// beyond that until the other end reads.
 struct PipePair {
     std::unique_ptr<Connection> client;
     std::unique_ptr<Connection> server;
 };
-[[nodiscard]] PipePair make_pipe(std::size_t capacity = 1 << 16);
+[[nodiscard]] common::Expected<PipePair> make_pipe();
 
 }  // namespace arpsec::serve

@@ -18,7 +18,7 @@ namespace arpsec::wire {
 /// Every record is `u32 body_len` (big-endian) followed by `body_len`
 /// bytes of body; the first body byte is the record type. The framing is
 /// transport-agnostic: the same bytes flow over a Unix socket, a TCP
-/// socket, or an in-process pipe, and the decoder below is incremental so
+/// socket, or a socketpair, and the decoder below is incremental so
 /// a reader can feed whatever chunk sizes the transport hands it.
 ///
 /// Client -> server: kHello (once), kDirectory (optional, once, before any

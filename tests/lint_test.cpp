@@ -711,6 +711,21 @@ TEST(LintBoundsTest, FlagsUncheckedIndexedRead) {
     EXPECT_EQ(vs[0].line, 2u);
 }
 
+TEST(LintBoundsTest, FlagsFunctionTemplatesUnderEitherSpelling) {
+    // `class` in a template parameter list is a type parameter, not a class
+    // head: the function template after it must be indexed all the same.
+    for (const std::string head :
+         {"template <typename T>\n", "template <class T>\n", "template <class K, class V>\n"}) {
+        SCOPED_TRACE(head);
+        const auto vs = run("src/wire/bad.cpp",
+                            head + "std::uint8_t first(std::span<const std::uint8_t> data) {\n"
+                                   "    return data[0];\n"
+                                   "}\n");
+        ASSERT_TRUE(has_rule(vs, "untrusted-read-bounds"));
+        EXPECT_EQ(vs[0].line, 3u);
+    }
+}
+
 TEST(LintBoundsTest, SizeCheckDominates) {
     EXPECT_TRUE(run("src/wire/ok.cpp",
                     "std::uint8_t first(std::span<const std::uint8_t> data) {\n"

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <random>
@@ -26,11 +29,6 @@
 
 namespace arpsec::serve {
 namespace {
-
-// A pipe big enough that a test client can write a whole small trace (and
-// the daemon its alert stream back) without either side blocking on the
-// transport — keeps the tests deadlock-free regardless of scheduling.
-constexpr std::size_t kRoomyPipe = 1u << 22;
 
 // The schemes that watch the mirror port, i.e. the ones that alert on a
 // replayed trace.
@@ -73,23 +71,52 @@ wire::Bytes encode_stream(const replay::LabeledTrace& trace, std::size_t begin,
     return out;
 }
 
-// Runs one serve() against a pipe whose client half plays `script` and then
-// optionally hangs up. The client writes from its own thread (via the
-// sanctioned exp::run_pair entry point), mirroring the real daemon's
-// intake-vs-transport concurrency.
-common::Expected<ServeOutcome> serve_script(Server& server, const wire::Bytes& script,
-                                            bool close_after = false) {
-    PipePair pipe = make_pipe(kRoomyPipe);
+// Runs one serve() on `server_end` while `client` plays `script` from its
+// own thread (the sanctioned exp::run_pair entry point), mirroring the real
+// daemon's intake-vs-transport concurrency. Then the client hangs up
+// (`close_after`) or reads the server's records, into `received` when
+// given, until the server end closes after serve() returns: a client that
+// keeps reading never blocks a worker that writes alerts, whatever the
+// socket buffers.
+common::Expected<ServeOutcome> serve_script(Server& server, Connection& client,
+                                            Connection& server_end,
+                                            const wire::Bytes& script,
+                                            bool close_after = false,
+                                            wire::Bytes* received = nullptr) {
     std::optional<common::Expected<ServeOutcome>> outcome;
     const std::string peer = exp::run_pair(
         [&] {
-            (void)pipe.client->write_all(
-                std::span<const std::uint8_t>{script.data(), script.size()});
-            if (close_after) pipe.client->close();
+            (void)client.write_all(script);
+            if (close_after) {
+                client.close();
+                return;
+            }
+            std::vector<std::uint8_t> buf(1 << 14);
+            for (;;) {
+                const IoResult io = client.read_some(std::span<std::uint8_t>{buf}, 10000);
+                EXPECT_NE(io.kind, IoResult::Kind::kTimeout) << "server never closed";
+                if (io.kind != IoResult::Kind::kData) break;
+                if (received != nullptr) {
+                    received->insert(received->end(), buf.begin(),
+                                     buf.begin() + static_cast<std::ptrdiff_t>(io.bytes));
+                }
+            }
         },
-        [&] { outcome = server.serve(*pipe.server); });
+        [&] {
+            outcome = server.serve(server_end);
+            server_end.close();
+        });
     EXPECT_EQ(peer, "");
     return *outcome;
+}
+
+// serve_script over a fresh make_pipe() socketpair.
+common::Expected<ServeOutcome> serve_script(Server& server, const wire::Bytes& script,
+                                            bool close_after = false,
+                                            wire::Bytes* received = nullptr) {
+    auto pipe = make_pipe();
+    if (!pipe.ok()) return common::Expected<ServeOutcome>::failure(pipe.error());
+    return serve_script(server, *pipe->client, *pipe->server, script, close_after, received);
 }
 
 std::vector<std::string> canonical_lines(std::vector<detect::Alert> alerts) {
@@ -400,46 +427,31 @@ TEST(ServeEquivalenceTest, AlertRecordsStreamBackToClient) {
                 auto server = Server::create(registry, opts);
                 ASSERT_TRUE(server.ok()) << server.error();
 
-                PipePair pipe = make_pipe(kRoomyPipe);
+                wire::Bytes received;
+                const auto served =
+                    serve_script(*server.value(), script, /*close_after=*/false, &received);
+                ASSERT_TRUE(served.ok()) << served.error();
+
                 std::vector<std::string> streamed;
                 std::vector<wire::StreamRecordType> types;
                 std::size_t bad = 0;
-                std::optional<common::Expected<ServeOutcome>> served;
-                const std::string peer = exp::run_pair(
-                    [&] {
-                        (void)pipe.client->write_all(
-                            std::span<const std::uint8_t>{script.data(), script.size()});
-                        // Read to EOF: the server side closes after serve().
-                        wire::StreamDecoder decoder;
-                        std::vector<std::uint8_t> rbuf(1 << 14);
-                        wire::StreamRecord rec;
-                        for (;;) {
-                            const auto io =
-                                pipe.client->read_some(std::span<std::uint8_t>{rbuf}, 10000);
-                            if (io.kind != IoResult::Kind::kData) break;
-                            decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
-                            for (;;) {
-                                const auto st = decoder.poll(rec);
-                                if (st == wire::StreamDecoder::Status::kNeedMore) break;
-                                if (st != wire::StreamDecoder::Status::kRecord) {
-                                    ++bad;
-                                    continue;
-                                }
-                                types.push_back(rec.type);
-                                if (rec.type == wire::StreamRecordType::kAlert) {
-                                    streamed.push_back(rec.text);
-                                }
-                            }
-                        }
-                    },
-                    [&] {
-                        served = server.value()->serve(*pipe.server);
-                        pipe.server->close();
-                    });
-                EXPECT_EQ(peer, "");
-                ASSERT_TRUE(served->ok()) << served->error();
+                wire::StreamDecoder decoder;
+                decoder.feed(received);
+                wire::StreamRecord rec;
+                for (;;) {
+                    const auto st = decoder.poll(rec);
+                    if (st == wire::StreamDecoder::Status::kNeedMore) break;
+                    if (st != wire::StreamDecoder::Status::kRecord) {
+                        ++bad;
+                        if (decoder.fatal()) break;
+                        continue;
+                    }
+                    types.push_back(rec.type);
+                    if (rec.type == wire::StreamRecordType::kAlert) streamed.push_back(rec.text);
+                }
 
-                const auto outcome = canonical_lines(served->value().alerts);
+                EXPECT_EQ(served.value().transport_error, "");
+                const auto outcome = canonical_lines(served.value().alerts);
                 EXPECT_EQ(outcome, offline);
                 EXPECT_EQ(bad, 0u);
                 EXPECT_EQ(server.value()->metrics().counter("serve.intake.bad_records").value(),
@@ -646,13 +658,13 @@ TEST(ServeLifecycleTest, IdleTimeoutAbandonsAQuietStream) {
     auto server = Server::create(registry, opts);
     ASSERT_TRUE(server.ok()) << server.error();
 
-    PipePair pipe = make_pipe(kRoomyPipe);
+    auto pipe = make_pipe();
+    ASSERT_TRUE(pipe.ok()) << pipe.error();
     wire::Bytes script;
     wire::encode_hello(script, wire::StreamHello{});
-    ASSERT_TRUE(pipe.client->write_all(
-        std::span<const std::uint8_t>{script.data(), script.size()}));
+    ASSERT_TRUE(pipe->client->write_all(script));
     // ...and then silence: the server must give up on its own.
-    const auto outcome = server.value()->serve(*pipe.server);
+    const auto outcome = server.value()->serve(*pipe->server);
     ASSERT_TRUE(outcome.ok()) << outcome.error();
     EXPECT_TRUE(outcome.value().idled_out);
     EXPECT_FALSE(outcome.value().ended_by_end_record);
@@ -671,7 +683,8 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
     auto server = Server::create(registry, opts);
     ASSERT_TRUE(server.ok()) << server.error();
 
-    PipePair pipe = make_pipe(kRoomyPipe);
+    auto pipe = make_pipe();
+    ASSERT_TRUE(pipe.ok()) << pipe.error();
     const wire::Bytes script =
         encode_stream(trace, 0, trace.frames.size(), true, /*with_end=*/false);
     const auto all_admitted = [&] {
@@ -682,8 +695,7 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
     std::optional<common::Expected<ServeOutcome>> served;
     const std::string peer = exp::run_pair(
         [&] {
-            (void)pipe.client->write_all(
-                std::span<const std::uint8_t>{script.data(), script.size()});
+            (void)pipe->client->write_all(script);
             // Leave the stream open; ask for shutdown instead of sending END,
             // once the server has admitted everything written.
             for (int waited_ms = 0; waited_ms < 60000 && !all_admitted(); ++waited_ms) {
@@ -691,7 +703,7 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
             }
             server.value()->request_stop();
         },
-        [&] { served = server.value()->serve(*pipe.server); });
+        [&] { served = server.value()->serve(*pipe->server); });
     EXPECT_EQ(peer, "");
     const auto& outcome = *served;
     ASSERT_TRUE(outcome.ok()) << outcome.error();
@@ -701,6 +713,115 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
     EXPECT_EQ(static_cast<std::size_t>(
                   outcome.value().summary.find("frames")->as_int()),
               trace.frames.size());
+}
+
+TEST(ServeLifecycleTest, ClientThatHangsUpGetsATypedWriteError) {
+    // A whole stream with END, then the client hangs up before reading
+    // anything back: every frame is still processed, but neither the alert
+    // batches nor the summary reach it, and serve() says so.
+    const auto trace = small_trace();
+    const detect::Registry registry;
+    auto server = Server::create(registry, ServerOptions{});
+    ASSERT_TRUE(server.ok()) << server.error();
+
+    auto pipe = make_pipe();
+    ASSERT_TRUE(pipe.ok()) << pipe.error();
+    ASSERT_TRUE(pipe->client->write_all(encode_stream(trace, 0, trace.frames.size())));
+    pipe->client->close();
+    const auto outcome = server.value()->serve(*pipe->server);
+    ASSERT_TRUE(outcome.ok()) << outcome.error();
+    EXPECT_EQ(static_cast<std::size_t>(outcome.value().summary.find("frames")->as_int()),
+              trace.frames.size());
+    EXPECT_TRUE(outcome.value().ended_by_end_record);
+    const auto offline = canonical_lines(offline_alerts(trace));
+    ASSERT_FALSE(offline.empty()) << "trace produced no alerts; test is vacuous";
+    EXPECT_EQ(canonical_lines(outcome.value().alerts), offline);
+    EXPECT_EQ(outcome.value().transport_error, "write to client failed");
+}
+
+// ---------------------------------------------------------------------------
+// socket listeners: the daemon's transports
+// ---------------------------------------------------------------------------
+
+// The summary of `script` served by a fresh default server over
+// `server_end` while `client` plays it ("" after a failure).
+std::string served_summary(Connection& client, Connection& server_end,
+                           const wire::Bytes& script) {
+    const detect::Registry registry;
+    auto server = Server::create(registry, ServerOptions{});
+    if (!server.ok()) {
+        ADD_FAILURE() << server.error();
+        return "";
+    }
+    const auto outcome = serve_script(*server.value(), client, server_end, script);
+    if (!outcome.ok()) {
+        ADD_FAILURE() << outcome.error();
+        return "";
+    }
+    EXPECT_TRUE(outcome.value().ended_by_end_record);
+    EXPECT_EQ(outcome.value().transport_error, "");
+    return outcome.value().summary.dump();
+}
+
+std::string unix_socket_path() {
+    return ::testing::TempDir() + "/arpsec_serve_" + std::to_string(::getpid()) + ".sock";
+}
+
+TEST(ServeTransportTest, UnixListenerServesLikeThePipe) {
+    const auto trace = small_trace();
+    const wire::Bytes script = encode_stream(trace, 0, 100);
+    auto pipe = make_pipe();
+    ASSERT_TRUE(pipe.ok()) << pipe.error();
+    const std::string piped = served_summary(*pipe->client, *pipe->server, script);
+    ASSERT_FALSE(piped.empty());
+
+    const std::string path = unix_socket_path();
+    auto listener = listen_unix(path);
+    ASSERT_TRUE(listener.ok()) << listener.error();
+    EXPECT_EQ(listener.value()->address(), "unix:" + path);
+    auto client = connect_unix(path);  // the listen backlog holds it until accept
+    ASSERT_TRUE(client.ok()) << client.error();
+    auto accepted = listener.value()->accept(10000);
+    ASSERT_TRUE(accepted.ok()) << accepted.error();
+    EXPECT_EQ(served_summary(*client.value(), *accepted.value(), script), piped);
+    listener.value()->close();
+    EXPECT_FALSE(std::filesystem::exists(path)) << "close() left the socket file behind";
+}
+
+TEST(ServeTransportTest, TcpListenerOnAKernelPickedPortServesLikeThePipe) {
+    const auto trace = small_trace();
+    const wire::Bytes script = encode_stream(trace, 0, 100);
+    auto pipe = make_pipe();
+    ASSERT_TRUE(pipe.ok()) << pipe.error();
+    const std::string piped = served_summary(*pipe->client, *pipe->server, script);
+    ASSERT_FALSE(piped.empty());
+
+    auto listener = listen_tcp(0);
+    ASSERT_TRUE(listener.ok()) << listener.error();
+    const std::string address = listener.value()->address();
+    const std::string loopback = "tcp:127.0.0.1:";
+    ASSERT_EQ(address.rfind(loopback, 0), 0u) << address;
+    const int port = std::stoi(address.substr(loopback.size()));
+    ASSERT_GT(port, 0) << address;
+    auto client = connect_tcp("127.0.0.1", static_cast<std::uint16_t>(port));
+    ASSERT_TRUE(client.ok()) << client.error();
+    auto accepted = listener.value()->accept(10000);
+    ASSERT_TRUE(accepted.ok()) << accepted.error();
+    EXPECT_EQ(served_summary(*client.value(), *accepted.value(), script), piped);
+}
+
+TEST(ServeTransportTest, IdleAcceptTimesOutWithTheTextTheDaemonPolls) {
+    // arpsec-served polls accept() and keeps waiting on exactly this error.
+    auto unix_listener = listen_unix(unix_socket_path());
+    ASSERT_TRUE(unix_listener.ok()) << unix_listener.error();
+    auto tcp_listener = listen_tcp(0);
+    ASSERT_TRUE(tcp_listener.ok()) << tcp_listener.error();
+    for (Listener* listener : {unix_listener.value().get(), tcp_listener.value().get()}) {
+        SCOPED_TRACE(listener->address());
+        const auto conn = listener->accept(0);
+        ASSERT_FALSE(conn.ok());
+        EXPECT_EQ(conn.error(), "accept: timed out");
+    }
 }
 
 // ---------------------------------------------------------------------------
