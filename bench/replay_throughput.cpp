@@ -3,18 +3,17 @@
 // through every registered scheme from the offline monitor vantage.
 //
 // stdout carries only the deterministic scorecard (byte-identical for any
-// --jobs); the end-to-end throughput (trace frames over the median run_all
-// wall of five replays) goes to stderr and the BENCH_replay_throughput.json
-// perf-trajectory point, and per-scheme scores with the worker-pass
-// timings go to the sweep artifact (--out, default
-// replay_throughput.runs.json). The trace is also written to the working
-// directory as a pcap plus sidecar, and each of the five repetitions times
+// --jobs), and so does the sweep artifact (--out, default
+// replay_throughput.runs.json): the arpsec.replay-artifact.v2 scores. The
+// end-to-end throughput (trace frames over the run_all wall of five
+// replays: median and quartiles) goes to stderr and to one host-stamped
+// run appended to the BENCH_replay_throughput.json perf trajectory in the
+// working directory. The trace is also written to the working directory as
+// a pcap plus sidecar, and each of the five repetitions times
 // PcapFileSource::load of it: the load layer, reported beside the replay
 // figure.
 
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@ using namespace arpsec;
 namespace {
 
 constexpr const char* kTrajectoryPath = "BENCH_replay_throughput.json";
-constexpr const char* kTrajectorySchema = "arpsec.bench-trajectory.v1";
 constexpr const char* kPcapPath = "replay_throughput.pcap";
 constexpr const char* kLabelsPath = "replay_throughput.pcap.labels.json";
 
@@ -86,11 +84,9 @@ int main(int argc, char** argv) {
     }
     std::remove(kPcapPath);
     std::remove(kLabelsPath);
-    std::sort(walls.begin(), walls.end());
-    std::sort(loads.begin(), loads.end());
-    const double wall = walls[kRuns / 2];
-    const double load_seconds = loads[kRuns / 2];
-    const std::size_t failures = exp::report_case_failures("replay_throughput", outcomes);
+    const exp::Quartiles wall = exp::quartiles(walls);
+    const double load_seconds = exp::quartiles(loads).median;
+    std::size_t failures = exp::report_case_failures("replay_throughput", outcomes);
 
     std::vector<replay::SchemeScore> scores;
     for (const auto& o : outcomes) {
@@ -110,34 +106,38 @@ int main(int argc, char** argv) {
     table.print();
 
     const std::size_t frames = trace.value().frames.size();
-    const double frames_per_second = wall > 0.0 ? static_cast<double>(frames) / wall : 0.0;
+    const auto per_second = [frames](double seconds) {
+        return seconds > 0.0 ? static_cast<double>(frames) / seconds : 0.0;
+    };
+    const double frames_per_second = per_second(wall.median);
     const double load_ns_per_frame =
         frames > 0 ? load_seconds * 1e9 / static_cast<double>(frames) : 0.0;
     std::fprintf(stderr,
                  "[bench] replay_throughput: %zu frames x %zu schemes in %.4f s = %.0f "
                  "frames/s (--jobs %zu); pcap load %.4f s = %.0f ns/frame\n",
-                 frames, scores.size(), wall, frames_per_second, opt.jobs, load_seconds,
-                 load_ns_per_frame);
+                 frames, scores.size(), wall.median, frames_per_second, opt.jobs,
+                 load_seconds, load_ns_per_frame);
 
     exp::SweepArtifact artifact("replay_throughput");
     artifact.set_meta("trace_frames", static_cast<std::uint64_t>(frames));
     artifact.set_meta("smoke", opt.smoke);
     artifact.add_json(replay::Engine::artifact(trace.value(), scores, "replay_throughput"));
 
-    // Perf-trajectory point: end-to-end frames/sec (trace frames over the
-    // median run_all wall) for run-over-run comparison, the median pcap
+    // Perf-trajectory run: end-to-end frames/sec (trace frames over the
+    // median run_all wall, with the quartiles; the slower wall quartile is
+    // the lower frames/s one) for run-over-run comparison, the median pcap
     // load, plus per-scheme quality.
-    // Written unconditionally next to the sweep artifact.
-    telemetry::Json traj = telemetry::Json::object();
-    traj["schema"] = kTrajectorySchema;
-    traj["bench"] = "replay_throughput";
-    traj["smoke"] = opt.smoke;
-    traj["jobs"] = static_cast<std::uint64_t>(opt.jobs);
-    traj["frames"] = static_cast<std::uint64_t>(frames);
-    traj["wall_seconds"] = wall;
-    traj["frames_per_second"] = frames_per_second;
-    traj["load_seconds"] = load_seconds;
-    traj["load_ns_per_frame"] = load_ns_per_frame;
+    telemetry::Json run = telemetry::Json::object();
+    run["smoke"] = opt.smoke;
+    run["jobs"] = static_cast<std::uint64_t>(opt.jobs);
+    run["frames"] = static_cast<std::uint64_t>(frames);
+    run["repetitions"] = static_cast<std::uint64_t>(kRuns);
+    run["wall_seconds"] = wall.median;
+    run["frames_per_second"] = frames_per_second;
+    run["frames_per_second_q1"] = per_second(wall.q3);
+    run["frames_per_second_q3"] = per_second(wall.q1);
+    run["load_seconds"] = load_seconds;
+    run["load_ns_per_frame"] = load_ns_per_frame;
     telemetry::Json rows = telemetry::Json::array();
     for (const auto& s : scores) {
         telemetry::Json row = telemetry::Json::object();
@@ -146,14 +146,10 @@ int main(int argc, char** argv) {
         row["recall"] = s.recall;
         rows.push_back(std::move(row));
     }
-    traj["schemes"] = std::move(rows);
-    {
-        std::ofstream out{kTrajectoryPath};
-        if (out) {
-            out << traj.dump(2) << "\n";
-        } else {
-            std::fprintf(stderr, "[bench] cannot write %s\n", kTrajectoryPath);
-        }
+    run["schemes"] = std::move(rows);
+    if (!exp::append_trajectory_run(kTrajectoryPath, "replay_throughput", run)) {
+        std::fprintf(stderr, "[bench] cannot append a run to %s\n", kTrajectoryPath);
+        ++failures;
     }
 
     return exp::finish_bench(opt, artifact, failures);

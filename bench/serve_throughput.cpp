@@ -4,26 +4,21 @@
 // them from the other end, and each shard worker parses and feeds them to
 // its arpwatch session. Measured per shard count (1, 2, 4), with
 // alert streaming off so the number is intake+detection throughput, not
-// JSONL encoding.
+// JSONL encoding. Each shard count is streamed kRepetitions times, each
+// time into a fresh server.
 //
-// stdout carries the deterministic per-config frame/alert counts;
-// wall-clock throughput goes to stderr, the sweep artifact (--out, default
-// serve_throughput.runs.json), and one run appended to the
-// BENCH_serve_throughput.json perf trajectory in the working directory,
-// stamped with the host (nproc, compiler, build type, git describe). Under
-// --smoke the trace shrinks and one lap is streamed; the full run soaks ~1M
-// frames per shard configuration.
-
-#include <unistd.h>
+// stdout and the sweep artifact (--out, default serve_throughput.runs.json)
+// carry the deterministic per-config frame/alert counts; wall-clock
+// throughput (median and quartiles of the repetitions) goes to stderr and
+// to one host-stamped run appended to the BENCH_serve_throughput.json perf
+// trajectory in the working directory. Under --smoke the trace shrinks and
+// one lap is streamed; the full run soaks ~1M frames per repetition.
 
 #include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/version.hpp"
 #include "core/report.hpp"
 #include "detect/registry.hpp"
 #include "exp/bench_main.hpp"
@@ -39,15 +34,23 @@ using namespace arpsec;
 namespace {
 
 constexpr const char* kTrajectoryPath = "BENCH_serve_throughput.json";
-constexpr const char* kTrajectorySchema = "arpsec.bench-trajectory.v1";
+constexpr std::size_t kRepetitions = 5;
 
+/// One stream through one fresh server.
+struct Repetition {
+    std::uint64_t frames = 0;
+    std::uint64_t alerts = 0;
+    std::uint64_t backpressure_waits = 0;
+    double frames_per_second = 0.0;
+};
+
+/// Every repetition of one shard count.
 struct ConfigResult {
     std::size_t shards = 0;
     std::uint64_t frames = 0;
     std::uint64_t alerts = 0;
-    std::uint64_t backpressure_waits = 0;
-    double wall_seconds = 0.0;
-    double frames_per_second = 0.0;
+    std::uint64_t backpressure_waits = 0;  // median over the repetitions
+    exp::Quartiles frames_per_second;
 };
 
 /// Streams `laps` copies of the trace into `conn` (timestamps shifted per
@@ -88,44 +91,42 @@ void stream_trace(serve::Connection& conn, const replay::LabeledTrace& trace,
     (void)conn.write_all({out.data(), out.size()});
 }
 
-const char* compiler() {
-#if defined(__clang__)
-    return "clang " __clang_version__;
-#elif defined(__GNUC__)
-    return "gcc " __VERSION__;
-#else
-    return "unknown";
-#endif
-}
+/// Streams the trace `laps` times into a fresh server with `shards`
+/// shards; an error text when the stream did not finish cleanly.
+common::Expected<Repetition> serve_once(const detect::Registry& registry,
+                                        const replay::LabeledTrace& trace, std::size_t laps,
+                                        std::size_t shards) {
+    using Result = common::Expected<Repetition>;
+    serve::ServerOptions options;
+    options.schemes = {"arpwatch"};
+    options.shards = shards;
+    options.ring_capacity = 1 << 16;
+    options.stream_alerts = false;  // measure detection, not JSONL encode
+    auto server = serve::Server::create(registry, options);
+    if (!server.ok()) return Result::failure(server.error());
+    auto pipe = serve::make_pipe();
+    if (!pipe.ok()) return Result::failure(pipe.error());
 
-/// Appends `run` to the trajectory at kTrajectoryPath, creating the file if
-/// needed; earlier runs are kept. A file holding a single run at top level
-/// (the format before runs were appended) becomes the first run. Returns
-/// false, leaving the file untouched, when it is not a trajectory.
-bool append_run(telemetry::Json run) {
-    telemetry::Json runs = telemetry::Json::array();
-    if (std::ifstream in{kTrajectoryPath}; in) {
-        std::ostringstream text;
-        text << in.rdbuf();
-        const auto old = telemetry::Json::parse(text.str());
-        if (!old.has_value() || !old->is_object()) return false;
-        if (const telemetry::Json* prior = old->find("runs"); prior != nullptr) {
-            if (!prior->is_array()) return false;
-            runs = *prior;
-        } else if (old->find("configs") != nullptr) {
-            runs.push_back(*old);
-        } else {
-            return false;
-        }
+    common::Stopwatch watch;
+    std::optional<common::Expected<serve::ServeOutcome>> served;
+    const std::string peer =
+        exp::run_pair([&] { stream_trace(*pipe->client, trace, laps); },
+                      [&] { served = server.value()->serve(*pipe->server); });
+    const double wall = watch.elapsed_seconds();
+    if (!peer.empty()) return Result::failure("client: " + peer);
+    const auto& outcome = *served;
+    if (!outcome.ok()) return Result::failure(outcome.error());
+    if (!outcome.value().ended_by_end_record || !outcome.value().transport_error.empty()) {
+        return Result::failure("stream did not finish cleanly");
     }
-    runs.push_back(std::move(run));
-    telemetry::Json doc = telemetry::Json::object();
-    doc["schema"] = kTrajectorySchema;
-    doc["bench"] = "serve_throughput";
-    doc["runs"] = std::move(runs);
-    std::ofstream out{kTrajectoryPath, std::ios::trunc};
-    out << doc.dump(2) << "\n";
-    return static_cast<bool>(out);
+
+    Repetition r;
+    r.frames = static_cast<std::uint64_t>(outcome.value().summary.find("frames")->as_int());
+    r.alerts = static_cast<std::uint64_t>(outcome.value().alerts.size());
+    r.backpressure_waits =
+        server.value()->metrics().counter("serve.intake.backpressure_waits").value();
+    r.frames_per_second = wall > 0.0 ? static_cast<double>(r.frames) / wall : 0.0;
+    return r;
 }
 
 }  // namespace
@@ -151,68 +152,44 @@ int main(int argc, char** argv) {
     std::size_t failures = 0;
     std::vector<ConfigResult> results;
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        serve::ServerOptions options;
-        options.schemes = {"arpwatch"};
-        options.shards = shards;
-        options.ring_capacity = 1 << 16;
-        options.stream_alerts = false;  // measure detection, not JSONL encode
-        auto server = serve::Server::create(registry, options);
-        if (!server.ok()) {
-            std::fprintf(stderr, "[bench] serve_throughput: %s\n", server.error().c_str());
-            return 1;
-        }
-
-        auto pipe = serve::make_pipe();
-        if (!pipe.ok()) {
-            std::fprintf(stderr, "[bench] serve_throughput: %s\n", pipe.error().c_str());
-            return 1;
-        }
-        common::Stopwatch watch;
-        std::optional<common::Expected<serve::ServeOutcome>> served;
-        const std::string peer = exp::run_pair(
-            [&] { stream_trace(*pipe->client, trace.value(), laps); },
-            [&] { served = server.value()->serve(*pipe->server); });
-        const auto& outcome = *served;
-        const double wall = watch.elapsed_seconds();
-        if (!peer.empty()) {
-            std::fprintf(stderr, "[bench] serve_throughput: client: %s\n", peer.c_str());
-            ++failures;
-            continue;
-        }
-        if (!outcome.ok()) {
-            std::fprintf(stderr, "[bench] serve_throughput: shards=%zu: %s\n", shards,
-                         outcome.error().c_str());
-            ++failures;
-            continue;
-        }
-        if (!outcome.value().ended_by_end_record ||
-            !outcome.value().transport_error.empty()) {
-            std::fprintf(stderr,
-                         "[bench] serve_throughput: shards=%zu stream did not finish "
-                         "cleanly\n",
-                         shards);
-            ++failures;
-        }
-
         ConfigResult r;
         r.shards = shards;
-        r.frames = static_cast<std::uint64_t>(
-            outcome.value().summary.find("frames")->as_int());
-        r.alerts = static_cast<std::uint64_t>(outcome.value().alerts.size());
-        r.backpressure_waits =
-            server.value()->metrics().counter("serve.intake.backpressure_waits").value();
-        r.wall_seconds = wall;
-        r.frames_per_second = wall > 0.0 ? static_cast<double>(r.frames) / wall : 0.0;
-        // The zero-loss contract: every streamed frame was admitted and
-        // processed (backpressure mode, so drops are impossible by design).
-        if (r.frames != total_frames) {
-            std::fprintf(stderr,
-                         "[bench] serve_throughput: shards=%zu processed %llu of %llu "
-                         "frames — admitted-frame loss\n",
-                         shards, static_cast<unsigned long long>(r.frames),
-                         static_cast<unsigned long long>(total_frames));
-            ++failures;
+        std::vector<double> fps;
+        std::vector<double> waits;
+        for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+            const auto once = serve_once(registry, trace.value(), laps, shards);
+            if (!once.ok()) {
+                std::fprintf(stderr, "[bench] serve_throughput: shards=%zu: %s\n", shards,
+                             once.error().c_str());
+                ++failures;
+                continue;
+            }
+            // The zero-loss contract: every streamed frame was admitted and
+            // processed (a full ring blocks the intake, it never drops).
+            if (once->frames != total_frames) {
+                std::fprintf(stderr,
+                             "[bench] serve_throughput: shards=%zu processed %llu of %llu "
+                             "frames — admitted-frame loss\n",
+                             shards, static_cast<unsigned long long>(once->frames),
+                             static_cast<unsigned long long>(total_frames));
+                ++failures;
+            }
+            if (!fps.empty() && once->alerts != r.alerts) {
+                std::fprintf(stderr,
+                             "[bench] serve_throughput: shards=%zu raised %llu alerts, the "
+                             "first repetition %llu\n",
+                             shards, static_cast<unsigned long long>(once->alerts),
+                             static_cast<unsigned long long>(r.alerts));
+                ++failures;
+            }
+            r.frames = once->frames;
+            r.alerts = once->alerts;
+            fps.push_back(once->frames_per_second);
+            waits.push_back(static_cast<double>(once->backpressure_waits));
         }
+        if (fps.empty()) continue;
+        r.frames_per_second = exp::quartiles(fps);
+        r.backpressure_waits = static_cast<std::uint64_t>(exp::quartiles(waits).median);
         results.push_back(r);
     }
 
@@ -226,9 +203,10 @@ int main(int argc, char** argv) {
 
     for (const auto& r : results) {
         std::fprintf(stderr,
-                     "[bench] shards=%zu %12.0f frames/s (%.3f s, %llu backpressure "
-                     "waits)\n",
-                     r.shards, r.frames_per_second, r.wall_seconds,
+                     "[bench] shards=%zu %12.0f frames/s (q1 %.0f, q3 %.0f over %zu runs; "
+                     "median %llu backpressure waits)\n",
+                     r.shards, r.frames_per_second.median, r.frames_per_second.q1,
+                     r.frames_per_second.q3, kRepetitions,
                      static_cast<unsigned long long>(r.backpressure_waits));
     }
 
@@ -251,26 +229,22 @@ int main(int argc, char** argv) {
     artifact.add_json(std::move(sweep));
 
     telemetry::Json run = telemetry::Json::object();
-    telemetry::Json host = telemetry::Json::object();
-    host["nproc"] = static_cast<std::int64_t>(::sysconf(_SC_NPROCESSORS_ONLN));
-    host["compiler"] = compiler();
-    host["build_type"] = ARPSEC_BUILD_TYPE;
-    host["version"] = common::version_string();
-    run["host"] = std::move(host);
     run["smoke"] = opt.smoke;
     run["frames"] = total_frames;
+    run["repetitions"] = static_cast<std::uint64_t>(kRepetitions);
     telemetry::Json rows = telemetry::Json::array();
     for (const auto& r : results) {
         telemetry::Json row = telemetry::Json::object();
         row["shards"] = static_cast<std::uint64_t>(r.shards);
-        row["frames_per_second"] = r.frames_per_second;
-        row["wall_seconds"] = r.wall_seconds;
+        row["frames_per_second"] = r.frames_per_second.median;
+        row["frames_per_second_q1"] = r.frames_per_second.q1;
+        row["frames_per_second_q3"] = r.frames_per_second.q3;
         row["alerts"] = r.alerts;
         row["backpressure_waits"] = r.backpressure_waits;
         rows.push_back(std::move(row));
     }
     run["configs"] = std::move(rows);
-    if (!append_run(std::move(run))) {
+    if (!exp::append_trajectory_run(kTrajectoryPath, "serve_throughput", run)) {
         std::fprintf(stderr, "[bench] cannot append a run to %s\n", kTrajectoryPath);
         ++failures;
     }

@@ -70,7 +70,6 @@ public:
     explicit ArpCache(CachePolicy policy) : policy_(std::move(policy)) {}
 
     [[nodiscard]] const CachePolicy& policy() const { return policy_; }
-    void set_policy(CachePolicy p) { policy_ = std::move(p); }
 
     /// Looks up a usable binding; expired dynamic entries miss (and are
     /// removed lazily).

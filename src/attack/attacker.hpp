@@ -100,7 +100,6 @@ public:
         ledger_ = ledger;
         relay_enabled_ = true;
     }
-    void disable_relay() { relay_enabled_ = false; }
 
     /// Reply-race: watch for broadcast ARP requests asking for `spoofed_ip`
     /// and answer with `claimed_mac` after `reaction_delay`.
@@ -117,7 +116,6 @@ public:
     /// victim's address on the attacker's port and diverts its unicast
     /// traffic here. Orthogonal to ARP — defeats ARP-layer schemes' scope.
     void start_mac_clone(wire::MacAddress victim_mac, common::Duration period);
-    void stop_mac_clone() { clone_.reset(); }
 
     /// DHCP starvation: floods DISCOVERs with random client MACs until the
     /// server's pool is exhausted (`count` requests at `rate` per second).
@@ -139,7 +137,6 @@ public:
     /// spoofed from the respective peer — the classic "what ARP poisoning
     /// buys you" session attack.
     void enable_tcp_rst_injection() { tcp_rst_injection_ = true; }
-    void disable_tcp_rst_injection() { tcp_rst_injection_ = false; }
 
     /// Transmits an arbitrary pre-built frame verbatim (replay attacks:
     /// the adversary re-injects bytes captured earlier, auth trailers and

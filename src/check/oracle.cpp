@@ -17,11 +17,18 @@ telemetry::Json Violation::to_json() const {
 
 bool CheckContext::in_scope(std::size_t station) const {
     if (traits == nullptr) return true;
-    // Vantage strings: "host", "host (cooperative)", "host+server",
-    // "switch", "monitor". Everything that is not host-resident sees the
-    // whole fabric.
-    if (traits->vantage.rfind("host", 0) != 0) return true;
-    return station == host_count /*gateway*/ || station < protected_hosts;
+    // Everything that is not host-resident sees the whole fabric.
+    switch (traits->vantage) {
+        case detect::Vantage::kHost:
+        case detect::Vantage::kHostCooperative:
+        case detect::Vantage::kHostServer:
+            return station == host_count /*gateway*/ || station < protected_hosts;
+        case detect::Vantage::kNone:
+        case detect::Vantage::kSwitch:
+        case detect::Vantage::kMonitor:
+            return true;
+    }
+    return true;
 }
 
 namespace {
@@ -146,7 +153,17 @@ public:
         // A switch scheme that does not do ARP inspection (port security)
         // only sees L2 anomalies — a forgery sent from the attacker's own
         // port with its own source MAC is invisible to it by design.
-        if (ctx.traits->vantage == "switch" && !ctx.traits->prevents_poisoning) return;
+        switch (ctx.traits->vantage) {
+            case detect::Vantage::kSwitch:
+                if (!ctx.traits->prevents_poisoning) return;
+                break;
+            case detect::Vantage::kNone:
+            case detect::Vantage::kHost:
+            case detect::Vantage::kHostCooperative:
+            case detect::Vantage::kHostServer:
+            case detect::Vantage::kMonitor:
+                break;
+        }
         // Best-effort detectors (gossip digests, probe timeouts treated as
         // rebinds) cannot promise an alert for every observable poisoning.
         if (ctx.traits->best_effort) return;

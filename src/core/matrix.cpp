@@ -8,11 +8,11 @@ TextTable traits_matrix(const std::vector<detect::SchemeTraits>& traits) {
                        "per-host", "crypto", "needs DHCP", "dyn IPs ok", "deploy cost",
                        "runtime cost"});
     for (const auto& t : traits) {
-        table.add_row({t.name, t.vantage, fmt_bool(t.detects), fmt_bool(t.prevents_poisoning),
-                       fmt_bool(t.requires_protocol_change), fmt_bool(t.requires_infrastructure),
-                       fmt_bool(t.requires_per_host_deploy), fmt_bool(t.uses_cryptography),
-                       fmt_bool(t.depends_on_dhcp), fmt_bool(t.handles_dynamic_ips),
-                       detect::to_string(t.deployment_cost),
+        table.add_row({t.name, detect::to_string(t.vantage), fmt_bool(t.detects),
+                       fmt_bool(t.prevents_poisoning), fmt_bool(t.requires_protocol_change),
+                       fmt_bool(t.requires_infrastructure), fmt_bool(t.requires_per_host_deploy),
+                       fmt_bool(t.uses_cryptography), fmt_bool(t.depends_on_dhcp),
+                       fmt_bool(t.handles_dynamic_ips), detect::to_string(t.deployment_cost),
                        detect::to_string(t.runtime_cost)});
     }
     return table;

@@ -32,7 +32,6 @@ public:
 
     [[nodiscard]] std::uint64_t pow_mod_p(std::uint64_t base, std::uint64_t exp) const;
     [[nodiscard]] std::uint64_t mul_mod_p(std::uint64_t a, std::uint64_t b) const;
-    [[nodiscard]] std::uint64_t reduce_mod_q(std::uint64_t v) const { return v % q_; }
 
 private:
     SchnorrGroup();

@@ -167,7 +167,7 @@ private:
 SchemeTraits ActiveProbeScheme::traits() const {
     SchemeTraits t;
     t.name = "active-probe";
-    t.vantage = "monitor";
+    t.vantage = Vantage::kMonitor;
     t.detects = true;
     t.prevents_poisoning = false;
     t.requires_infrastructure = true;

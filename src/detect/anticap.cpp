@@ -43,7 +43,7 @@ private:
 SchemeTraits AnticapScheme::traits() const {
     SchemeTraits t;
     t.name = "anticap";
-    t.vantage = "host";
+    t.vantage = Vantage::kHost;
     t.detects = true;  // logs rejected overwrites
     t.prevents_poisoning = true;  // overwrite-based poisoning only
     t.requires_per_host_deploy = true;

@@ -87,7 +87,7 @@ private:
 SchemeTraits AntidoteScheme::traits() const {
     SchemeTraits t;
     t.name = "antidote";
-    t.vantage = "host";
+    t.vantage = Vantage::kHost;
     t.detects = true;
     t.prevents_poisoning = true;  // overwrite-based poisoning, when the victim host is up
     t.requires_per_host_deploy = true;

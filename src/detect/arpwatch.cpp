@@ -98,7 +98,7 @@ private:
 SchemeTraits ArpwatchScheme::traits() const {
     SchemeTraits t;
     t.name = "arpwatch";
-    t.vantage = "monitor";
+    t.vantage = Vantage::kMonitor;
     t.detects = true;
     t.prevents_poisoning = false;
     t.requires_infrastructure = true;  // a monitoring station on a SPAN port

@@ -130,7 +130,7 @@ GossipScheme::~GossipScheme() = default;
 SchemeTraits GossipScheme::traits() const {
     SchemeTraits t;
     t.name = "gossip";
-    t.vantage = "host (cooperative)";
+    t.vantage = Vantage::kHostCooperative;
     t.detects = true;
     t.prevents_poisoning = false;  // self-healing eviction mitigates, not prevents
     t.requires_per_host_deploy = true;

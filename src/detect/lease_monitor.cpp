@@ -153,7 +153,7 @@ private:
 SchemeTraits LeaseMonitorScheme::traits() const {
     SchemeTraits t;
     t.name = "lease-monitor";
-    t.vantage = "monitor";
+    t.vantage = Vantage::kMonitor;
     t.detects = true;
     t.prevents_poisoning = false;  // observes the mirror: no enforcement
     t.requires_infrastructure = true;  // monitoring station on a SPAN port

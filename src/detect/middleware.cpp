@@ -108,7 +108,7 @@ private:
 SchemeTraits MiddlewareScheme::traits() const {
     SchemeTraits t;
     t.name = "middleware";
-    t.vantage = "host";
+    t.vantage = Vantage::kHost;
     t.detects = true;
     t.prevents_poisoning = true;
     t.requires_per_host_deploy = true;

@@ -34,7 +34,6 @@ public:
     void on_frame(sim::PortId in_port, const wire::FrameView& view) override {
         (void)in_port;
         if (view.src() == mac_) return;  // our own probes mirrored back
-        ++frames_seen_;
         if (observers_.empty()) return;
         // Memoized in the shared buffer: the first observer of this frame
         // anywhere in the process paid the only ARP parse.
@@ -59,12 +58,10 @@ public:
     }
 
     [[nodiscard]] wire::MacAddress mac() const { return mac_; }
-    [[nodiscard]] std::uint64_t frames_seen() const { return frames_seen_; }
 
 private:
     wire::MacAddress mac_;
     std::vector<std::shared_ptr<TrafficObserver>> observers_;
-    std::uint64_t frames_seen_ = 0;
 };
 
 }  // namespace arpsec::detect

@@ -230,7 +230,7 @@ private:
 SchemeTraits SArpScheme::traits() const {
     SchemeTraits t;
     t.name = "s-arp";
-    t.vantage = "host+server";
+    t.vantage = Vantage::kHostServer;
     t.detects = true;
     t.prevents_poisoning = true;
     t.requires_protocol_change = true;

@@ -37,9 +37,6 @@ public:
     void deploy(const DeploymentContext& ctx) override;
     void protect_host(host::Host& host) override;
 
-    /// The AKD's address (valid after deploy); exposed for tests.
-    [[nodiscard]] wire::Ipv4Address akd_ip() const { return akd_ip_; }
-    [[nodiscard]] wire::MacAddress akd_mac() const { return akd_mac_; }
     /// The AKD server node itself (valid after deploy). Exposed so
     /// availability experiments can take the key server down.
     [[nodiscard]] host::Host* akd_host() const { return akd_host_; }

@@ -26,12 +26,25 @@ struct HostRecord {
 enum class CostBand { kNone, kLow, kMedium, kHigh };
 [[nodiscard]] std::string to_string(CostBand c);
 
+/// Where a scheme sits to see and act on traffic.
+enum class Vantage {
+    kNone,             // nothing deployed (the classic-ARP baseline)
+    kHost,             // software on each protected host
+    kHostCooperative,  // host software that consults its peers
+    kHostServer,       // host software plus a key or ticket server
+    kSwitch,           // the managed switch
+    kMonitor,          // a station on the switch's mirror port
+};
+/// The T2 matrix's vantage column: "", "host", "host (cooperative)",
+/// "host+server", "switch", "monitor".
+[[nodiscard]] std::string to_string(Vantage v);
+
 /// Qualitative attributes of a scheme — the columns of the paper's
 /// comparison matrix (experiment T2). Quantitative columns are measured by
 /// the harness.
 struct SchemeTraits {
     std::string name;
-    std::string vantage;                   // "host", "switch", "monitor", "host+server"
+    Vantage vantage = Vantage::kNone;
     bool detects = false;                  // raises alerts
     bool prevents_poisoning = false;       // stops the cache from being poisoned
     bool prevents_flooding = false;        // stops CAM-exhaustion attacks

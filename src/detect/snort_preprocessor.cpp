@@ -56,7 +56,7 @@ private:
 SchemeTraits SnortPreprocessorScheme::traits() const {
     SchemeTraits t;
     t.name = "snort-arpspoof";
-    t.vantage = "monitor";
+    t.vantage = Vantage::kMonitor;
     t.detects = true;
     t.prevents_poisoning = false;
     t.requires_infrastructure = true;  // IDS sensor on a SPAN port

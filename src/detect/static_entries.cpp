@@ -5,7 +5,7 @@ namespace arpsec::detect {
 SchemeTraits StaticEntriesScheme::traits() const {
     SchemeTraits t;
     t.name = "static-entries";
-    t.vantage = "host";
+    t.vantage = Vantage::kHost;
     t.detects = false;
     t.prevents_poisoning = true;
     t.requires_per_host_deploy = true;

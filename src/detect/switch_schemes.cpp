@@ -22,7 +22,7 @@ AlertKind kind_for(l2::SwitchEventKind k) {
 SchemeTraits PortSecurityScheme::traits() const {
     SchemeTraits t;
     t.name = "port-security";
-    t.vantage = "switch";
+    t.vantage = Vantage::kSwitch;
     t.detects = true;              // violations are logged
     t.prevents_poisoning = false;  // attacker's own MAC is a legal source
     t.prevents_flooding = true;
@@ -58,7 +58,7 @@ void PortSecurityScheme::configure_switch(l2::Switch& fabric) {
 SchemeTraits DaiScheme::traits() const {
     SchemeTraits t;
     t.name = options_.use_dhcp_snooping ? "dai+dhcp-snooping" : "dai-static";
-    t.vantage = "switch";
+    t.vantage = Vantage::kSwitch;
     t.detects = true;
     t.prevents_poisoning = true;
     t.prevents_flooding = false;  // orthogonal (pair with port security)

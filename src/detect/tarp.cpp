@@ -178,7 +178,7 @@ private:
 SchemeTraits TarpScheme::traits() const {
     SchemeTraits t;
     t.name = "tarp";
-    t.vantage = "host+server";
+    t.vantage = Vantage::kHostServer;
     t.detects = true;
     t.prevents_poisoning = true;
     t.requires_protocol_change = true;

@@ -1,13 +1,21 @@
 #include "exp/bench_main.hpp"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "common/time.hpp"
+#include "common/version.hpp"
 
 namespace arpsec::exp {
 
 namespace {
+
+constexpr const char* kTrajectorySchema = "arpsec.bench-trajectory.v1";
 
 [[noreturn]] void usage(const char* prog, int code) {
     std::FILE* out = code == 0 ? stdout : stderr;
@@ -30,6 +38,20 @@ std::size_t parse_count(const char* prog, const char* text) {
         std::exit(2);
     }
     return static_cast<std::size_t>(v);
+}
+
+const char* compiler() {
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#elif defined(__GNUC__)
+    return "gcc " __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+bool is_string(const telemetry::Json* j, const std::string& value) {
+    return j != nullptr && j->is_string() && j->as_string() == value;
 }
 
 }  // namespace
@@ -89,6 +111,46 @@ int finish_bench(const BenchOptions& opt, const SweepArtifact& artifact, std::si
                      artifact.sweep_count());
     }
     return finish_bench(failures);
+}
+
+Quartiles quartiles(std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    const std::size_t n = samples.size();
+    return {samples[n / 4], samples[n / 2], samples[3 * n / 4]};
+}
+
+bool append_trajectory_run(const std::string& path, const std::string& bench,
+                           const telemetry::Json& run) {
+    telemetry::Json doc = telemetry::Json::object();
+    doc["schema"] = kTrajectorySchema;
+    doc["bench"] = bench;
+    if (std::ifstream in{path}; in) {
+        std::ostringstream text;
+        text << in.rdbuf();
+        const auto old = telemetry::Json::parse(text.str());
+        if (!old.has_value() || !is_string(old->find("schema"), kTrajectorySchema) ||
+            !is_string(old->find("bench"), bench)) {
+            return false;
+        }
+        if (const telemetry::Json* runs = old->find("runs"); runs == nullptr) {
+            doc["runs"].push_back(*old);
+        } else if (runs->is_array()) {
+            doc = *old;
+        } else {
+            return false;
+        }
+    }
+    telemetry::Json stamped = telemetry::Json::object();
+    telemetry::Json& host = stamped["host"];
+    host["nproc"] = static_cast<std::int64_t>(::sysconf(_SC_NPROCESSORS_ONLN));
+    host["compiler"] = compiler();
+    host["build_type"] = ARPSEC_BUILD_TYPE;
+    host["version"] = common::version_string();
+    for (const auto& [key, value] : run.as_object()) stamped[key] = value;
+    doc["runs"].push_back(std::move(stamped));
+    std::ofstream out{path, std::ios::trunc};
+    out << doc.dump(2) << "\n";
+    return static_cast<bool>(out);
 }
 
 int finish_bench(std::size_t failures) {

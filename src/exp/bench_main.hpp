@@ -8,6 +8,7 @@
 #include "core/scenario.hpp"
 #include "exp/executor.hpp"
 #include "exp/sweep.hpp"
+#include "telemetry/json.hpp"
 
 namespace arpsec::exp {
 
@@ -38,6 +39,26 @@ void apply_smoke(core::ScenarioConfig& cfg);
                                std::size_t failures);
 /// Same exit-code policy for benches that produce no artifact.
 [[nodiscard]] int finish_bench(std::size_t failures);
+
+/// First quartile, median and third quartile of repeated measurements
+/// (nearest rank; `samples` must not be empty).
+struct Quartiles {
+    double q1 = 0.0;
+    double median = 0.0;
+    double q3 = 0.0;
+};
+[[nodiscard]] Quartiles quartiles(std::vector<double> samples);
+
+/// Appends `run` to the BENCH_*.json perf trajectory at `path`
+/// (arpsec.bench-trajectory.v1), creating the file if needed, with the
+/// host it ran on as the run's first key "host": nproc, compiler, build
+/// type and the checkout's `git describe`. Earlier runs and every other
+/// top-level key are kept; a trajectory that holds one run at top level
+/// (the format before runs were appended) becomes the first run. Returns
+/// false, leaving the file untouched, when it exists but is not a
+/// trajectory of `bench`.
+[[nodiscard]] bool append_trajectory_run(const std::string& path, const std::string& bench,
+                                         const telemetry::Json& run);
 
 /// Failure report for case-map benches: prints every failed slot to
 /// stderr, returns the failure count.

@@ -18,7 +18,6 @@ public:
         common::SimTime sent_at;
         bool delivered = false;
         bool intercepted = false;       // observed by the attacker in transit
-        bool modified = false;          // attacker tampered before relaying
         common::SimTime delivered_at;
     };
 
@@ -52,17 +51,9 @@ public:
         it->second.intercepted = true;
     }
 
-    void note_modified(const Payload& p) {
-        auto it = records_.find(key(p));
-        if (it == records_.end()) return;
-        if (!it->second.modified) ++modified_;
-        it->second.modified = true;
-    }
-
     [[nodiscard]] std::uint64_t sent() const { return sent_; }
     [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
     [[nodiscard]] std::uint64_t intercepted() const { return intercepted_; }
-    [[nodiscard]] std::uint64_t modified() const { return modified_; }
 
     /// Per-flow counters (attack efficacy is often flow-targeted: a DoS on
     /// one victim is invisible in fleet-wide ratios).
@@ -93,7 +84,6 @@ private:
     std::uint64_t sent_ = 0;
     std::uint64_t delivered_ = 0;
     std::uint64_t intercepted_ = 0;
-    std::uint64_t modified_ = 0;
 };
 
 }  // namespace arpsec::host

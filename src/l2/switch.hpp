@@ -90,7 +90,6 @@ public:
     /// Enables DHCP snooping; `trusted_ports` are where legitimate DHCP
     /// servers live (server replies on other ports are dropped as rogue).
     void enable_dhcp_snooping(std::set<sim::PortId> trusted_ports);
-    [[nodiscard]] bool dhcp_snooping_enabled() const { return snooping_enabled_; }
 
     void enable_arp_inspection(ArpInspectionConfig cfg) { dai_ = cfg; }
 

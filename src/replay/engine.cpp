@@ -26,8 +26,6 @@ Json SchemeScore::to_json() const {
     j["detected_attacks"] = static_cast<std::uint64_t>(detected_attacks);
     j["precision"] = precision;
     j["recall"] = recall;
-    j["wall_seconds"] = wall_seconds;
-    j["frames_per_second"] = frames_per_second;
     j["metrics"] = metrics;
     return j;
 }
@@ -41,7 +39,7 @@ double ratio(std::size_t num, std::size_t den) {
 /// Scores a finished session and moves its alerts into the score.
 SchemeScore score_session(SchemeSession& session, const std::string& name,
                           const std::vector<SimTime>& attack_times,
-                          const EngineOptions& options, double wall_seconds) {
+                          const EngineOptions& options) {
     SchemeScore score;
     score.scheme = name;
     score.frames = session.frames();
@@ -56,10 +54,6 @@ SchemeScore score_session(SchemeSession& session, const std::string& name,
     score.detected_attacks = match.detected_attacks;
     score.precision = ratio(score.true_positive_alerts, score.alerts);
     score.recall = ratio(score.detected_attacks, score.attack_frames);
-    if (options.timing && wall_seconds > 0.0) {
-        score.wall_seconds = wall_seconds;
-        score.frames_per_second = static_cast<double>(score.frames) / wall_seconds;
-    }
 
     telemetry::MetricsRegistry& metrics = session.metrics();
     metrics.counter("replay.frames").inc(score.frames);
@@ -118,7 +112,6 @@ std::vector<exp::Outcome<SchemeScore>> Engine::run_all(const LabeledTrace& trace
                 std::make_unique<SchemeSession>(std::move(made[known[k]]), session_options));
         }
 
-        common::Stopwatch watch;
         for (const TraceFrame& f : trace.frames) {
             // This worker's own copy: the view and its parse memo live and
             // die here, shared only by this worker's sessions.
@@ -129,11 +122,10 @@ std::vector<exp::Outcome<SchemeScore>> Engine::run_all(const LabeledTrace& trace
         // Each session tracks the max timestamp it saw, which equals
         // trace.last_at() after a full feed.
         for (auto& session : sessions) session->finish(options_.grace);
-        const double wall = watch.elapsed_seconds();
 
         for (std::size_t k = 0; k < slots.size(); ++k) {
             out[slots[k]].value =
-                score_session(*sessions[k], schemes[slots[k]], attack_times, options_, wall);
+                score_session(*sessions[k], schemes[slots[k]], attack_times, options_);
             sessions[k].reset();  // free each LAN as soon as it is scored
         }
         // This may be a short-lived worker thread: drain its batched

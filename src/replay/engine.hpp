@@ -21,10 +21,6 @@ struct EngineOptions {
     common::Duration match_window = common::Duration::seconds(1);
     /// Extra virtual time after the last frame so delayed alerts land.
     common::Duration grace = kDefaultGrace;
-    /// Measure wall clock and report frames/sec. Timing is inherently
-    /// nondeterministic; turn it off when output must be byte-identical
-    /// (wall_seconds and frames_per_second then report as 0).
-    bool timing = true;
 };
 
 /// One scheme's scorecard for one trace.
@@ -39,10 +35,6 @@ struct SchemeScore {
     std::size_t detected_attacks = 0;
     double precision = 1.0;  // TP alerts / alerts (1.0 when no alerts fired)
     double recall = 1.0;     // detected attacks / attacks (1.0 when no attacks)
-    /// Wall clock of the worker pass that fed this scheme, and frames over
-    /// it: shared by every scheme on that worker. 0 without timing.
-    double wall_seconds = 0.0;
-    double frames_per_second = 0.0;
     telemetry::Json metrics = telemetry::Json::object();
     /// The raw alerts behind the counts above, in emission order. Not part
     /// of the JSON artifact; arpsec-replay's `--alerts` export and the
@@ -57,10 +49,11 @@ struct SchemeScore {
 /// is stood up per scheme, virtual time advances to each frame's capture
 /// timestamp, and the raw bytes are fed to the monitor exactly as the
 /// mirror port delivered them. Alerts are scored against the ground-truth
-/// sidecar into precision/recall, plus frames/sec throughput.
+/// sidecar into precision/recall. Nothing timed enters a score: callers
+/// that want throughput time run_all themselves.
 class Engine {
 public:
-    static constexpr const char* kSchema = "arpsec.replay-artifact.v1";
+    static constexpr const char* kSchema = "arpsec.replay-artifact.v2";
 
     explicit Engine(const detect::Registry& registry, EngineOptions options = {})
         : registry_(&registry), options_(options) {}
@@ -76,14 +69,13 @@ public:
     /// Each worker walks the trace once: per frame it captures one
     /// FrameView, feeds it to each of its sessions and drops it, so no view
     /// outlives its frame or crosses threads. Then it scores its sessions.
-    /// A scheme's wall_seconds/frames_per_second are those of its worker's
-    /// whole pass, shared by every scheme on that worker. Scores come back
-    /// in input order and are byte-identical for every `jobs` value.
+    /// Scores come back in input order and are byte-identical for every
+    /// `jobs` value.
     [[nodiscard]] std::vector<exp::Outcome<SchemeScore>> run_all(
         const LabeledTrace& trace, const std::vector<std::string>& schemes,
         std::size_t jobs) const;
 
-    /// Builds the arpsec.replay-artifact.v1 envelope for a finished run.
+    /// Builds the arpsec.replay-artifact.v2 envelope for a finished run.
     [[nodiscard]] static telemetry::Json artifact(const LabeledTrace& trace,
                                                   const std::vector<SchemeScore>& scores,
                                                   const std::string& producer);

@@ -47,7 +47,6 @@ common::Expected<bool> Server::build_shards(std::uint64_t seed,
 
     Shard::Options shard_options;
     shard_options.ring_capacity = options_.ring_capacity;
-    shard_options.drop_when_full = options_.drop_when_full;
     shard_options.write_alerts = std::move(write_alerts);
 
     shards_.clear();
@@ -185,10 +184,7 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
         }
     }
 
-    auto& c_bytes = metrics_.counter("serve.intake.bytes");
-    auto& c_records = metrics_.counter("serve.intake.records");
     auto& c_frames = metrics_.counter("serve.intake.frames");
-    auto& c_bad = metrics_.counter("serve.intake.bad_records");
     auto& c_protocol = metrics_.counter("serve.intake.protocol_errors");
 
     ServeOutcome outcome;
@@ -248,23 +244,18 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                 break;
         }
         quiet_ms = 0;
-        c_bytes.inc(io.bytes);
         decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
 
         wire::StreamRecord rec;
         while (!done_reading) {
             const wire::StreamDecoder::Status st = decoder.poll(rec);
             if (st == wire::StreamDecoder::Status::kNeedMore) break;
-            if (st == wire::StreamDecoder::Status::kBadRecord) {
-                c_bad.inc();
-                continue;
-            }
+            if (st == wire::StreamDecoder::Status::kBadRecord) continue;
             if (st == wire::StreamDecoder::Status::kFatal) {
                 outcome.transport_error = "stream framing lost: " + decoder.last_error();
                 done_reading = true;
                 break;
             }
-            c_records.inc();
             switch (rec.type) {
                 case wire::StreamRecordType::kHello: {
                     if (got_hello) {
@@ -272,12 +263,6 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                         break;
                     }
                     got_hello = true;
-                    if (rec.hello.version != 1) {
-                        hello_error = "hello: unsupported stream version " +
-                                      std::to_string(rec.hello.version);
-                        done_reading = true;
-                        break;
-                    }
                     if (have_restore && coerce_seed(rec.hello.seed) != seed_) {
                         hello_error = "hello: seed does not match restored snapshot";
                         done_reading = true;
@@ -347,6 +332,9 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
         // carried them is decoded.
         for (auto& shard : shards_) shard->flush();
     }
+    metrics_.counter("serve.intake.bytes").inc(decoder.bytes_fed());
+    metrics_.counter("serve.intake.records").inc(decoder.records());
+    metrics_.counter("serve.intake.bad_records").inc(decoder.bad_records());
 
     // Wind down (each shard submits what is left in its open batch): no
     // grace after a stop (the snapshot must capture exactly the fed state)
@@ -357,14 +345,12 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
 
     // Fold worker-side stats and alerts in now that the threads are gone.
     std::uint64_t backpressure = 0;
-    std::uint64_t dropped = 0;
     for (auto& shard : shards_) {
         for (std::size_t s = 0; s < shard->session_count(); ++s) {
             const auto& alerts = shard->session(s).alerts().alerts();
             outcome.alerts.insert(outcome.alerts.end(), alerts.begin(), alerts.end());
         }
         backpressure += shard->backpressure_waits();
-        dropped += shard->dropped();
         const std::string prefix = "serve.shard." + std::to_string(shard->index());
         metrics_.counter(prefix + ".frames").inc(shard->frames());
         metrics_.counter(prefix + ".malformed").inc(shard->malformed());
@@ -374,7 +360,6 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
             .merge(shard->drain_latency());
     }
     metrics_.counter("serve.intake.backpressure_waits").inc(backpressure);
-    metrics_.counter("serve.intake.dropped_frames").inc(dropped);
     metrics_.counter("serve.alerts.streamed").inc(outcome.alerts.size());
 
     if (!hello_error.empty()) return Result::failure(hello_error);
@@ -407,12 +392,10 @@ telemetry::Json Server::build_summary(const ServeOutcome& outcome) const {
 
     std::uint64_t frames = 0;
     std::uint64_t malformed = 0;
-    std::uint64_t dropped = 0;
     telemetry::Json per_shard = telemetry::Json::array();
     for (const auto& shard : shards_) {
         frames += shard->frames();
         malformed += shard->malformed();
-        dropped += shard->dropped();
         telemetry::Json row = telemetry::Json::object();
         row["shard"] = static_cast<std::uint64_t>(shard->index());
         row["frames"] = shard->frames();
@@ -422,7 +405,6 @@ telemetry::Json Server::build_summary(const ServeOutcome& outcome) const {
     }
     j["frames"] = frames;
     j["malformed"] = malformed;
-    j["dropped_frames"] = dropped;
     j["alerts"] = static_cast<std::uint64_t>(outcome.alerts.size());
     j["end_record"] = outcome.ended_by_end_record;
     j["stopped"] = outcome.stopped;

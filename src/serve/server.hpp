@@ -21,7 +21,7 @@ namespace arpsec::serve {
 /// Snapshot artifact schema written by Server::write_snapshot.
 inline constexpr const char* kSnapshotSchema = "arpsec.serve-snapshot.v2";
 /// Schema of the final kSummary record and of serve() outcome summaries.
-inline constexpr const char* kSummarySchema = "arpsec.serve-summary.v1";
+inline constexpr const char* kSummarySchema = "arpsec.serve-summary.v2";
 /// Schema of the periodic scorecard JSONL lines.
 inline constexpr const char* kScorecardSchema = "arpsec.serve-scorecard.v1";
 
@@ -33,15 +33,13 @@ struct ServerOptions {
     /// Per-shard intake ring bound in frames, rounded up to whole
     /// kBatchFrames batches.
     std::size_t ring_capacity = 4096;
-    /// false = block the intake thread when a shard ring fills (zero
-    /// admitted-frame loss); true = count and drop the batch instead.
-    bool drop_when_full = false;
     /// Virtual-time grace window run after a clean END record so delayed
     /// alerts (probe timeouts) land — the same default arpsec-replay uses.
     common::Duration grace = replay::kDefaultGrace;
-    /// Per-read timeout. <0 blocks forever; >=0 bounds each read so the
-    /// stop flag and the idle clock are polled.
-    int read_timeout_ms = -1;
+    /// Per-read timeout: how often a quiet stream polls the stop flag and
+    /// the idle clock. <0 blocks in read(), where request_stop() cannot
+    /// reach a quiet stream.
+    int read_timeout_ms = 100;
     /// Total quiet time (consecutive timeouts with no data) before the
     /// stream is abandoned. <0 disables.
     int idle_timeout_ms = -1;
@@ -63,7 +61,7 @@ struct ServeOutcome {
     /// their sessions after the workers are joined: shard by shard, scheme
     /// by scheme (sort_canonical() for artifacts).
     std::vector<detect::Alert> alerts;
-    /// `arpsec.serve-summary.v1` — deterministic fields only.
+    /// `arpsec.serve-summary.v2` — deterministic fields only.
     telemetry::Json summary;
     bool ended_by_end_record = false;
     /// request_stop() interrupted the stream (snapshot-bound shutdown).
@@ -92,14 +90,13 @@ struct ServeOutcome {
 ///     ring), feeds its sessions, frees the view, and writes its own kAlert
 ///     records back to the client, one batch per write under a shared lock.
 ///
-/// Backpressure is explicit: a full shard ring either blocks the intake
-/// thread (default — the transport then pushes back on the client, so no
-/// admitted frame is ever lost) or drops whole batches with per-shard
-/// accounting. A client that stops reading alerts blocks the writing
-/// worker, so its ring fills and the same push-back reaches the client's
-/// writes. Malformed records are skipped with typed errors; only a corrupt
-/// length prefix (framing lost) abandons the stream — the daemon itself
-/// survives both.
+/// Backpressure is the only admission policy: a full shard ring blocks the
+/// intake thread, so the transport pushes back on the client and every
+/// admitted frame reaches the same sessions an offline replay runs. A
+/// client that stops reading alerts blocks the writing worker, so its ring
+/// fills and the same push-back reaches the client's writes. Malformed
+/// records are skipped with typed errors; only a corrupt length prefix
+/// (framing lost) abandons the stream — the daemon itself survives both.
 class Server {
 public:
     /// Fails when options name an unknown scheme or shards == 0.

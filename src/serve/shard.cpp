@@ -55,7 +55,6 @@ Shard::Shard(std::size_t index, const detect::Registry& registry,
     : index_(index),
       scheme_names_(schemes),
       ring_(batch_slots(options.ring_capacity)),
-      drop_when_full_(options.drop_when_full),
       write_alerts_(options.write_alerts),
       latency_(latency_bounds()) {
     sessions_.reserve(schemes.size());
@@ -92,12 +91,6 @@ void Shard::flush() {
     // finish it and subtract its frames.
     queued_frames_.fetch_add(n, std::memory_order_relaxed);
     if (!ring_.push(open_)) {
-        if (drop_when_full_) {
-            queued_frames_.fetch_sub(n, std::memory_order_relaxed);
-            dropped_.fetch_add(n, std::memory_order_relaxed);
-            open_.frames.clear();
-            return;
-        }
         backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
         while (!ring_.push(open_)) std::this_thread::yield();
     }

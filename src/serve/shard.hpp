@@ -77,11 +77,6 @@ public:
     struct Options {
         /// Ring bound in frames, rounded up to whole kBatchFrames batches.
         std::size_t ring_capacity = 4096;
-        /// Admission policy when the intake ring is full: false blocks the
-        /// intake thread (zero admitted-frame loss — the transport's own
-        /// backpressure pushes back on the client); true counts and drops
-        /// the whole batch.
-        bool drop_when_full = false;
         /// Null turns alert streaming off.
         AlertWriter write_alerts;
     };
@@ -105,8 +100,9 @@ public:
     /// submits the batch once it holds kBatchFrames frames.
     void add(common::SimTime at, wire::Bytes bytes);
 
-    /// Intake thread only. Submits the open batch if it holds any frame:
-    /// blocks while the ring is full (or drops the batch, per options).
+    /// Intake thread only. Submits the open batch if it holds any frame,
+    /// blocking while the ring is full: no admitted frame is ever dropped,
+    /// and the transport's own backpressure pushes back on the client.
     void flush();
 
     /// Intake thread: no more submissions. Submits the open batch; the
@@ -126,9 +122,6 @@ public:
     }
     [[nodiscard]] std::uint64_t alerts_emitted() const {
         return alerts_emitted_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t dropped() const {
-        return dropped_.load(std::memory_order_relaxed);
     }
     [[nodiscard]] std::uint64_t backpressure_waits() const {
         return backpressure_waits_.load(std::memory_order_relaxed);
@@ -159,7 +152,6 @@ private:
     std::vector<std::string> scheme_names_;
     std::vector<std::unique_ptr<replay::SchemeSession>> sessions_;
     common::SpscRing<Batch> ring_;
-    bool drop_when_full_;
     AlertWriter write_alerts_;
     const common::Stopwatch* clock_ = nullptr;
     // Intake-owned, on their own cache line: open_ changes with every frame.
@@ -176,7 +168,6 @@ private:
     std::atomic<std::uint64_t> frames_{0};
     std::atomic<std::uint64_t> malformed_{0};
     std::atomic<std::uint64_t> alerts_emitted_{0};
-    std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> backpressure_waits_{0};
     std::atomic<std::size_t> queued_frames_{0};
 

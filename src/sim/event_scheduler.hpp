@@ -42,9 +42,6 @@ public:
         run_until_slow(deadline);
     }
 
-    /// Runs events for the given duration past the current time.
-    void run_for(common::Duration d) { run_until(now_ + d); }
-
     /// Drains the queue completely (bounded by `max_events` as a runaway
     /// guard). Returns the number of events executed.
     std::size_t run_all(std::size_t max_events = 100'000'000);

@@ -17,11 +17,6 @@ struct LinkConfig {
     common::Duration latency = common::Duration::micros(5);  // propagation delay
     std::uint64_t bandwidth_bps = 100'000'000;               // 100 Mbit/s FastEthernet
     double loss_probability = 0.0;                           // iid frame loss
-
-    static LinkConfig fast_ethernet() { return {}; }
-    static LinkConfig gigabit() {
-        return LinkConfig{common::Duration::micros(2), 1'000'000'000, 0.0};
-    }
 };
 
 /// Observes every frame as it is put on a wire. Used for pcap capture and
@@ -122,9 +117,6 @@ public:
     /// counters) and attaches the scheduler's metrics too. Counter handles
     /// are resolved once; transmit() then pays plain increments.
     void attach_metrics(telemetry::MetricsRegistry& registry);
-
-    /// Deterministic per-transmit loss decisions use this stream.
-    [[nodiscard]] common::Rng& loss_rng() { return loss_rng_; }
 
 private:
     struct Wire {

@@ -677,7 +677,7 @@ TEST(RegistryTest, RejectsEmptyNameAndNullFactory) {
 struct TraitsRow {
     const char* registry_name;  // key in detect::Registry
     const char* traits_name;    // SchemeTraits::name (may differ, e.g. dai)
-    const char* vantage;
+    Vantage vantage;
     bool detects;
     bool prevents_poisoning;
     bool prevents_flooding;
@@ -696,49 +696,49 @@ TEST(RegistryTest, TraitsConformanceTable) {
     // One row per registered scheme, in registry order.
     const TraitsRow kExpected[] = {
         // reg name          traits name           vantage       det    prevP  prevF  proto  infra  host   crypt  dhcp   best   dyn
-        {"none", "none (classic ARP)", "",
+        {"none", "none (classic ARP)", Vantage::kNone,
          false, false, false, false, false, false, false, false, false, true,
          CostBand::kLow, CostBand::kNone},
-        {"static-entries", "static-entries", "host",
+        {"static-entries", "static-entries", Vantage::kHost,
          false, true, false, false, false, true, false, false, false, false,
          CostBand::kHigh, CostBand::kNone},
-        {"arpwatch", "arpwatch", "monitor",
+        {"arpwatch", "arpwatch", Vantage::kMonitor,
          true, false, false, false, true, false, false, false, false, false,
          CostBand::kLow, CostBand::kNone},
-        {"snort-arpspoof", "snort-arpspoof", "monitor",
+        {"snort-arpspoof", "snort-arpspoof", Vantage::kMonitor,
          true, false, false, false, true, false, false, false, false, false,
          CostBand::kMedium, CostBand::kNone},
-        {"active-probe", "active-probe", "monitor",
+        {"active-probe", "active-probe", Vantage::kMonitor,
          true, false, false, false, true, false, false, false, false, true,
          CostBand::kLow, CostBand::kLow},
-        {"anticap", "anticap", "host",
+        {"anticap", "anticap", Vantage::kHost,
          true, true, false, false, false, true, false, false, false, false,
          CostBand::kMedium, CostBand::kNone},
-        {"antidote", "antidote", "host",
+        {"antidote", "antidote", Vantage::kHost,
          true, true, false, false, false, true, false, false, true, true,
          CostBand::kMedium, CostBand::kLow},
-        {"middleware", "middleware", "host",
+        {"middleware", "middleware", Vantage::kHost,
          true, true, false, false, false, true, false, false, true, true,
          CostBand::kMedium, CostBand::kLow},
-        {"port-security", "port-security", "switch",
+        {"port-security", "port-security", Vantage::kSwitch,
          true, false, true, false, true, false, false, false, false, true,
          CostBand::kMedium, CostBand::kNone},
-        {"dai", "dai+dhcp-snooping", "switch",
+        {"dai", "dai+dhcp-snooping", Vantage::kSwitch,
          true, true, false, false, true, false, false, true, false, true,
          CostBand::kMedium, CostBand::kLow},
-        {"dai-static", "dai-static", "switch",
+        {"dai-static", "dai-static", Vantage::kSwitch,
          true, true, false, false, true, false, false, false, false, false,
          CostBand::kMedium, CostBand::kLow},
-        {"gossip", "gossip", "host (cooperative)",
+        {"gossip", "gossip", Vantage::kHostCooperative,
          true, false, false, false, false, true, false, false, true, false,
          CostBand::kMedium, CostBand::kLow},
-        {"lease-monitor", "lease-monitor", "monitor",
+        {"lease-monitor", "lease-monitor", Vantage::kMonitor,
          true, false, false, false, true, false, false, true, false, true,
          CostBand::kLow, CostBand::kNone},
-        {"s-arp", "s-arp", "host+server",
+        {"s-arp", "s-arp", Vantage::kHostServer,
          true, true, false, true, true, true, true, false, false, true,
          CostBand::kHigh, CostBand::kHigh},
-        {"tarp", "tarp", "host+server",
+        {"tarp", "tarp", Vantage::kHostServer,
          true, true, false, true, true, true, true, false, false, true,
          CostBand::kHigh, CostBand::kMedium},
     };
@@ -775,6 +775,16 @@ TEST(RegistryTest, TraitsConformanceTable) {
     for (const auto& entry : registry.entries()) {
         EXPECT_TRUE(table_names.count(entry.name) == 1) << entry.name;
     }
+}
+
+TEST(RegistryTest, VantageNamesAreTheMatrixColumn) {
+    // The T2 matrix and `arpsec-sim --list` print these strings.
+    EXPECT_EQ(to_string(Vantage::kNone), "");
+    EXPECT_EQ(to_string(Vantage::kHost), "host");
+    EXPECT_EQ(to_string(Vantage::kHostCooperative), "host (cooperative)");
+    EXPECT_EQ(to_string(Vantage::kHostServer), "host+server");
+    EXPECT_EQ(to_string(Vantage::kSwitch), "switch");
+    EXPECT_EQ(to_string(Vantage::kMonitor), "monitor");
 }
 
 TEST(AlertTest, ToStringContainsFields) {

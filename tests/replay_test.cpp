@@ -274,9 +274,7 @@ TEST(PcapFileSourceTest, RefusesNonEthernetCapture) {
 TEST(EngineTest, MonitorSchemeScoresWellOnItsOwnTraffic) {
     const LabeledTrace trace = load_small();
     const detect::Registry registry;
-    EngineOptions opts;
-    opts.timing = false;
-    const Engine engine{registry, opts};
+    const Engine engine{registry};
 
     const auto score = engine.run(trace, "arpwatch");
     ASSERT_TRUE(score.ok()) << score.error();
@@ -290,17 +288,12 @@ TEST(EngineTest, MonitorSchemeScoresWellOnItsOwnTraffic) {
     EXPECT_LE(score->precision, 1.0);
     EXPECT_GT(score->recall, 0.0);
     EXPECT_LE(score->recall, 1.0);
-    // --no-timing zeroes the nondeterministic fields.
-    EXPECT_EQ(score->wall_seconds, 0.0);
-    EXPECT_EQ(score->frames_per_second, 0.0);
 }
 
 TEST(EngineTest, NullSchemeNeverAlerts) {
     const LabeledTrace trace = load_small();
     const detect::Registry registry;
-    EngineOptions opts;
-    opts.timing = false;
-    const auto score = Engine{registry, opts}.run(trace, "none");
+    const auto score = Engine{registry}.run(trace, "none");
     ASSERT_TRUE(score.ok()) << score.error();
     EXPECT_EQ(score->alerts, 0u);
     EXPECT_EQ(score->precision, 1.0);  // vacuous: no alerts fired
@@ -310,9 +303,7 @@ TEST(EngineTest, NullSchemeNeverAlerts) {
 TEST(EngineTest, UnknownSchemeIsATypedError) {
     const LabeledTrace trace = load_small();
     const detect::Registry registry;
-    EngineOptions opts;
-    opts.timing = false;
-    const Engine engine{registry, opts};
+    const Engine engine{registry};
     const auto score = engine.run(trace, "no-such-scheme");
     ASSERT_FALSE(score.ok());
     EXPECT_NE(score.error().find("no-such-scheme"), std::string::npos)
@@ -381,7 +372,6 @@ TEST(EngineTest, NonMonotoneCaptureOrderStillScoresByTimestamp) {
 
     const detect::Registry registry;
     EngineOptions opts;
-    opts.timing = false;
     // Narrow window: only the attack at 1000 ms can justify the 1050 ms
     // alert; the one at 200 ms is out of range.
     opts.match_window = Duration::millis(100);
@@ -582,9 +572,7 @@ std::vector<std::string> alert_lines(const std::vector<detect::Alert>& alerts) {
 TEST(EngineTest, RunAllIsIdenticalForAnyJobsValue) {
     const LabeledTrace trace = load_small();
     const detect::Registry registry;
-    EngineOptions opts;
-    opts.timing = false;
-    const Engine engine{registry, opts};
+    const Engine engine{registry};
     std::vector<std::string> schemes;
     for (const auto& entry : registry.entries()) schemes.push_back(entry.name);
 
@@ -597,7 +585,7 @@ TEST(EngineTest, RunAllIsIdenticalForAnyJobsValue) {
     for (const std::string& name : schemes) {
         SchemeSession session{registry.make(name), session_options};
         for (const TraceFrame& f : trace.frames) session.feed(f.at, view_of(f.bytes));
-        session.finish(opts.grace);
+        session.finish(EngineOptions{}.grace);
         lone.push_back(alert_lines(session.alerts().alerts()));
     }
 
@@ -627,9 +615,7 @@ TEST(EngineTest, RunAllIsIdenticalForAnyJobsValue) {
 TEST(EngineTest, ArtifactCarriesSchemaAndScores) {
     const LabeledTrace trace = load_small();
     const detect::Registry registry;
-    EngineOptions opts;
-    opts.timing = false;
-    const Engine engine{registry, opts};
+    const Engine engine{registry};
     const auto score = engine.run(trace, "arpwatch");
     ASSERT_TRUE(score.ok()) << score.error();
 
@@ -645,6 +631,26 @@ TEST(EngineTest, ArtifactCarriesSchemaAndScores) {
     const auto reparsed = telemetry::Json::parse(artifact.dump(2));
     ASSERT_TRUE(reparsed.has_value());
     EXPECT_EQ(reparsed->dump(2), artifact.dump(2));
+}
+
+TEST(EngineTest, ArtifactIsJobsInvariantWithDefaultOptions) {
+    // Default options, no flag: the artifact holds no wall clock, so it is
+    // byte-identical whatever the worker split.
+    const LabeledTrace trace = load_small();
+    const detect::Registry registry;
+    const Engine engine{registry};
+    std::vector<std::string> schemes;
+    for (const auto& entry : registry.entries()) schemes.push_back(entry.name);
+
+    const auto artifact_at = [&](std::size_t jobs) {
+        std::vector<SchemeScore> scores;
+        for (auto& outcome : engine.run_all(trace, schemes, jobs)) {
+            EXPECT_FALSE(outcome.failed) << outcome.error;
+            scores.push_back(std::move(outcome.value));
+        }
+        return Engine::artifact(trace, scores, "replay_test").dump();
+    };
+    EXPECT_EQ(artifact_at(1), artifact_at(4));
 }
 
 // ---------------------------------------------------------------------------

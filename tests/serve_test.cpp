@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -132,9 +133,7 @@ std::vector<std::string> canonical_lines(std::vector<detect::Alert> alerts) {
 std::vector<detect::Alert> offline_alerts(const replay::LabeledTrace& trace,
                                           const std::string& scheme = "arpwatch") {
     const detect::Registry registry;
-    replay::EngineOptions opts;
-    opts.timing = false;
-    const auto score = replay::Engine{registry, opts}.run(trace, scheme);
+    const auto score = replay::Engine{registry}.run(trace, scheme);
     EXPECT_TRUE(score.ok()) << score.error();
     return score.value().alert_list;
 }
@@ -396,7 +395,6 @@ TEST(ServeEquivalenceTest, PipeStreamMatchesOfflineReplay) {
     EXPECT_EQ(summary.find("schema")->as_string(), kSummarySchema);
     EXPECT_EQ(static_cast<std::size_t>(summary.find("frames")->as_int()),
               trace.frames.size());
-    EXPECT_EQ(summary.find("dropped_frames")->as_int(), 0);
 }
 
 TEST(ServeEquivalenceTest, AlertRecordsStreamBackToClient) {
@@ -494,7 +492,6 @@ TEST(ServeShardedTest, EveryAdmittedFrameReachesExactlyOneShard) {
     const telemetry::Json& summary = outcome.value().summary;
     EXPECT_EQ(static_cast<std::size_t>(summary.find("frames")->as_int()),
               trace.frames.size());
-    EXPECT_EQ(summary.find("dropped_frames")->as_int(), 0);
     const auto* per_shard = summary.find("per_shard");
     ASSERT_NE(per_shard, nullptr);
     ASSERT_EQ(per_shard->size(), 3u);
@@ -517,29 +514,6 @@ TEST(ServeShardedTest, EveryAdmittedFrameReachesExactlyOneShard) {
         deepest = std::max(deepest, depth->high_water());
     }
     EXPECT_GT(deepest, 0);
-}
-
-TEST(ServeShardedTest, DropModeConservesAdmittedPlusDropped) {
-    const auto trace = small_trace();
-    const detect::Registry registry;
-    ServerOptions opts;
-    opts.shards = 2;
-    opts.ring_capacity = 8;
-    opts.drop_when_full = true;
-    auto server = Server::create(registry, opts);
-    ASSERT_TRUE(server.ok()) << server.error();
-
-    const auto outcome =
-        serve_script(*server.value(), encode_stream(trace, 0, trace.frames.size()));
-    ASSERT_TRUE(outcome.ok()) << outcome.error();
-
-    // Drops are load-dependent, but the accounting identity is not:
-    // processed + dropped == admitted, always.
-    const telemetry::Json& summary = outcome.value().summary;
-    const auto processed = static_cast<std::uint64_t>(summary.find("frames")->as_int());
-    const auto dropped =
-        static_cast<std::uint64_t>(summary.find("dropped_frames")->as_int());
-    EXPECT_EQ(processed + dropped, trace.frames.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -713,6 +687,50 @@ TEST(ServeLifecycleTest, RequestStopDrainsAdmittedFramesAndFreezes) {
     EXPECT_EQ(static_cast<std::size_t>(
                   outcome.value().summary.find("frames")->as_int()),
               trace.frames.size());
+}
+
+TEST(ServeLifecycleTest, RequestStopReachesAQuietStreamOnDefaultOptions) {
+    // A client says HELLO and goes quiet. On default options each read is
+    // bounded, so the intake notices request_stop() and serve() returns
+    // promptly. The client hangs up only after 2 s when serve() has not
+    // returned by then, so a read that blocks fails the checks below
+    // instead of hanging the test.
+    const detect::Registry registry;
+    auto server = Server::create(registry, ServerOptions{});
+    ASSERT_TRUE(server.ok()) << server.error();
+
+    auto pipe = make_pipe();
+    ASSERT_TRUE(pipe.ok()) << pipe.error();
+    std::atomic<bool> returned{false};
+    std::optional<common::Expected<ServeOutcome>> served;
+    double serve_seconds = 0.0;
+    const std::string peer = exp::run_pair(
+        [&] {
+            wire::Bytes hello;
+            wire::encode_hello(hello, wire::StreamHello{});
+            (void)pipe->client->write_all(hello);
+            exp::sleep_millis(50);
+            // Repeated: serve() clears the flag as it starts, so a request
+            // that lands before that would be lost.
+            const common::Stopwatch clock;
+            while (!returned.load() && clock.elapsed_seconds() < 2.0) {
+                server.value()->request_stop();
+                exp::sleep_millis(10);
+            }
+            pipe->client->close();
+        },
+        [&] {
+            const common::Stopwatch clock;
+            served = server.value()->serve(*pipe->server);
+            serve_seconds = clock.elapsed_seconds();
+            returned.store(true);
+        });
+    EXPECT_EQ(peer, "");
+    ASSERT_TRUE(served.has_value());
+    ASSERT_TRUE(served->ok()) << served->error();
+    EXPECT_TRUE(served->value().stopped);
+    EXPECT_FALSE(served->value().ended_by_end_record);
+    EXPECT_LT(serve_seconds, 1.0);
 }
 
 TEST(ServeLifecycleTest, ClientThatHangsUpGetsATypedWriteError) {

@@ -1,16 +1,13 @@
 // arpsec-replay — replays a labeled trace through detection schemes and
 // scores them: per-scheme precision/recall against the trace's ground
-// truth plus frames/sec throughput, exported as an
-// arpsec.replay-artifact.v1 JSON envelope.
+// truth, exported as an arpsec.replay-artifact.v2 JSON envelope.
 //
 //   $ arpsec-replay --pcap trace.pcap                       # all schemes
 //   $ arpsec-replay --pcap t.pcap --schemes arpwatch,dai --jobs 4 --out replay.json
 //
 // Schemes split over --jobs workers that each walk the trace once, so
-// stdout and the artifact are byte-identical for every --jobs value when
-// --no-timing is given (wall clock is inherently nondeterministic, so
-// timing columns are zeroed). The frames/s column is the trace over the
-// wall of the worker pass that fed the scheme.
+// stdout and the artifact are byte-identical for every --jobs value. The
+// one wall-clock figure, the replay's frames/s, goes to stderr.
 
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/time.hpp"
 #include "common/version.hpp"
 #include "core/report.hpp"
 #include "detect/registry.hpp"
@@ -34,16 +32,14 @@ int usage(const char* argv0) {
     std::fprintf(
         stderr,
         "usage: %s --pcap PATH [--labels PATH] [--schemes a,b,...] [--jobs J]\n"
-        "          [--out PATH] [--window-ms MS] [--grace-ms MS] [--no-timing]\n"
-        "          [--alerts PATH]\n"
+        "          [--out PATH] [--window-ms MS] [--grace-ms MS] [--alerts PATH]\n"
         "  --pcap PATH     trace to replay (classic pcap)\n"
         "  --labels PATH   ground-truth sidecar (default: <pcap>.labels.json)\n"
         "  --schemes LIST  comma-separated scheme pool (default: all registered)\n"
         "  --jobs J        scheme-replay threads; report identical for any J\n"
-        "  --out PATH      write the arpsec.replay-artifact.v1 JSON\n"
+        "  --out PATH      write the arpsec.replay-artifact.v2 JSON\n"
         "  --window-ms MS  alert<->attack matching window (default 1000)\n"
         "  --grace-ms MS   virtual time appended after the last frame (default 2000)\n"
-        "  --no-timing     suppress wall-clock columns (deterministic output)\n"
         "  --alerts PATH   write every alert as canonical arpsec.alert-stream.v1\n"
         "                  JSONL (the serve<->replay equivalence artifact)\n"
         "  --version       print the build's git describe string and exit\n",
@@ -107,8 +103,6 @@ int main(int argc, char** argv) {
             const char* v = next();
             if (v == nullptr) return usage(argv[0]);
             alerts_path = v;
-        } else if (arg == "--no-timing") {
-            engine_opts.timing = false;
         } else if (arg == "--version") {
             std::puts(arpsec::common::tool_version_line("replay").c_str());
             return 0;
@@ -132,7 +126,15 @@ int main(int argc, char** argv) {
     }
 
     const arpsec::replay::Engine engine{registry, engine_opts};
+    const arpsec::common::Stopwatch watch;
     auto outcomes = engine.run_all(trace.value(), schemes, jobs);
+    const double wall = watch.elapsed_seconds();
+    const std::size_t frames = trace.value().frames.size();
+    // stderr, not stdout or the artifact: the wall clock differs per run.
+    std::fprintf(stderr,
+                 "arpsec-replay: %zu frames x %zu schemes, --jobs %zu: %.3f s = %.0f frames/s\n",
+                 frames, schemes.size(), jobs, wall,
+                 wall > 0.0 ? static_cast<double>(frames) / wall : 0.0);
 
     bool failed = false;
     std::vector<arpsec::replay::SchemeScore> scores;
@@ -146,19 +148,17 @@ int main(int argc, char** argv) {
         scores.push_back(std::move(outcomes[i].value));
     }
 
-    std::printf("replayed %zu frames (%zu attacks) from %s\n", trace.value().frames.size(),
+    std::printf("replayed %zu frames (%zu attacks) from %s\n", frames,
                 trace.value().attack_count(), pcap_path.c_str());
     arpsec::core::TextTable table;
-    table.set_headers({"scheme", "frames", "alerts", "TP", "FP", "detected", "precision",
-                       "recall", "frames/s"});
+    table.set_headers(
+        {"scheme", "frames", "alerts", "TP", "FP", "detected", "precision", "recall"});
     for (const auto& s : scores) {
         table.add_row({s.scheme, std::to_string(s.frames), std::to_string(s.alerts),
                        std::to_string(s.true_positive_alerts),
                        std::to_string(s.false_positive_alerts),
                        std::to_string(s.detected_attacks), arpsec::core::fmt_double(s.precision, 3),
-                       arpsec::core::fmt_double(s.recall, 3),
-                       engine_opts.timing ? arpsec::core::fmt_double(s.frames_per_second, 0)
-                                          : std::string{"n/a"}});
+                       arpsec::core::fmt_double(s.recall, 3)});
     }
     table.print();
 

@@ -34,7 +34,7 @@ int usage(const char* argv0) {
     std::fprintf(
         stderr,
         "usage: %s (--unix PATH | --tcp PORT) [--schemes a,b,...] [--shards N]\n"
-        "          [--ring N] [--drop] [--grace-ms MS] [--read-timeout-ms MS]\n"
+        "          [--ring N] [--grace-ms MS] [--read-timeout-ms MS]\n"
         "          [--idle-timeout-ms MS] [--conns N] [--alerts PATH]\n"
         "          [--summary PATH] [--snapshot PATH] [--restore PATH]\n"
         "          [--scorecard PATH --scorecard-every N] [--no-alert-stream]\n"
@@ -45,9 +45,7 @@ int usage(const char* argv0) {
         "  --shards N            detector workers (default 1)\n"
         "  --ring N              per-shard intake ring capacity in frames,\n"
         "                        rounded up to whole 256-frame batches\n"
-        "                        (default 4096)\n"
-        "  --drop                drop a frame batch when its shard ring is full\n"
-        "                        instead of applying backpressure\n"
+        "                        (default 4096); a full ring blocks the intake\n"
         "  --grace-ms MS         virtual time after a clean END (default 2000)\n"
         "  --read-timeout-ms MS  per-read poll interval (default 100; also how\n"
         "                        often SIGTERM is noticed)\n"
@@ -99,7 +97,6 @@ int main(int argc, char** argv) {
     std::string snapshot_path;
     std::size_t conns = 1;
     arpsec::serve::ServerOptions options;
-    options.read_timeout_ms = 100;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -120,8 +117,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--ring") {
             if ((v = next()) == nullptr) return usage(argv[0]);
             options.ring_capacity = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--drop") {
-            options.drop_when_full = true;
         } else if (arg == "--grace-ms") {
             if ((v = next()) == nullptr) return usage(argv[0]);
             options.grace = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));

@@ -309,8 +309,8 @@ int main(int argc, char** argv) {
         for (const auto& reg : detect::all_schemes()) {
             auto scheme = reg.make();
             const auto t = scheme->traits();
-            std::printf("  %-16s %-18s %s\n", reg.name.c_str(), t.vantage.c_str(),
-                        t.notes.c_str());
+            std::printf("  %-16s %-18s %s\n", reg.name.c_str(),
+                        detect::to_string(t.vantage).c_str(), t.notes.c_str());
         }
         std::puts("\navailable cache policies:");
         for (const auto& p : arp::CachePolicy::all_profiles()) {

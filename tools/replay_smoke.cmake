@@ -16,7 +16,7 @@ endif()
 
 foreach(jobs 1 4)
   execute_process(
-    COMMAND ${REPLAY_TOOL} --pcap ${PCAP} --jobs ${jobs} --no-timing
+    COMMAND ${REPLAY_TOOL} --pcap ${PCAP} --jobs ${jobs}
             --out ${WORK_DIR}/replay-j${jobs}.json
     OUTPUT_VARIABLE stdout_j${jobs}
     RESULT_VARIABLE rc)

@@ -29,7 +29,7 @@ SOCK="$SOCK_DIR/s.sock"
 "$TRACE_TOOL" --frames "$FRAMES" --jobs 2 --out trace.pcap > /dev/null
 
 # Offline ground truth: same scheme, same (default) grace window.
-"$REPLAY_TOOL" --pcap trace.pcap --schemes arpwatch --no-timing \
+"$REPLAY_TOOL" --pcap trace.pcap --schemes arpwatch \
     --alerts replay_alerts.jsonl --out replay_artifact.json > /dev/null
 
 wait_listen() { # pid logfile
@@ -96,7 +96,7 @@ echo "serve smoke: snapshot/restore resume matches the offline run"
 "$TRACE_TOOL" --frames 50000 --jobs 2 --out trace50k.pcap > /dev/null
 # arpsec-replay runs every registered scheme by default; the daemon runs
 # only arpwatch by default, so it gets the replay's scheme list explicitly.
-"$REPLAY_TOOL" --pcap trace50k.pcap --no-timing \
+"$REPLAY_TOOL" --pcap trace50k.pcap \
     --alerts replay50k_alerts.jsonl --out replay50k_artifact.json > /dev/null
 ALL_SCHEMES=$(grep -o '"scheme": "[^"]*"' replay50k_artifact.json | cut -d'"' -f4 |
     paste -sd, -)
