@@ -7,7 +7,9 @@
 
 namespace arpsec::detect {
 
-std::string to_string(AlertKind k) {
+std::string to_string(AlertKind k) { return std::string{kind_name(k)}; }
+
+std::string_view kind_name(AlertKind k) {
     switch (k) {
         case AlertKind::kSpoofSuspected: return "spoof-suspected";
         case AlertKind::kIpMacChange: return "ip-mac-change";

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,8 @@ inline constexpr std::size_t kAlertKindCount =
     static_cast<std::size_t>(AlertKind::kRateAnomaly) + 1;
 
 [[nodiscard]] std::string to_string(AlertKind k);
+/// The same name without a string to own it (alert encoders append it).
+[[nodiscard]] std::string_view kind_name(AlertKind k);
 
 /// One alert raised by a scheme. `claimed_mac` is the MAC the suspicious
 /// packet asserted; the harness classifies alerts as true/false positives

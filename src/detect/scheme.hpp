@@ -116,13 +116,19 @@ public:
 protected:
     void alert(Alert a) {
         if (ctx_.alerts != nullptr) {
-            a.scheme = traits().name;
+            // traits() builds every column, notes included; the name is
+            // read once.
+            if (name_.empty()) name_ = traits().name;
+            a.scheme = name_;
             a.at = ctx_.net != nullptr ? ctx_.net->now() : common::SimTime::zero();
             ctx_.alerts->report(std::move(a));
         }
     }
 
     DeploymentContext ctx_;
+
+private:
+    std::string name_;  // traits().name, cached by the first alert()
 };
 
 /// The degenerate baseline: classic ARP with nothing added.

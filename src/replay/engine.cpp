@@ -112,11 +112,12 @@ std::vector<exp::Outcome<SchemeScore>> Engine::run_all(const LabeledTrace& trace
                 std::make_unique<SchemeSession>(std::move(made[known[k]]), session_options));
         }
 
+        wire::FrameBuffer capture;  // recaptured for every frame
         for (const TraceFrame& f : trace.frames) {
             // This worker's own copy: the view and its parse memo live and
             // die here, shared only by this worker's sessions.
-            const wire::FrameView view{
-                wire::FrameBuffer::capture(std::span<const std::uint8_t>(f.bytes))};
+            capture.recapture(f.bytes);
+            const wire::FrameView view{capture};
             for (auto& session : sessions) session->feed(f.at, view);
         }
         // Each session tracks the max timestamp it saw, which equals

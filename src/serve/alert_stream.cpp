@@ -1,6 +1,7 @@
 #include "serve/alert_stream.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <tuple>
 
@@ -14,27 +15,33 @@ std::string alert_stream_header() {
     return j.dump();
 }
 
-std::string alert_line(const detect::Alert& alert) {
+void append_alert_line(std::string& out, const detect::Alert& alert) {
     // The compact dump of a telemetry::Json object with these keys in this
     // order, appended directly: shard workers encode every alert. Kind
     // names, dotted quads and MACs never need escaping.
-    std::string out;
-    out.reserve(160 + alert.detail.size());
+    char at[24];
+    const char* at_end = std::to_chars(at, at + sizeof(at), alert.at.nanos()).ptr;
     out += "{\"at_ns\":";
-    out += std::to_string(alert.at.nanos());
+    out.append(at, static_cast<std::size_t>(at_end - at));
     out += ",\"scheme\":";
     telemetry::json_escape(out, alert.scheme);
     out += ",\"kind\":\"";
-    out += detect::to_string(alert.kind);
+    out += detect::kind_name(alert.kind);
     out += "\",\"ip\":\"";
-    out += alert.ip.to_string();
+    alert.ip.append_to(out);
     out += "\",\"claimed_mac\":\"";
-    out += alert.claimed_mac.to_string();
+    alert.claimed_mac.append_to(out);
     out += "\",\"previous_mac\":\"";
-    out += alert.previous_mac.to_string();
+    alert.previous_mac.append_to(out);
     out += "\",\"detail\":";
     telemetry::json_escape(out, alert.detail);
     out += '}';
+}
+
+std::string alert_line(const detect::Alert& alert) {
+    std::string out;
+    out.reserve(160 + alert.detail.size());
+    append_alert_line(out, alert);
     return out;
 }
 

@@ -16,8 +16,13 @@ inline constexpr const char* kAlertStreamSchema = "arpsec.alert-stream.v1";
 /// The stream's first line: `{"schema":"arpsec.alert-stream.v1"}`.
 [[nodiscard]] std::string alert_stream_header();
 
-/// One canonical alert line (no trailing newline). Keys are emitted in a
-/// fixed order so identical alerts always produce identical bytes.
+/// Appends one canonical alert line (no trailing newline) to `out`. Keys
+/// are emitted in a fixed order so identical alerts always produce
+/// identical bytes. Numbers and addresses are appended in place, so a
+/// reused `out` with room for the line allocates nothing.
+void append_alert_line(std::string& out, const detect::Alert& alert);
+
+/// The same line as a string of its own.
 [[nodiscard]] std::string alert_line(const detect::Alert& alert);
 
 /// Canonical artifact order: by timestamp, then scheme, then the alert's

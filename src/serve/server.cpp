@@ -22,6 +22,11 @@ common::Expected<std::unique_ptr<Server>> Server::create(const detect::Registry&
     using Result = common::Expected<std::unique_ptr<Server>>;
     if (options.shards == 0) return Result::failure("serve: shards must be >= 1");
     if (options.schemes.empty()) return Result::failure("serve: no schemes configured");
+    // 0 would spin the intake on poll(0); a negative timeout blocks in
+    // read(), where request_stop() cannot reach a quiet stream.
+    if (options.read_timeout_ms <= 0) {
+        return Result::failure("serve: read_timeout_ms must be > 0");
+    }
     for (const std::string& name : options.schemes) {
         if (!registry.contains(name)) {
             return Result::failure("serve: unknown scheme '" + name + "'");
@@ -154,21 +159,22 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     stop_.store(false, std::memory_order_relaxed);
     shards_.clear();
     directory_.clear();
+    session_alerts_.clear();
     served_ = false;
 
     // conn is written by the shard workers (kAlert batches) and, once they
     // are joined, by this thread (summary); each batch goes out whole under
     // one lock so records never interleave mid-record. A failed write means
-    // the client is gone: the first one is kept and every later write is
-    // skipped.
+    // the client is gone: the first one is kept, every later write is
+    // skipped, and each writer hears false.
     std::mutex write_mutex;
     std::string write_error;
     const auto write_bytes = [&](const wire::Bytes& data) {
         std::lock_guard<std::mutex> lk(write_mutex);
-        if (write_error.empty() &&
-            !conn.write_all(std::span<const std::uint8_t>{data.data(), data.size()})) {
-            write_error = "write to client failed";
-        }
+        if (!write_error.empty()) return false;
+        if (conn.write_all(std::span<const std::uint8_t>{data.data(), data.size()})) return true;
+        write_error = "write to client failed";
+        return false;
     };
     const Shard::AlertWriter write_alerts =
         options_.stream_alerts ? Shard::AlertWriter{write_bytes} : nullptr;
@@ -189,6 +195,7 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
 
     ServeOutcome outcome;
     wire::StreamDecoder decoder;
+    wire::StreamRecord rec;  // decoded into in place, poll after poll
 
     // Builds the shards lazily and starts their workers: the seed arrives in
     // HELLO and the optional directory record must precede the first frame,
@@ -227,7 +234,7 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
         IoResult io = conn.read_some(std::span<std::uint8_t>{rbuf}, options_.read_timeout_ms);
         switch (io.kind) {
             case IoResult::Kind::kTimeout:
-                if (options_.read_timeout_ms > 0) quiet_ms += options_.read_timeout_ms;
+                quiet_ms += options_.read_timeout_ms;
                 if (options_.idle_timeout_ms >= 0 && quiet_ms >= options_.idle_timeout_ms) {
                     outcome.idled_out = true;
                     done_reading = true;
@@ -246,7 +253,6 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
         quiet_ms = 0;
         decoder.feed(std::span<const std::uint8_t>{rbuf.data(), io.bytes});
 
-        wire::StreamRecord rec;
         while (!done_reading) {
             const wire::StreamDecoder::Status st = decoder.poll(rec);
             if (st == wire::StreamDecoder::Status::kNeedMore) break;
@@ -301,7 +307,7 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
                     const auto at =
                         common::SimTime{static_cast<std::int64_t>(rec.frame.at_nanos)};
                     const std::size_t target = shard_of(rec.frame.bytes, shards_.size());
-                    shards_[target]->add(at, std::move(rec.frame.bytes));
+                    shards_[target]->add(at, rec.frame.bytes);
                     if (options_.scorecard_every > 0 &&
                         ++frames_since_scorecard >= options_.scorecard_every) {
                         frames_since_scorecard = 0;
@@ -344,13 +350,19 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     for (auto& shard : shards_) shard->join();
 
     // Fold worker-side stats and alerts in now that the threads are gone.
+    // The alerts move out of the sessions; snapshots still need each
+    // session's count.
     std::uint64_t backpressure = 0;
+    std::uint64_t written = 0;
     for (auto& shard : shards_) {
         for (std::size_t s = 0; s < shard->session_count(); ++s) {
-            const auto& alerts = shard->session(s).alerts().alerts();
-            outcome.alerts.insert(outcome.alerts.end(), alerts.begin(), alerts.end());
+            std::vector<detect::Alert> alerts = shard->session(s).alerts().take();
+            session_alerts_.push_back(alerts.size());
+            outcome.alerts.insert(outcome.alerts.end(), std::make_move_iterator(alerts.begin()),
+                                  std::make_move_iterator(alerts.end()));
         }
         backpressure += shard->backpressure_waits();
+        written += shard->alerts_written();
         const std::string prefix = "serve.shard." + std::to_string(shard->index());
         metrics_.counter(prefix + ".frames").inc(shard->frames());
         metrics_.counter(prefix + ".malformed").inc(shard->malformed());
@@ -361,6 +373,7 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
     }
     metrics_.counter("serve.intake.backpressure_waits").inc(backpressure);
     metrics_.counter("serve.alerts.streamed").inc(outcome.alerts.size());
+    metrics_.counter("serve.alerts.written").inc(written);
 
     if (!hello_error.empty()) return Result::failure(hello_error);
 
@@ -452,6 +465,7 @@ common::Expected<bool> Server::write_snapshot(const std::string& path) const {
     j["directory"] = std::move(directory);
 
     telemetry::Json shard_states = telemetry::Json::array();
+    std::size_t next_session = 0;  // session_alerts_ runs shard by shard, scheme by scheme
     for (const auto& shard : shards_) {
         telemetry::Json state = telemetry::Json::object();
         state["shard"] = static_cast<std::uint64_t>(shard->index());
@@ -462,7 +476,7 @@ common::Expected<bool> Server::write_snapshot(const std::string& path) const {
             const replay::SchemeSession& session = shard->session(s);
             telemetry::Json row = telemetry::Json::object();
             row["scheme"] = shard->scheme_names()[s];
-            row["alerts"] = static_cast<std::uint64_t>(session.alerts().alerts().size());
+            row["alerts"] = session_alerts_[next_session++];
             row["last_at_ns"] = session.last_at().nanos();
             row["now_ns"] = session.now().nanos();
             row["state"] = session.scheme().snapshot_state();

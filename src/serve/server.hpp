@@ -37,8 +37,9 @@ struct ServerOptions {
     /// alerts (probe timeouts) land — the same default arpsec-replay uses.
     common::Duration grace = replay::kDefaultGrace;
     /// Per-read timeout: how often a quiet stream polls the stop flag and
-    /// the idle clock. <0 blocks in read(), where request_stop() cannot
-    /// reach a quiet stream.
+    /// the idle clock. Must be > 0: create() refuses 0 (the intake would
+    /// spin) and a negative value (a blocking read, where request_stop()
+    /// cannot reach a quiet stream).
     int read_timeout_ms = 100;
     /// Total quiet time (consecutive timeouts with no data) before the
     /// stream is abandoned. <0 disables.
@@ -57,7 +58,7 @@ struct ServerOptions {
 
 /// What one serve() call produced.
 struct ServeOutcome {
-    /// Every alert the shards raised during this serve(), collected from
+    /// Every alert the shards raised during this serve(), moved out of
     /// their sessions after the workers are joined: shard by shard, scheme
     /// by scheme (sort_canonical() for artifacts).
     std::vector<detect::Alert> alerts;
@@ -79,16 +80,22 @@ struct ServeOutcome {
 /// client stream end to end:
 ///
 ///   intake thread (the caller) — reads the transport, decodes
-///     `arpsec.stream.v1` records, and moves each frame's bytes into the
-///     open batch of the shard that shard_of() picks from the IP the frame
-///     claims; a batch goes into the shard's ring when it holds
-///     kBatchFrames frames and at the end of every decoded transport chunk
-///     (single producer to every ring). Consumed batches come back through
-///     the ring and their bytes are freed here, where they were decoded;
+///     `arpsec.stream.v1` records in place into one reused record, and
+///     copies each frame's bytes into the arena of the open batch of the
+///     shard that shard_of() picks from the IP the frame claims; a batch
+///     goes into the shard's ring when it holds kBatchFrames frames and at
+///     the end of every decoded transport chunk (single producer to every
+///     ring). Consumed batches come back through the ring and are cleared
+///     here, keeping their capacity;
 ///   N shard workers — each owns its SchemeSessions and its frames: it
-///     captures and parses a FrameView per frame (single consumer of its
-///     ring), feeds its sessions, frees the view, and writes its own kAlert
-///     records back to the client, one batch per write under a shared lock.
+///     recaptures each frame into one recycled FrameBuffer (single consumer
+///     of its ring), feeds its sessions a view of it, and formats its own
+///     kAlert records into a buffer it writes back to the client, one batch
+///     per write under a shared lock. A worker whose write fails stops
+///     encoding alerts; it still feeds every frame.
+///
+/// Once the rings' batches have grown, no thread allocates per frame on the
+/// way from the socket to the schemes (the schemes' own parses aside).
 ///
 /// Backpressure is the only admission policy: a full shard ring blocks the
 /// intake thread, so the transport pushes back on the client and every
@@ -99,7 +106,8 @@ struct ServeOutcome {
 /// (framing lost) abandons the stream — the daemon itself survives both.
 class Server {
 public:
-    /// Fails when options name an unknown scheme or shards == 0.
+    /// Fails when options name an unknown scheme or no scheme, shards == 0,
+    /// or read_timeout_ms <= 0.
     [[nodiscard]] static common::Expected<std::unique_ptr<Server>> create(
         const detect::Registry& registry, ServerOptions options);
 
@@ -158,6 +166,7 @@ private:
 
     // State of the last serve() (valid after it returns; workers joined).
     std::vector<std::unique_ptr<Shard>> shards_;
+    std::vector<std::uint64_t> session_alerts_;  // per session, shard-major
     std::uint64_t seed_ = 1;
     std::vector<detect::HostRecord> directory_;
     bool served_ = false;

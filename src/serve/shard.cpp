@@ -38,6 +38,21 @@ std::vector<double> latency_bounds() {
 
 }  // namespace
 
+void Batch::add(common::SimTime at, std::span<const std::uint8_t> bytes) {
+    frames.push_back(FrameRef{at, static_cast<std::uint32_t>(arena.size()),
+                              static_cast<std::uint32_t>(bytes.size())});
+    arena.insert(arena.end(), bytes.begin(), bytes.end());
+}
+
+void Batch::clear() {
+    frames.clear();
+    if (arena.capacity() > kMaxKeptArenaBytes) {
+        wire::Bytes{}.swap(arena);
+    } else {
+        arena.clear();
+    }
+}
+
 std::size_t shard_of(std::span<const std::uint8_t> frame, std::size_t shards) {
     if (shards <= 1) return 0;
     const std::optional<std::uint64_t> key = wire::binding_key(frame);
@@ -63,7 +78,11 @@ Shard::Shard(std::size_t index, const detect::Registry& registry,
             std::make_unique<replay::SchemeSession>(registry.make(name), session_options);
         session->alerts().on_alert = [this](const detect::Alert& a) {
             alerts_emitted_.fetch_add(1, std::memory_order_relaxed);
-            if (write_alerts_) wire::encode_alert(alert_bytes_, alert_line(a));
+            if (!write_alerts_) return;
+            alert_line_.clear();
+            append_alert_line(alert_line_, a);
+            wire::encode_alert(alert_bytes_, alert_line_);
+            ++alerts_pending_;
         };
         sessions_.push_back(std::move(session));
     }
@@ -78,8 +97,8 @@ void Shard::start(const common::Stopwatch* clock, telemetry::Gauge* depth) {
     thread_ = std::thread([this] { run(); });
 }
 
-void Shard::add(common::SimTime at, wire::Bytes bytes) {
-    open_.frames.push_back(WorkItem{at, std::move(bytes)});
+void Shard::add(common::SimTime at, std::span<const std::uint8_t> bytes) {
+    open_.add(at, bytes);
     if (open_.frames.size() >= kBatchFrames) flush();
 }
 
@@ -96,9 +115,9 @@ void Shard::flush() {
     }
     depth_->set(static_cast<std::int64_t>(queue_depth()));
     // open_ now holds the slot's previous occupant: a batch the worker has
-    // finished with. Clearing it here frees its record bytes on this thread,
-    // which allocated them, and keeps its capacity for the next batch.
-    open_.frames.clear();
+    // finished with. Clearing it here keeps its capacity for the next batch
+    // (an oversized arena is freed, on this thread, which allocated it).
+    open_.clear();
 }
 
 void Shard::finish_input(bool run_grace, common::Duration grace) {
@@ -138,7 +157,7 @@ bool Shard::drain_one() {
     Batch* batch = ring_.front();
     if (batch == nullptr) return false;
     latency_.observe(clock_->elapsed_seconds() - batch->submitted_s);
-    for (const WorkItem& item : batch->frames) process(item);
+    for (const FrameRef& frame : batch->frames) process(frame.at, batch->bytes(frame));
     const std::size_t n = batch->frames.size();
     frames_.fetch_add(n, std::memory_order_relaxed);
     // Before pop(): the intake's next push into this slot must see the
@@ -148,19 +167,24 @@ bool Shard::drain_one() {
     return true;
 }
 
-void Shard::process(const WorkItem& item) {
+void Shard::process(common::SimTime at, std::span<const std::uint8_t> bytes) {
     // A copy this thread owns: the view and its parse memo live and die here.
-    const wire::FrameView view{
-        wire::FrameBuffer::capture(std::span<const std::uint8_t>{item.bytes})};
+    capture_.recapture(bytes);
+    const wire::FrameView view{capture_};
     bool ok = true;
-    for (auto& session : sessions_) ok = session->feed(item.at, view) && ok;
+    for (auto& session : sessions_) ok = session->feed(at, view) && ok;
     if (!ok) malformed_.fetch_add(1, std::memory_order_relaxed);
     if (alert_bytes_.size() >= kAlertFlushBytes) flush_alerts();
 }
 
 void Shard::flush_alerts() {
     if (alert_bytes_.empty()) return;
-    write_alerts_(alert_bytes_);
+    if (write_alerts_(alert_bytes_)) {
+        alerts_written_ += alerts_pending_;
+    } else {
+        write_alerts_ = nullptr;  // the client is gone: encode nothing more
+    }
+    alerts_pending_ = 0;
     alert_bytes_.clear();
 }
 

@@ -23,23 +23,42 @@ namespace arpsec::serve {
 /// sample and one queue-depth update per batch instead of per frame.
 inline constexpr std::size_t kBatchFrames = 256;
 
-/// One frame handed from the intake thread to a shard worker: its capture
-/// time and the record bytes the stream decoder produced. The worker builds
-/// its own FrameView from a copy of them, so the view, its parse memo and
-/// the copy are allocated and freed on the worker; the bytes themselves go
-/// back to the intake with the consumed batch and are freed there.
-struct WorkItem {
+/// A batch arena that has grown past this many bytes is released when the
+/// intake clears the batch, not kept for the next one: about 40 typical
+/// batches (256 frames of ~95 bytes) fit under it, so only a burst of
+/// jumbo or near-1 MiB records lets an arena go, and such a burst does not
+/// stay resident for the rest of the connection.
+inline constexpr std::size_t kMaxKeptArenaBytes = 1u << 20;
+
+/// Where one frame of a batch sits in the batch's arena, and its capture
+/// time.
+struct FrameRef {
     common::SimTime at;
-    wire::Bytes bytes;
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
 };
 
 /// Up to kBatchFrames frames bound for one shard: the unit of the
-/// intake->worker ring.
+/// intake->worker ring. The intake copies each frame's record bytes into
+/// the arena, back to back, and the worker walks `frames` over that one
+/// contiguous buffer. Both vectors keep their capacity across clear(), so
+/// once a ring slot's batch has grown, neither thread allocates per frame.
 struct Batch {
-    std::vector<WorkItem> frames;
+    std::vector<FrameRef> frames;
+    wire::Bytes arena;
     /// Server stopwatch reading at submit; the worker's reading when it
     /// takes the batch minus this is the batch's drain-latency sample.
     double submitted_s = 0.0;
+
+    /// Appends one frame (its bytes are copied into the arena).
+    void add(common::SimTime at, std::span<const std::uint8_t> bytes);
+    /// The bytes of a frame of this batch.
+    [[nodiscard]] std::span<const std::uint8_t> bytes(const FrameRef& frame) const {
+        return std::span<const std::uint8_t>{arena}.subspan(frame.offset, frame.size);
+    }
+    /// Empties the batch and keeps its capacity, unless the arena has grown
+    /// past kMaxKeptArenaBytes: then it is freed.
+    void clear();
 };
 
 /// Picks the shard for a frame's wire bytes: a splitmix64 mix of
@@ -59,20 +78,24 @@ struct Batch {
 /// One detector worker: an intake ring of frame batches and one
 /// SchemeSession per configured scheme. The intake thread is the only
 /// producer, the worker thread the only consumer (and the only toucher of
-/// the sessions). The worker reads each batch in place, captures and parses
-/// each frame into a FrameView of its own, feeds its sessions and drops the
-/// view before the next frame; then it hands the slot back. The intake's
-/// next push into that slot takes the consumed batch back and clears it, so
-/// the decoded record bytes are freed on the intake thread that allocated
-/// them and no FrameView ever crosses threads. The worker encodes its own
-/// kAlert records into a buffer it owns and hands each batch to the
-/// server's alert writer. All cross-thread stats are relaxed atomics; the
-/// drain-latency histogram is worker-owned and merged after join().
+/// the sessions). The worker reads each batch in place: it recaptures each
+/// frame into one FrameBuffer it recycles (FrameBuffer::recapture), feeds
+/// its sessions a view of it, and drops the view before the next frame;
+/// then it hands the slot back. The intake's next push into that slot takes
+/// the consumed batch back and clears it, keeping its capacity, so no
+/// FrameView ever crosses threads and neither thread allocates per frame
+/// once the ring's batches have grown. The worker formats its own kAlert
+/// records into a buffer it owns and hands each batch to the server's alert
+/// writer; once a write fails it drops the writer and encodes no more. All
+/// cross-thread stats are relaxed atomics; the drain-latency histogram and
+/// the written-alert count are worker-owned and read after join().
 class Shard {
 public:
-    /// Sends one batch of encoded kAlert records to the client. Every
-    /// worker calls it; the server serializes the writes under one lock.
-    using AlertWriter = std::function<void(const wire::Bytes&)>;
+    /// Sends one batch of encoded kAlert records to the client and reports
+    /// whether the client is still there: false once a write has failed.
+    /// Every worker calls it; the server serializes the writes under one
+    /// lock.
+    using AlertWriter = std::function<bool(const wire::Bytes&)>;
 
     struct Options {
         /// Ring bound in frames, rounded up to whole kBatchFrames batches.
@@ -96,9 +119,9 @@ public:
     /// batch.
     void start(const common::Stopwatch* clock, telemetry::Gauge* depth);
 
-    /// Intake thread only. Appends a frame's bytes to the open batch and
+    /// Intake thread only. Copies a frame's bytes into the open batch and
     /// submits the batch once it holds kBatchFrames frames.
-    void add(common::SimTime at, wire::Bytes bytes);
+    void add(common::SimTime at, std::span<const std::uint8_t> bytes);
 
     /// Intake thread only. Submits the open batch if it holds any frame,
     /// blocking while the ring is full: no admitted frame is ever dropped,
@@ -135,6 +158,8 @@ public:
     /// Post-join only: the worker no longer exists, so these are safe to
     /// read from the server thread.
     [[nodiscard]] const telemetry::Histogram& drain_latency() const { return latency_; }
+    /// kAlert records carried by writes that succeeded.
+    [[nodiscard]] std::uint64_t alerts_written() const { return alerts_written_; }
     [[nodiscard]] const std::vector<std::string>& scheme_names() const { return scheme_names_; }
     [[nodiscard]] replay::SchemeSession& session(std::size_t i) { return *sessions_[i]; }
     [[nodiscard]] const replay::SchemeSession& session(std::size_t i) const {
@@ -145,7 +170,7 @@ public:
 private:
     void run();
     bool drain_one();
-    void process(const WorkItem& item);
+    void process(common::SimTime at, std::span<const std::uint8_t> bytes);
     void flush_alerts();
 
     std::size_t index_;
@@ -158,7 +183,11 @@ private:
     alignas(64) Batch open_;  // frames not yet submitted
     telemetry::Gauge* depth_ = nullptr;
     // Worker-owned.
-    alignas(64) wire::Bytes alert_bytes_;  // encoded kAlert records not yet written
+    alignas(64) wire::FrameBuffer capture_;  // recaptured for every frame
+    std::string alert_line_;                 // one alert's line, reused
+    wire::Bytes alert_bytes_;                // encoded kAlert records not yet written
+    std::uint64_t alerts_pending_ = 0;       // records in alert_bytes_
+    std::uint64_t alerts_written_ = 0;
     telemetry::Histogram latency_;
 
     std::atomic<bool> input_done_{false};

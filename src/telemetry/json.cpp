@@ -37,8 +37,14 @@ std::size_t Json::size() const {
 }
 
 void json_escape(std::string& out, std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
     out.push_back('"');
-    for (const char c : s) {
+    std::size_t run = 0;  // start of the bytes that need no escaping
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') continue;
+        out.append(s.substr(run, i - run));
+        run = i + 1;
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
@@ -48,15 +54,12 @@ void json_escape(std::string& out, std::string_view s) {
             case '\r': out += "\\r"; break;
             case '\t': out += "\\t"; break;
             default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
+                out += "\\u00";
+                out.push_back(kHex[c >> 4]);
+                out.push_back(kHex[c & 0xF]);
         }
     }
+    out.append(s.substr(run));
     out.push_back('"');
 }
 

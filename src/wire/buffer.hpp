@@ -85,12 +85,16 @@ public:
         return MacAddress{o};
     }
     Ipv4Address ipv4() { return Ipv4Address{u32()}; }
-    Bytes bytes(std::size_t n) {
+    /// The next `n` bytes in place (empty on failure): no copy is made.
+    std::span<const std::uint8_t> take(std::size_t n) {
         if (!require(n)) return {};
-        Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+        const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
         pos_ += n;
         return out;
+    }
+    Bytes bytes(std::size_t n) {
+        const std::span<const std::uint8_t> in = take(n);
+        return Bytes(in.begin(), in.end());
     }
     /// All bytes not yet consumed.
     Bytes rest() { return bytes(remaining()); }

@@ -79,6 +79,21 @@ FrameBuffer FrameBuffer::capture(std::span<const std::uint8_t> bytes) {
     return capture(Bytes{bytes.begin(), bytes.end()});
 }
 
+void FrameBuffer::recapture(std::span<const std::uint8_t> bytes) {
+    if (rep_ == nullptr || rep_.use_count() != 1) {
+        *this = capture(bytes);
+        return;
+    }
+    Rep& rep = *rep_;
+    // lint:allow(untrusted-read-bounds): a full-range copy is bounded by the span itself
+    rep.bytes.assign(bytes.begin(), bytes.end());
+    rep.payload_len = frame_detail::kUnknownLen;
+    rep.eth_parsed = rep.eth_ok = false;
+    rep.arp_parsed = rep.arp_ok = false;
+    rep.ipv4_parsed = rep.ipv4_ok = false;
+    rep.frame_built = false;
+}
+
 std::span<const std::uint8_t> FrameBuffer::bytes() const {
     if (rep_ == nullptr) return {};
     return rep_->bytes;

@@ -90,7 +90,8 @@ class FrameView;
 /// ingested verbatim from a capture (`capture()`); everything downstream —
 /// taps, the switch flood/mirror path, scheme monitors, replay — shares the
 /// same allocation by value. Copying a FrameBuffer bumps a refcount; the
-/// bytes themselves are never copied or mutated after construction.
+/// bytes themselves are never copied, and never mutated while shared
+/// (recapture() reuses a Rep only when it is the sole owner).
 ///
 /// The memo (Ethernet header, ARP/IPv4 payload) is populated on first
 /// access and is NOT synchronized, so a buffer stays on one thread. No
@@ -110,6 +111,15 @@ public:
     /// payload exactly as it appeared on the wire.
     [[nodiscard]] static FrameBuffer capture(Bytes bytes);
     [[nodiscard]] static FrameBuffer capture(std::span<const std::uint8_t> bytes);
+
+    /// `*this = capture(bytes)`, without the allocations when nothing else
+    /// shares this buffer: a sole owner copies `bytes` into the capacity its
+    /// Rep already holds and forgets every memo, so the next parse is a miss
+    /// again. A buffer some other view still holds (a scheme kept a
+    /// FrameView, an event captured one) is left to it, and this one takes
+    /// a fresh Rep, as capture() would. A worker that feeds one frame at a
+    /// time recaptures every frame into one recycled FrameBuffer.
+    void recapture(std::span<const std::uint8_t> bytes);
 
     [[nodiscard]] bool empty() const { return rep_ == nullptr; }
     [[nodiscard]] std::span<const std::uint8_t> bytes() const;

@@ -1,5 +1,7 @@
 #include "wire/ipv4_address.hpp"
 
+#include <charconv>
+
 namespace arpsec::wire {
 
 common::Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
@@ -32,11 +34,18 @@ common::Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
 
 std::string Ipv4Address::to_string() const {
     std::string s;  // at most 15 chars: stays in the small-string buffer
-    for (int shift = 24; shift >= 0; shift -= 8) {
-        s += std::to_string((value_ >> shift) & 0xFF);
-        if (shift > 0) s += '.';
-    }
+    append_to(s);
     return s;
+}
+
+void Ipv4Address::append_to(std::string& out) const {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+        char octet[3];
+        const char* end =
+            std::to_chars(octet, octet + sizeof(octet), (value_ >> shift) & 0xFF).ptr;
+        out.append(octet, static_cast<std::size_t>(end - octet));
+        if (shift > 0) out += '.';
+    }
 }
 
 std::string Ipv4Subnet::to_string() const {

@@ -30,6 +30,8 @@ public:
     [[nodiscard]] constexpr bool is_broadcast() const { return value_ == 0xFFFFFFFFU; }
 
     [[nodiscard]] std::string to_string() const;
+    /// Appends the same dotted quad to `out` (no string of its own).
+    void append_to(std::string& out) const;
 
     constexpr auto operator<=>(const Ipv4Address&) const = default;
 

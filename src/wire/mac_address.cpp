@@ -31,13 +31,18 @@ common::Expected<MacAddress> MacAddress::parse(std::string_view text) {
 }
 
 std::string MacAddress::to_string() const {
-    static constexpr char kHex[] = "0123456789abcdef";
-    std::string s(3 * kSize - 1, ':');
-    for (std::size_t i = 0; i < kSize; ++i) {
-        s[3 * i] = kHex[octets_[i] >> 4];
-        s[3 * i + 1] = kHex[octets_[i] & 0xF];
-    }
+    std::string s;
+    append_to(s);
     return s;
+}
+
+void MacAddress::append_to(std::string& out) const {
+    static constexpr char kHex[] = "0123456789abcdef";
+    for (std::size_t i = 0; i < kSize; ++i) {
+        if (i > 0) out += ':';
+        out += kHex[octets_[i] >> 4];
+        out += kHex[octets_[i] & 0xF];
+    }
 }
 
 }  // namespace arpsec::wire

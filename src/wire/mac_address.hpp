@@ -52,6 +52,8 @@ public:
     [[nodiscard]] constexpr bool is_unicast() const { return !is_multicast(); }
 
     [[nodiscard]] std::string to_string() const;
+    /// Appends the same text to `out` (no string of its own).
+    void append_to(std::string& out) const;
 
     /// The address as a 48-bit integer (useful as a map key).
     [[nodiscard]] constexpr std::uint64_t to_u64() const {

@@ -14,10 +14,13 @@ constexpr std::uint32_t kStreamVersion = 1;
 // to reject a hostile count before any allocation happens.
 constexpr std::size_t kMinDirectoryEntryBytes = 12;
 
-void append_with_prefix(Bytes& out, const Bytes& body) {
+/// Writes a record's length prefix and type byte; the caller appends the
+/// other `body_len - 1` body bytes straight after them.
+ByteWriter begin_record(Bytes& out, std::size_t body_len, StreamRecordType type) {
     ByteWriter w{out};
-    w.u32(static_cast<std::uint32_t>(body.size()));
-    w.bytes(body);
+    w.u32(static_cast<std::uint32_t>(body_len));
+    w.u8(static_cast<std::uint8_t>(type));
+    return w;
 }
 
 }  // namespace
@@ -35,19 +38,16 @@ std::string to_string(StreamRecordType type) {
 }
 
 void encode_hello(Bytes& out, const StreamHello& hello) {
-    Bytes body;
-    ByteWriter w{body};
-    w.u8(static_cast<std::uint8_t>(StreamRecordType::kHello));
+    ByteWriter w = begin_record(out, 1 + 4 + 4 + 8, StreamRecordType::kHello);
     w.u32(kHelloMagic);
     w.u32(hello.version);
     w.u64(hello.seed);
-    append_with_prefix(out, body);
 }
 
 void encode_directory(Bytes& out, std::span<const StreamHostEntry> entries) {
-    Bytes body;
-    ByteWriter w{body};
-    w.u8(static_cast<std::uint8_t>(StreamRecordType::kDirectory));
+    std::size_t body_len = 1 + 4;
+    for (const StreamHostEntry& e : entries) body_len += 4 + 6 + 2 + e.name.size();
+    ByteWriter w = begin_record(out, body_len, StreamRecordType::kDirectory);
     w.u32(static_cast<std::uint32_t>(entries.size()));
     for (const StreamHostEntry& e : entries) {
         w.ipv4(e.ip);
@@ -56,34 +56,21 @@ void encode_directory(Bytes& out, std::span<const StreamHostEntry> entries) {
         w.bytes(std::span<const std::uint8_t>(
             reinterpret_cast<const std::uint8_t*>(e.name.data()), e.name.size()));
     }
-    append_with_prefix(out, body);
 }
 
 void encode_frame(Bytes& out, std::uint64_t at_nanos, std::span<const std::uint8_t> frame) {
-    Bytes body;
-    ByteWriter w{body};
-    w.u8(static_cast<std::uint8_t>(StreamRecordType::kFrame));
+    ByteWriter w = begin_record(out, 1 + 8 + 4 + frame.size(), StreamRecordType::kFrame);
     w.u64(at_nanos);
     w.u32(static_cast<std::uint32_t>(frame.size()));
     w.bytes(frame);
-    append_with_prefix(out, body);
 }
 
-void encode_end(Bytes& out) {
-    Bytes body;
-    ByteWriter w{body};
-    w.u8(static_cast<std::uint8_t>(StreamRecordType::kEnd));
-    append_with_prefix(out, body);
-}
+void encode_end(Bytes& out) { begin_record(out, 1, StreamRecordType::kEnd); }
 
 namespace {
 
-/// Writes the prefix and body straight into `out`: shard workers encode
-/// one of these per alert.
 void encode_text(Bytes& out, StreamRecordType type, const std::string& text) {
-    ByteWriter w{out};
-    w.u32(static_cast<std::uint32_t>(1 + text.size()));
-    w.u8(static_cast<std::uint8_t>(type));
+    ByteWriter w = begin_record(out, 1 + text.size(), type);
     w.bytes(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(text.data()),
                                           text.size()));
 }
@@ -98,13 +85,23 @@ void encode_summary(Bytes& out, const std::string& json) {
     encode_text(out, StreamRecordType::kSummary, json);
 }
 
-common::Expected<StreamRecord> decode_record_body(std::span<const std::uint8_t> body) {
-    using Result = common::Expected<StreamRecord>;
+namespace {
+
+/// Decodes one record body into `rec`, reusing its buffers: every field of
+/// the other record types is cleared first, so `rec` ends up equal to a
+/// fresh decode. On failure `rec` is unspecified.
+common::Expected<bool> decode_into(std::span<const std::uint8_t> body, StreamRecord& rec) {
+    using Result = common::Expected<bool>;
+    rec.hello = StreamHello{};
+    rec.directory.clear();
+    rec.frame.at_nanos = 0;
+    rec.frame.bytes.clear();
+    rec.text.clear();
+
     ByteReader r{body};
     const std::uint8_t raw_type = r.u8();
     if (!r.ok()) return Result::failure("stream: empty record body");
 
-    StreamRecord rec;
     switch (static_cast<StreamRecordType>(raw_type)) {
         case StreamRecordType::kHello: {
             rec.type = StreamRecordType::kHello;
@@ -133,7 +130,7 @@ common::Expected<StreamRecord> decode_record_body(std::span<const std::uint8_t> 
                 e.ip = r.ipv4();
                 e.mac = r.mac();
                 const std::uint16_t name_len = r.u16();
-                const Bytes name = r.bytes(name_len);
+                const std::span<const std::uint8_t> name = r.take(name_len);
                 if (!r.ok()) {
                     return Result::failure("stream: truncated directory entry " +
                                            std::to_string(i));
@@ -156,8 +153,8 @@ common::Expected<StreamRecord> decode_record_body(std::span<const std::uint8_t> 
                                        " disagrees with record body (" +
                                        std::to_string(r.remaining()) + " bytes left)");
             }
-            rec.frame.bytes = r.bytes(len);
-            if (!r.ok()) return Result::failure("stream: truncated frame bytes");
+            const std::span<const std::uint8_t> frame = r.take(len);
+            rec.frame.bytes.assign(frame.begin(), frame.end());
             break;
         }
         case StreamRecordType::kEnd: {
@@ -168,12 +165,24 @@ common::Expected<StreamRecord> decode_record_body(std::span<const std::uint8_t> 
         case StreamRecordType::kAlert:
         case StreamRecordType::kSummary: {
             rec.type = static_cast<StreamRecordType>(raw_type);
-            const Bytes text = r.rest();
-            rec.text.assign(text.begin(), text.end());
+            // A char range: std::string assigns it in place (an iterator
+            // range of bytes would go through a temporary string).
+            const std::span<const std::uint8_t> text = r.take(r.remaining());
+            rec.text.assign(reinterpret_cast<const char*>(text.data()), text.size());
             break;
         }
         default:
             return Result::failure("stream: unknown record type " + std::to_string(raw_type));
+    }
+    return Result{true};
+}
+
+}  // namespace
+
+common::Expected<StreamRecord> decode_record_body(std::span<const std::uint8_t> body) {
+    StreamRecord rec;
+    if (auto decoded = decode_into(body, rec); !decoded.ok()) {
+        return common::Expected<StreamRecord>::failure(std::move(decoded).error());
     }
     return rec;
 }
@@ -208,14 +217,12 @@ StreamDecoder::Status StreamDecoder::poll(StreamRecord& out) {
 
     const std::span<const std::uint8_t> body(buf_.data() + pos_ + 4, body_len);
     pos_ += 4 + static_cast<std::size_t>(body_len);
-    common::Expected<StreamRecord> rec = decode_record_body(body);
-    if (!rec.ok()) {
+    if (auto decoded = decode_into(body, out); !decoded.ok()) {
         ++bad_records_;
-        error_ = rec.error();
+        error_ = std::move(decoded).error();
         return Status::kBadRecord;
     }
     ++records_;
-    out = std::move(rec).value();
     return Status::kRecord;
 }
 

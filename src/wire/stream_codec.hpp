@@ -68,7 +68,8 @@ struct StreamRecord {
 };
 
 /// Serializers append one complete record (length prefix included) to
-/// `out`, so callers can batch several records into a single write.
+/// `out`, so callers can batch several records into a single write. They
+/// write straight into `out`: no temporary body is built.
 void encode_hello(Bytes& out, const StreamHello& hello);
 void encode_directory(Bytes& out, std::span<const StreamHostEntry> entries);
 void encode_frame(Bytes& out, std::uint64_t at_nanos, std::span<const std::uint8_t> frame);
@@ -103,7 +104,11 @@ public:
     /// Appends transport bytes to the internal reassembly buffer.
     void feed(std::span<const std::uint8_t> data);
 
-    /// Extracts the next record, if a complete one is buffered.
+    /// Extracts the next record, if a complete one is buffered, into `out`
+    /// in place: its buffers are reused and the fields of every other record
+    /// type are cleared, so a record kept across polls ends up equal to a
+    /// fresh decode and stops allocating once its buffers have grown. After
+    /// kBadRecord `out` is unspecified.
     Status poll(StreamRecord& out);
 
     [[nodiscard]] bool fatal() const { return fatal_; }

@@ -223,6 +223,23 @@ TEST(ServeCreateTest, RejectsZeroShardsAndUnknownSchemes) {
     EXPECT_TRUE(Server::create(registry, ServerOptions{}).ok());
 }
 
+TEST(ServeCreateTest, RejectsANonPositiveReadTimeout) {
+    // 0 would spin the intake on poll(0); a negative timeout blocks in
+    // read(), where request_stop() cannot reach a quiet stream.
+    const detect::Registry registry;
+    for (const int timeout_ms : {0, -1}) {
+        SCOPED_TRACE("read_timeout_ms=" + std::to_string(timeout_ms));
+        ServerOptions opts;
+        opts.read_timeout_ms = timeout_ms;
+        const auto server = Server::create(registry, opts);
+        ASSERT_FALSE(server.ok());
+        EXPECT_EQ(server.error(), "serve: read_timeout_ms must be > 0");
+    }
+    ServerOptions opts;
+    opts.read_timeout_ms = 1;
+    EXPECT_TRUE(Server::create(registry, opts).ok());
+}
+
 TEST(ServeCreateTest, GraceDefaultMatchesReplayEngine) {
     EXPECT_EQ(ServerOptions{}.grace, replay::EngineOptions{}.grace);
 }
@@ -459,13 +476,17 @@ TEST(ServeEquivalenceTest, AlertRecordsStreamBackToClient) {
                 EXPECT_EQ(std::count(types.begin(), types.end(),
                                      wire::StreamRecordType::kSummary),
                           1);
+                const std::uint64_t written =
+                    server.value()->metrics().counter("serve.alerts.written").value();
                 if (stream) {
                     std::sort(streamed.begin(), streamed.end());
                     auto expected = outcome;
                     std::sort(expected.begin(), expected.end());
                     EXPECT_EQ(streamed, expected);
+                    EXPECT_EQ(written, streamed.size());
                 } else {
                     EXPECT_TRUE(streamed.empty());
+                    EXPECT_EQ(written, 0u);
                 }
             }
         }
@@ -514,6 +535,117 @@ TEST(ServeShardedTest, EveryAdmittedFrameReachesExactlyOneShard) {
         deepest = std::max(deepest, depth->high_water());
     }
     EXPECT_GT(deepest, 0);
+}
+
+TEST(ServeShardedTest, MixedSmallAndJumboFramesMatchOfflineReplay) {
+    // Frames of very different sizes share each batch arena: every third
+    // frame is padded with zeros to 9000 bytes (ARP and IPv4 both parse past
+    // trailing padding), and the shortest are ARP's 60 bytes.
+    replay::LabeledTrace trace = small_trace();
+    std::size_t jumbo = 0;
+    std::size_t small = 0;
+    for (std::size_t i = 0; i < trace.frames.size(); ++i) {
+        wire::Bytes& bytes = trace.frames[i].bytes;
+        if (i % 3 == 0) {
+            bytes.resize(9000, 0);
+            ++jumbo;
+        } else if (bytes.size() == 60) {
+            ++small;
+        }
+    }
+    ASSERT_GT(small, 0u) << "no 60-byte frame left; the mix is vacuous";
+    const auto offline = canonical_lines(offline_alerts(trace));
+    ASSERT_FALSE(offline.empty()) << "trace produced no alerts; test is vacuous";
+    const detect::Registry registry;
+    for (const std::size_t shards : {1, 2}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) + ", " + std::to_string(jumbo) +
+                     " jumbo frames");
+        ServerOptions opts;
+        opts.shards = shards;
+        auto server = Server::create(registry, opts);
+        ASSERT_TRUE(server.ok()) << server.error();
+        const auto outcome =
+            serve_script(*server.value(), encode_stream(trace, 0, trace.frames.size()));
+        ASSERT_TRUE(outcome.ok()) << outcome.error();
+        EXPECT_EQ(outcome.value().transport_error, "");
+        EXPECT_EQ(static_cast<std::size_t>(outcome.value().summary.find("frames")->as_int()),
+                  trace.frames.size());
+        EXPECT_EQ(canonical_lines(outcome.value().alerts), offline);
+    }
+}
+
+TEST(ServeBatchTest, ArenaHoldsFramesBackToBackAndKeepsCapacityUnderTheCap) {
+    Batch batch;
+    const wire::Bytes a(60, 0x11);
+    const wire::Bytes b(9000, 0x22);
+    batch.add(common::SimTime{5}, a);
+    batch.add(common::SimTime{7}, b);
+    ASSERT_EQ(batch.frames.size(), 2u);
+    EXPECT_EQ(batch.frames[0].at, common::SimTime{5});
+    EXPECT_EQ(batch.frames[1].offset, 60u);
+    EXPECT_EQ(batch.arena.size(), 9060u);
+    const auto second = batch.bytes(batch.frames[1]);
+    EXPECT_TRUE(std::equal(second.begin(), second.end(), b.begin(), b.end()));
+
+    // Under the cap: clear() empties both vectors and keeps their capacity.
+    const std::size_t capacity = batch.arena.capacity();
+    batch.clear();
+    EXPECT_TRUE(batch.frames.empty());
+    EXPECT_TRUE(batch.arena.empty());
+    EXPECT_EQ(batch.arena.capacity(), capacity);
+
+    // Past the cap: the arena is freed, not kept for the next batch.
+    const wire::Bytes big(kMaxKeptArenaBytes / 4 + 1, 0x33);
+    for (int i = 0; i < 4; ++i) batch.add(common::SimTime{i}, big);
+    ASSERT_GT(batch.arena.capacity(), kMaxKeptArenaBytes);
+    batch.clear();
+    EXPECT_EQ(batch.arena.capacity(), 0u);
+    batch.add(common::SimTime{9}, a);
+    EXPECT_EQ(batch.bytes(batch.frames[0]).size(), 60u);
+}
+
+TEST(ServeShardTest, WorkerStopsEncodingAlertsOnceTheClientIsGone) {
+    // The writer reports the client gone from its first call on. The worker
+    // must not call it again, while it still feeds every frame and counts
+    // every alert. The trace goes in slices, each drained before the next,
+    // so the worker flushes its alert buffer once per slice that alerted.
+    const auto trace = small_trace();
+    const auto offline = offline_alerts(trace);
+    ASSERT_GT(offline.size(), 1u) << "too few alerts; the case is vacuous";
+    const detect::Registry registry;
+    replay::SessionOptions session_options;
+    session_options.seed = trace.seed == 0 ? 1 : trace.seed;
+    session_options.directory = trace.directory;
+    std::atomic<int> writes{0};
+    Shard::Options options;
+    options.write_alerts = [&](const wire::Bytes&) {
+        ++writes;
+        return false;
+    };
+    Shard shard{0, registry, {"arpwatch"}, session_options, options};
+    const common::Stopwatch clock;
+    telemetry::Gauge depth;
+    shard.start(&clock, &depth);
+    std::uint64_t slices_with_alerts = 0;
+    for (std::size_t begin = 0; begin < trace.frames.size(); begin += 50) {
+        const std::uint64_t alerts_before = shard.alerts_emitted();
+        const std::size_t end = std::min(begin + 50, trace.frames.size());
+        for (std::size_t i = begin; i < end; ++i) {
+            shard.add(trace.frames[i].at, trace.frames[i].bytes);
+        }
+        shard.flush();
+        // The worker flushes its alerts when it finds its ring empty.
+        while (shard.frames() < end || shard.queue_depth() != 0) exp::sleep_millis(1);
+        exp::sleep_millis(2);
+        if (shard.alerts_emitted() > alerts_before) ++slices_with_alerts;
+    }
+    shard.finish_input(true, replay::kDefaultGrace);
+    shard.join();
+    ASSERT_GT(slices_with_alerts, 1u) << "alerts came in one slice; the case is vacuous";
+    EXPECT_EQ(writes.load(), 1);
+    EXPECT_EQ(shard.alerts_emitted(), offline.size());
+    EXPECT_EQ(shard.alerts_written(), 0u);
+    EXPECT_EQ(shard.frames(), trace.frames.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -755,6 +887,10 @@ TEST(ServeLifecycleTest, ClientThatHangsUpGetsATypedWriteError) {
     ASSERT_FALSE(offline.empty()) << "trace produced no alerts; test is vacuous";
     EXPECT_EQ(canonical_lines(outcome.value().alerts), offline);
     EXPECT_EQ(outcome.value().transport_error, "write to client failed");
+    // Every alert was raised and counted, and none reached the client.
+    EXPECT_EQ(server.value()->metrics().counter("serve.shard.0.alerts").value(),
+              offline.size());
+    EXPECT_EQ(server.value()->metrics().counter("serve.alerts.written").value(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -893,6 +1029,31 @@ TEST(ServeSnapshotTest, RestoreResumesExactlyWhereTheStreamFroze) {
             *second.value(), encode_stream(trace, half, trace.frames.size()));
         ASSERT_TRUE(leg2.ok()) << leg2.error();
         EXPECT_TRUE(leg2.value().ended_by_end_record);
+
+        // The snapshot keeps each session's alert count although the alerts
+        // themselves moved into the outcome.
+        std::ifstream in{snap_path};
+        std::ostringstream text;
+        text << in.rdbuf();
+        const auto parsed = telemetry::Json::parse(text.str());
+        ASSERT_TRUE(parsed.has_value());
+        ASSERT_FALSE(leg1.value().alerts.empty()) << "leg 1 raised no alerts; check is vacuous";
+        for (const std::string& scheme : kMonitorSchemes) {
+            std::int64_t counted = 0;
+            for (const telemetry::Json& state : parsed->find("shard_states")->as_array()) {
+                for (const telemetry::Json& row : state.find("sessions")->as_array()) {
+                    if (row.find("scheme")->as_string() == scheme) {
+                        counted += row.find("alerts")->as_int();
+                    }
+                }
+            }
+            EXPECT_EQ(counted, std::count_if(leg1.value().alerts.begin(),
+                                             leg1.value().alerts.end(),
+                                             [&](const detect::Alert& a) {
+                                                 return a.scheme == scheme;
+                                             }))
+                << scheme;
+        }
 
         // The union of both legs' alerts is the offline single-run alert set.
         std::vector<detect::Alert> combined = leg1.value().alerts;

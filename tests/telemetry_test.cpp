@@ -7,8 +7,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/artifact.hpp"
 #include "core/runner.hpp"
@@ -74,6 +77,54 @@ TEST(JsonTest, StringEscapesRoundTrip) {
     const auto parsed = Json::parse(doc.dump());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->find("s")->as_string(), nasty);
+}
+
+TEST(JsonTest, EscapeMatchesAPerCharacterReferenceOnRandomBytes) {
+    // The reference escapes one character at a time; json_escape copies the
+    // runs between escapes in bulk, and must write the same bytes.
+    const auto reference = [](std::string_view s) {
+        std::string out = "\"";
+        for (const char c : s) {
+            const auto u = static_cast<unsigned char>(c);
+            switch (c) {
+                case '"': out += "\\\""; break;
+                case '\\': out += "\\\\"; break;
+                case '\b': out += "\\b"; break;
+                case '\f': out += "\\f"; break;
+                case '\n': out += "\\n"; break;
+                case '\r': out += "\\r"; break;
+                case '\t': out += "\\t"; break;
+                default:
+                    if (u < 0x20) {
+                        char buf[8];
+                        std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+                        out += buf;
+                    } else {
+                        out.push_back(c);
+                    }
+            }
+        }
+        return out + "\"";
+    };
+    std::mt19937_64 rng{20070613};
+    std::string all(256, '\0');  // every byte value once, in order
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<char>(i);
+    std::vector<std::string> cases = {"", "plain", "\"", "\\\\", "\x1f\x20\x7f\x80\xff", all};
+    for (int i = 0; i < 2000; ++i) {
+        std::string s(rng() % 64, '\0');
+        // Half the strings draw from all 256 values; half are mostly plain
+        // text, so long unescaped runs sit between the escapes.
+        for (char& c : s) {
+            c = (i % 2 == 0 || rng() % 8 == 0) ? static_cast<char>(rng() & 0xFF)
+                                               : static_cast<char>('a' + rng() % 26);
+        }
+        cases.push_back(std::move(s));
+    }
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        std::string out = "prefix";  // escapes append
+        telemetry::json_escape(out, cases[i]);
+        ASSERT_EQ(out, "prefix" + reference(cases[i])) << "case " << i;
+    }
 }
 
 TEST(JsonTest, ParseUnicodeEscape) {

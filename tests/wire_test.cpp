@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -293,6 +294,117 @@ TEST(FrameViewTest, Ipv4MemoizedOncePerBuffer) {
     EXPECT_EQ(s.ipv4_hits, 2u);
     EXPECT_EQ(view.arp(), nullptr);  // wrong EtherType: no ARP parse attempted
     EXPECT_EQ(frameview_stats().arp_misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// FrameBuffer::recapture: the one buffer a worker recycles for every frame
+// ---------------------------------------------------------------------------
+
+Bytes arp_request_from(std::uint8_t host) {
+    EthernetFrame f;
+    f.src = MacAddress::local(host);
+    f.dst = MacAddress::broadcast();
+    f.ether_type = EtherType::kArp;
+    f.payload = ArpPacket::request(MacAddress::local(host), Ipv4Address{10, 0, 0, host},
+                                   Ipv4Address{10, 0, 0, 254})
+                    .serialize();
+    return f.serialize();
+}
+
+Bytes udp_over_ipv4(std::uint8_t dst_host) {
+    Ipv4Packet p;
+    p.src = Ipv4Address{10, 0, 0, 1};
+    p.dst = Ipv4Address{10, 0, 0, dst_host};
+    p.protocol = IpProto::kUdp;
+    EthernetFrame f;
+    f.ether_type = EtherType::kIpv4;
+    f.payload = p.serialize();
+    return f.serialize();
+}
+
+bool same_bytes(std::span<const std::uint8_t> a, const Bytes& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+TEST(FrameRecaptureTest, SoleOwnerReusesItsRep) {
+    FrameBuffer buffer;
+    buffer.recapture(arp_request_from(1));  // an empty buffer takes a fresh Rep
+    const void* rep = buffer.identity();
+    ASSERT_NE(rep, nullptr);
+    {
+        const FrameView view{buffer};
+        ASSERT_NE(view.arp(), nullptr);  // fills the memo; the view goes again
+    }
+    const Bytes next = arp_request_from(2);
+    buffer.recapture(next);
+    EXPECT_EQ(buffer.identity(), rep);
+    EXPECT_TRUE(same_bytes(buffer.bytes(), next));
+    const FrameView view{buffer};
+    ASSERT_NE(view.arp(), nullptr);
+    EXPECT_EQ(view.arp()->sender_ip, (Ipv4Address{10, 0, 0, 2}));  // not the old memo
+    EXPECT_EQ(view.src(), MacAddress::local(2));
+}
+
+TEST(FrameRecaptureTest, SharedRepIsLeftToTheViewThatHoldsIt) {
+    FrameBuffer buffer;
+    const Bytes first = arp_request_from(1);
+    buffer.recapture(first);
+    const FrameView kept{buffer};  // a scheme or a scheduled event kept it
+    ASSERT_NE(kept.arp(), nullptr);
+    const void* rep = buffer.identity();
+
+    buffer.recapture(arp_request_from(2));
+    EXPECT_NE(buffer.identity(), rep);
+    EXPECT_EQ(kept.buffer().identity(), rep);
+    EXPECT_TRUE(same_bytes(kept.bytes(), first));
+    reset_frameview_stats();
+    ASSERT_NE(kept.arp(), nullptr);
+    EXPECT_EQ(kept.arp()->sender_ip, (Ipv4Address{10, 0, 0, 1}));
+    EXPECT_EQ(frameview_stats().arp_misses, 0u);  // its memo survived
+    const FrameView fresh{buffer};
+    ASSERT_NE(fresh.arp(), nullptr);
+    EXPECT_EQ(fresh.arp()->sender_ip, (Ipv4Address{10, 0, 0, 2}));
+}
+
+TEST(FrameRecaptureTest, ArpOverIpv4AnswersArpAndNotIpv4) {
+    FrameBuffer buffer;
+    buffer.recapture(udp_over_ipv4(2));
+    {
+        const FrameView view{buffer};
+        ASSERT_NE(view.ipv4(), nullptr);
+        EXPECT_EQ(view.arp(), nullptr);
+    }
+    const void* rep = buffer.identity();
+    buffer.recapture(arp_request_from(3));
+    ASSERT_EQ(buffer.identity(), rep);
+    {
+        const FrameView view{buffer};
+        EXPECT_EQ(view.ether_type(), EtherType::kArp);
+        ASSERT_NE(view.arp(), nullptr);
+        EXPECT_EQ(view.arp()->sender_ip, (Ipv4Address{10, 0, 0, 3}));
+        EXPECT_EQ(view.ipv4(), nullptr);
+    }
+    buffer.recapture(udp_over_ipv4(9));  // and back, to another address
+    const FrameView view{buffer};
+    EXPECT_EQ(view.arp(), nullptr);
+    ASSERT_NE(view.ipv4(), nullptr);
+    EXPECT_EQ(view.ipv4()->dst, (Ipv4Address{10, 0, 0, 9}));  // not the first frame's memo
+}
+
+TEST(FrameRecaptureTest, CountsOneParseMissPerRecapture) {
+    FrameBuffer buffer;
+    reset_frameview_stats();
+    for (std::uint8_t host = 1; host <= 5; ++host) {
+        buffer.recapture(arp_request_from(host));
+        const FrameView view{buffer};
+        ASSERT_TRUE(view.ok());  // the frame's one header parse
+        ASSERT_TRUE(view.ok());  // a memo hit
+        ASSERT_NE(view.arp(), nullptr);
+    }
+    const FrameViewStats s = frameview_stats();
+    EXPECT_EQ(s.parse_misses, 5u);
+    EXPECT_EQ(s.parse_hits, 5u);
+    EXPECT_EQ(s.arp_misses, 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1195,6 +1307,94 @@ TEST(StreamCodecTest, RoundTripsEveryRecordType) {
     EXPECT_EQ(d.poll(rec), StreamDecoder::Status::kNeedMore);
     EXPECT_EQ(d.records(), 6u);
     EXPECT_EQ(d.bad_records(), 0u);
+}
+
+TEST(StreamCodecTest, EveryEncoderAppendsGoldenBytes) {
+    // Each encoder appends after what `out` already holds (the 0xEE byte).
+    const auto encoded = [](const auto& encode) {
+        Bytes out{0xEE};
+        encode(out);
+        return out;
+    };
+    StreamHello hello;
+    hello.seed = 0x0102030405060708ULL;
+    EXPECT_EQ(encoded([&](Bytes& o) { encode_hello(o, hello); }),
+              (Bytes{0xEE, 0, 0, 0, 17, 0x01, 0x41, 0x53, 0x56, 0x31, 0, 0, 0, 1,
+                     1, 2, 3, 4, 5, 6, 7, 8}));
+
+    const std::vector<StreamHostEntry> dir = {
+        {"ab", Ipv4Address{10, 0, 0, 1}, MacAddress{0x02, 0, 0, 0, 0, 0x0a}}};
+    EXPECT_EQ(encoded([&](Bytes& o) { encode_directory(o, dir); }),
+              (Bytes{0xEE, 0, 0, 0, 19, 0x02, 0, 0, 0, 1, 10, 0, 0, 1,
+                     0x02, 0, 0, 0, 0, 0x0a, 0, 2, 'a', 'b'}));
+    EXPECT_EQ(encoded([&](Bytes& o) { encode_directory(o, {}); }),
+              (Bytes{0xEE, 0, 0, 0, 5, 0x02, 0, 0, 0, 0}));
+
+    const Bytes frame{0xAA, 0xBB, 0xCC};
+    EXPECT_EQ(encoded([&](Bytes& o) { encode_frame(o, 0x1122334455667788ULL, frame); }),
+              (Bytes{0xEE, 0, 0, 0, 16, 0x03, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,
+                     0x88, 0, 0, 0, 3, 0xAA, 0xBB, 0xCC}));
+    EXPECT_EQ(encoded([](Bytes& o) { encode_end(o); }), (Bytes{0xEE, 0, 0, 0, 1, 0x04}));
+    EXPECT_EQ(encoded([](Bytes& o) { encode_alert(o, "{}"); }),
+              (Bytes{0xEE, 0, 0, 0, 3, 0x10, '{', '}'}));
+    EXPECT_EQ(encoded([](Bytes& o) { encode_summary(o, "x"); }),
+              (Bytes{0xEE, 0, 0, 0, 2, 0x11, 'x'}));
+}
+
+void expect_same_record(const StreamRecord& got, const StreamRecord& want) {
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.hello.version, want.hello.version);
+    EXPECT_EQ(got.hello.seed, want.hello.seed);
+    ASSERT_EQ(got.directory.size(), want.directory.size());
+    for (std::size_t i = 0; i < got.directory.size(); ++i) {
+        EXPECT_EQ(got.directory[i].name, want.directory[i].name);
+        EXPECT_EQ(got.directory[i].ip, want.directory[i].ip);
+        EXPECT_EQ(got.directory[i].mac, want.directory[i].mac);
+    }
+    EXPECT_EQ(got.frame.at_nanos, want.frame.at_nanos);
+    EXPECT_EQ(got.frame.bytes, want.frame.bytes);
+    EXPECT_EQ(got.text, want.text);
+}
+
+TEST(StreamCodecTest, OneReusedRecordDecodesLikeFreshRecords) {
+    // The record bodies, each also decoded on its own into a fresh record.
+    std::vector<Bytes> records(8);
+    StreamHello hello;
+    hello.seed = 9;
+    encode_hello(records[0], hello);
+    const std::vector<StreamHostEntry> dir = {
+        {"alice", Ipv4Address{192, 168, 1, 10}, MacAddress::local(10)},
+        {"bob", Ipv4Address{192, 168, 1, 11}, MacAddress::local(11)}};
+    encode_directory(records[1], dir);
+    encode_frame(records[2], 11u, Bytes(70, 0x5a));
+    encode_alert(records[3], "{\"kind\":\"flip-flop\"}");
+    encode_frame(records[4], 1u, Bytes(8, 0x01));
+    records[4][4 + 1 + 8] ^= 0xff;  // the frame's inner length: a bad record
+    encode_frame(records[5], 12u, Bytes(20, 0x11));  // shorter than the last frame
+    encode_summary(records[6], "{\"frames\":2}");
+    encode_end(records[7]);
+
+    Bytes stream;
+    for (const Bytes& r : records) stream.insert(stream.end(), r.begin(), r.end());
+    StreamDecoder d;
+    d.feed(stream);
+    StreamRecord reused;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        SCOPED_TRACE("record " + std::to_string(i));
+        const auto fresh =
+            decode_record_body(std::span<const std::uint8_t>{records[i]}.subspan(4));
+        const StreamDecoder::Status st = d.poll(reused);
+        if (!fresh.ok()) {
+            EXPECT_EQ(st, StreamDecoder::Status::kBadRecord);
+            EXPECT_EQ(d.last_error(), fresh.error());
+            continue;
+        }
+        ASSERT_EQ(st, StreamDecoder::Status::kRecord);
+        expect_same_record(reused, fresh.value());
+    }
+    EXPECT_EQ(d.poll(reused), StreamDecoder::Status::kNeedMore);
+    EXPECT_EQ(d.records(), 7u);
+    EXPECT_EQ(d.bad_records(), 1u);
 }
 
 TEST(StreamCodecTest, ByteAtATimeFeedYieldsTheSameRecords) {

@@ -13,10 +13,12 @@
 // to the schemes, state freezes without the grace window (so a snapshot
 // captures exactly what was seen), and the summary still goes out.
 
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -47,8 +49,8 @@ int usage(const char* argv0) {
         "                        rounded up to whole 256-frame batches\n"
         "                        (default 4096); a full ring blocks the intake\n"
         "  --grace-ms MS         virtual time after a clean END (default 2000)\n"
-        "  --read-timeout-ms MS  per-read poll interval (default 100; also how\n"
-        "                        often SIGTERM is noticed)\n"
+        "  --read-timeout-ms MS  per-read poll interval, > 0 (default 100; also\n"
+        "                        how often SIGTERM is noticed)\n"
         "  --idle-timeout-ms MS  abandon a stream after this much quiet\n"
         "  --conns N             serve N connections, then exit (default 1)\n"
         "  --alerts PATH         write the canonical alert-stream file on exit\n"
@@ -62,6 +64,19 @@ int usage(const char* argv0) {
         "  --version             print the build's git describe string\n",
         argv0);
     return 2;
+}
+
+/// Parses all of `text` as a base-10 integer in [lo, hi] (by default the
+/// range of T); junk, trailing characters and out-of-range values fail.
+template <class T>
+bool parse_number(const char* text, T& out, T lo = std::numeric_limits<T>::min(),
+                  T hi = std::numeric_limits<T>::max()) {
+    const char* end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc{} || ptr != end || value < lo || value > hi) return false;
+    out = value;
+    return true;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -101,34 +116,38 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+        // Reads the flag's value into `out`: a number in [lo, hi] when
+        // bounds are given, else in the range of its type.
+        auto number = [&](auto& out, auto... bounds) {
+            const char* text = next();
+            return text != nullptr && parse_number(text, out, bounds...);
+        };
         const char* v = nullptr;
         if (arg == "--unix") {
             if ((v = next()) == nullptr) return usage(argv[0]);
             unix_path = v;
         } else if (arg == "--tcp") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            tcp_port = std::atoi(v);
+            if (!number(tcp_port, 0, 65535)) return usage(argv[0]);
         } else if (arg == "--schemes") {
             if ((v = next()) == nullptr) return usage(argv[0]);
             options.schemes = split_csv(v);
         } else if (arg == "--shards") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.shards = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            if (!number(options.shards)) return usage(argv[0]);
         } else if (arg == "--ring") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.ring_capacity = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            if (!number(options.ring_capacity)) return usage(argv[0]);
         } else if (arg == "--grace-ms") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.grace = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));
+            // Milliseconds that still fit the nanosecond clock.
+            constexpr auto kMaxMs = std::numeric_limits<std::int64_t>::max() / 1'000'000;
+            std::int64_t ms = 0;
+            if (!number(ms, std::int64_t{0}, kMaxMs)) return usage(argv[0]);
+            options.grace = arpsec::common::Duration::millis(ms);
         } else if (arg == "--read-timeout-ms") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.read_timeout_ms = std::atoi(v);
+            // Server::create refuses a value <= 0 with a typed error.
+            if (!number(options.read_timeout_ms)) return usage(argv[0]);
         } else if (arg == "--idle-timeout-ms") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.idle_timeout_ms = std::atoi(v);
+            if (!number(options.idle_timeout_ms)) return usage(argv[0]);
         } else if (arg == "--conns") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            conns = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            if (!number(conns)) return usage(argv[0]);
         } else if (arg == "--alerts") {
             if ((v = next()) == nullptr) return usage(argv[0]);
             alerts_path = v;
@@ -145,8 +164,7 @@ int main(int argc, char** argv) {
             if ((v = next()) == nullptr) return usage(argv[0]);
             options.scorecard_path = v;
         } else if (arg == "--scorecard-every") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.scorecard_every = std::strtoull(v, nullptr, 10);
+            if (!number(options.scorecard_every)) return usage(argv[0]);
         } else if (arg == "--no-alert-stream") {
             options.stream_alerts = false;
         } else if (arg == "--version") {
@@ -158,18 +176,19 @@ int main(int argc, char** argv) {
     }
     if (unix_path.empty() == (tcp_port < 0)) return usage(argv[0]);
 
+    // Options are checked before anything is bound.
+    const arpsec::detect::Registry registry;
+    auto server = arpsec::serve::Server::create(registry, options);
+    if (!server.ok()) {
+        std::fprintf(stderr, "arpsec-served: %s\n", server.error().c_str());
+        return 2;
+    }
+
     auto listener = unix_path.empty()
                         ? arpsec::serve::listen_tcp(static_cast<std::uint16_t>(tcp_port))
                         : arpsec::serve::listen_unix(unix_path);
     if (!listener.ok()) {
         std::fprintf(stderr, "arpsec-served: %s\n", listener.error().c_str());
-        return 2;
-    }
-
-    const arpsec::detect::Registry registry;
-    auto server = arpsec::serve::Server::create(registry, options);
-    if (!server.ok()) {
-        std::fprintf(stderr, "arpsec-served: %s\n", server.error().c_str());
         return 2;
     }
     g_server = server.value().get();

@@ -2,9 +2,9 @@
 # Serve smoke, run via ctest (arpsec_serve_smoke) and the CI arpsec-serve
 # job: a unix-socket round trip through arpsec-served must produce an alert
 # file byte-identical to offline arpsec-replay (arpwatch at one shard, then
-# every registered scheme at four shards on a 50k-frame trace), and the
+# every registered scheme at four shards on a 50k-frame trace), the
 # snapshot -> freeze -> restore -> resume flow must reproduce the offline
-# run as a set.
+# run as a set, and a negative --read-timeout-ms must be refused.
 #
 # usage: serve_smoke.sh TRACE_TOOL REPLAY_TOOL SERVED_TOOL LOADGEN_TOOL WORK_DIR [FRAMES]
 set -euo pipefail
@@ -41,6 +41,17 @@ wait_listen() { # pid logfile
     echo "daemon never printed its listening line" >&2
     return 1
 }
+
+# --- a non-positive read timeout is refused before anything is bound -----
+# (-1 would block each read where SIGTERM cannot reach a quiet stream.)
+STATUS=0
+"$SERVED_TOOL" --unix "$SOCK" --read-timeout-ms -1 > refused.log 2>&1 || STATUS=$?
+if [ "$STATUS" -ne 2 ] || ! grep -q "read_timeout_ms must be > 0" refused.log ||
+    [ -e "$SOCK" ]; then
+    echo "option check FAILED: --read-timeout-ms -1 exited $STATUS (see refused.log)" >&2
+    exit 1
+fi
+echo "serve smoke: --read-timeout-ms -1 refused with a typed error"
 
 # --- leg 0: full stream over the socket; the equivalence gate -------------
 "$SERVED_TOOL" --unix "$SOCK" --schemes arpwatch \
