@@ -4,18 +4,16 @@
 // scan of this repository in under two seconds.
 //
 // Unlike the sweep benches this one links only arpsec_lint (the linter is
-// deliberately outside the arpsec umbrella), so it carries its own tiny
-// flag parser with the shared CLI surface (--root/--smoke/--jobs/--out).
-// --jobs is accepted for interface parity and ignored: the measured
-// configuration is the single-threaded scan CI actually runs. stdout is
-// deterministic (counts only); timing goes to stderr and the
-// BENCH_lint_throughput.json perf-trajectory point.
+// deliberately outside the arpsec umbrella), so it reads its own flags
+// (--root/--smoke/--out). It measures the single-threaded scan CI actually
+// runs, so it has no --jobs. stdout is deterministic (counts only); timing
+// goes to stderr and the BENCH_lint_throughput.json perf-trajectory point.
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
+#include "common/args.hpp"
+#include "common/file.hpp"
 #include "common/time.hpp"
 #include "lint/linter.hpp"
 #include "telemetry/json.hpp"
@@ -32,10 +30,9 @@ struct Options {
     bool smoke = false;
 };
 
-int usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s [--root DIR] [--smoke] [--jobs N] [--out PATH]\n",
-                 argv0);
+int usage(const char* argv0, const std::string& error) {
+    std::fprintf(stderr, "%s: %s\nusage: %s [--root DIR] [--smoke] [--out PATH]\n", argv0,
+                 error.c_str(), argv0);
     return 2;
 }
 
@@ -48,20 +45,19 @@ std::size_t count_lines(const std::string& root);
 
 int main(int argc, char** argv) {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg == "--root" && i + 1 < argc) {
-            opt.root = argv[++i];
-        } else if (arg == "--out" && i + 1 < argc) {
-            opt.out = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            ++i;  // parity with the sweep benches; the scan is single-threaded
-        } else if (arg == "--smoke") {
+    common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--root")) {
+            args.value(opt.root);
+        } else if (args.is("--out")) {
+            args.value(opt.out);
+        } else if (args.is("--smoke")) {
             opt.smoke = true;
         } else {
-            return usage(argv[0]);
+            args.reject();
         }
     }
+    if (!args.ok()) return usage(argv[0], args.error());
 
     // --smoke: one timed pass (CI latency bound); full: three passes, best
     // wall time, so a cold page cache does not dominate the trajectory.
@@ -107,14 +103,9 @@ int main(int argc, char** argv) {
     traj["wall_seconds"] = best_wall;
     traj["files_per_second"] = files_per_second;
     traj["lines_per_second"] = lines_per_second;
-    {
-        std::ofstream out{opt.out};
-        if (out) {
-            out << traj.dump(2) << "\n";
-        } else {
-            std::fprintf(stderr, "[bench] cannot write %s\n", opt.out.c_str());
-            return 1;
-        }
+    if (auto written = common::write_file(opt.out, traj.dump(2) + "\n"); !written.ok()) {
+        std::fprintf(stderr, "[bench] %s\n", written.error().c_str());
+        return 1;
     }
     return 0;
 }

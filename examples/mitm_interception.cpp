@@ -12,6 +12,8 @@
 //   $ tcpdump -r mitm_unprotected.pcap arp | head
 
 #include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 #include "core/runner.hpp"
 #include "detect/registry.hpp"
@@ -32,6 +34,25 @@ core::ScenarioConfig scenario(core::Addressing addressing) {
     cfg.attack_stop = common::Duration::seconds(35);
     cfg.repoison_period = common::Duration::seconds(2);
     return cfg;
+}
+
+/// Runs `scheme` with every frame captured to `path`; exits when the
+/// capture cannot be written.
+core::ScenarioResult run_captured(core::ScenarioRunner& runner, detect::Scheme& scheme,
+                                  const char* path, std::size_t& frames) {
+    auto writer = wire::PcapWriter::open(path);
+    if (!writer.ok()) {
+        std::fprintf(stderr, "%s\n", writer.error().c_str());
+        std::exit(1);
+    }
+    sim::PcapTap tap(std::move(writer).value());
+    auto result = runner.run_with_tap(scheme, &tap);
+    if (auto closed = tap.close(); !closed.ok()) {
+        std::fprintf(stderr, "%s\n", closed.error().c_str());
+        std::exit(1);
+    }
+    frames = tap.frames();
+    return result;
 }
 
 void report(const char* label, const core::ScenarioResult& r, std::size_t pcap_frames,
@@ -57,23 +78,22 @@ int main() {
         const char* path = "mitm_unprotected.pcap";
         detect::NullScheme scheme;
         core::ScenarioRunner runner(scenario(core::Addressing::kStatic));
-        sim::PcapTap tap(path);
-        const auto result = runner.run_with_tap(scheme, &tap);
-        report("unprotected (classic ARP)", result, tap.frames(), path);
+        std::size_t frames = 0;
+        const auto result = run_captured(runner, scheme, path, frames);
+        report("unprotected (classic ARP)", result, frames, path);
     }
 
     {
         const char* path = "mitm_dai_protected.pcap";
         auto scheme = detect::make_scheme("dai");
         core::ScenarioRunner runner(scenario(core::Addressing::kDhcp));
-        sim::PcapTap tap(path);
         runner.alerts().on_alert = [](const detect::Alert& a) {
             static int shown = 0;
             if (shown++ < 3) std::printf("ALERT  %s\n", a.to_string().c_str());
         };
-        const auto result = runner.run_with_tap(*scheme, &tap);
-        report("protected (DHCP snooping + Dynamic ARP Inspection)", result, tap.frames(),
-               path);
+        std::size_t frames = 0;
+        const auto result = run_captured(runner, *scheme, path, frames);
+        report("protected (DHCP snooping + Dynamic ARP Inspection)", result, frames, path);
     }
 
     std::puts("\nOpen the pcap files in Wireshark: the unprotected capture shows the");

@@ -19,6 +19,11 @@ public:
     static constexpr Duration seconds(std::int64_t v) { return Duration{v * 1'000'000'000}; }
     static constexpr Duration zero() { return Duration{0}; }
 
+    /// The most whole milliseconds / seconds a Duration holds: the upper
+    /// bound of every millisecond and second flag.
+    static constexpr std::int64_t kMaxMillis = INT64_MAX / 1'000'000;
+    static constexpr std::int64_t kMaxSeconds = INT64_MAX / 1'000'000'000;
+
     [[nodiscard]] constexpr std::int64_t count() const { return ns_; }
     [[nodiscard]] constexpr double to_seconds() const { return static_cast<double>(ns_) / 1e9; }
     [[nodiscard]] constexpr double to_millis() const { return static_cast<double>(ns_) / 1e6; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/file.hpp"
+
 namespace arpsec::core {
 
 std::string TextTable::to_string() const {
@@ -70,12 +72,7 @@ std::string TextTable::to_csv() const {
 }
 
 bool TextTable::write_csv(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string csv = to_csv();
-    const bool ok = std::fwrite(csv.data(), 1, csv.size(), f) == csv.size();
-    std::fclose(f);
-    return ok;
+    return common::write_file(path, to_csv()).ok();
 }
 
 std::string fmt_percent(double ratio) {

@@ -4,10 +4,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
+#include "common/args.hpp"
+#include "common/file.hpp"
 #include "common/time.hpp"
 #include "common/version.hpp"
 
@@ -20,24 +19,13 @@ constexpr const char* kTrajectorySchema = "arpsec.bench-trajectory.v1";
 [[noreturn]] void usage(const char* prog, int code) {
     std::FILE* out = code == 0 ? stdout : stderr;
     std::fprintf(out,
-                 "usage: %s [--jobs N] [--smoke] [--out FILE] [FILE]\n"
-                 "  --jobs N     worker threads for the sweep (default 1; output is\n"
-                 "               byte-identical for every N)\n"
+                 "usage: %s [--jobs N] [--smoke] [--out FILE]\n"
+                 "  --jobs N     worker threads for the sweep, 1-256 (default 1; output\n"
+                 "               is byte-identical for every N)\n"
                  "  --smoke      tiny fast variant for ctest (2 hosts, 12s window)\n"
-                 "  --out FILE   write the arpsec.sweep-artifact.v1 JSON to FILE\n"
-                 "               (a bare positional FILE is accepted too)\n",
+                 "  --out FILE   write the arpsec.sweep-artifact.v1 JSON to FILE\n",
                  prog);
     std::exit(code);
-}
-
-std::size_t parse_count(const char* prog, const char* text) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v == 0) {
-        std::fprintf(stderr, "%s: bad count '%s'\n", prog, text);
-        std::exit(2);
-    }
-    return static_cast<std::size_t>(v);
 }
 
 const char* compiler() {
@@ -59,22 +47,23 @@ bool is_string(const telemetry::Json* j, const std::string& value) {
 BenchOptions parse_bench_args(int argc, char** argv) {
     BenchOptions opt;
     const char* prog = argc > 0 ? argv[0] : "bench";
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            opt.jobs = parse_count(prog, argv[++i]);
-        } else if (arg == "--smoke") {
+    common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--jobs")) {
+            args.number(opt.jobs, 1, kMaxJobs);
+        } else if (args.is("--smoke")) {
             opt.smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            opt.artifact_path = argv[++i];
-        } else if (arg == "--help" || arg == "-h") {
+        } else if (args.is("--out")) {
+            args.value(opt.artifact_path);
+        } else if (args.is("--help") || args.is("-h")) {
             usage(prog, 0);
-        } else if (!arg.empty() && arg[0] != '-' && opt.artifact_path.empty()) {
-            opt.artifact_path = arg;
         } else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n", prog, argv[i]);
-            usage(prog, 2);
+            args.reject();
         }
+    }
+    if (!args.ok()) {
+        std::fprintf(stderr, "%s: %s\n", prog, args.error().c_str());
+        usage(prog, 2);
     }
     return opt;
 }
@@ -124,10 +113,9 @@ bool append_trajectory_run(const std::string& path, const std::string& bench,
     telemetry::Json doc = telemetry::Json::object();
     doc["schema"] = kTrajectorySchema;
     doc["bench"] = bench;
-    if (std::ifstream in{path}; in) {
-        std::ostringstream text;
-        text << in.rdbuf();
-        const auto old = telemetry::Json::parse(text.str());
+    // A file that cannot be read starts a new trajectory, as a missing one does.
+    if (const auto text = common::read_file(path); text.ok()) {
+        const auto old = telemetry::Json::parse(text.value());
         if (!old.has_value() || !is_string(old->find("schema"), kTrajectorySchema) ||
             !is_string(old->find("bench"), bench)) {
             return false;
@@ -148,9 +136,7 @@ bool append_trajectory_run(const std::string& path, const std::string& bench,
     host["version"] = common::version_string();
     for (const auto& [key, value] : run.as_object()) stamped[key] = value;
     doc["runs"].push_back(std::move(stamped));
-    std::ofstream out{path, std::ios::trunc};
-    out << doc.dump(2) << "\n";
-    return static_cast<bool>(out);
+    return common::write_file(path, doc.dump(2) + "\n").ok();
 }
 
 int finish_bench(std::size_t failures) {

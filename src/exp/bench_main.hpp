@@ -18,12 +18,11 @@ namespace arpsec::exp {
 struct BenchOptions {
     std::size_t jobs = 1;
     bool smoke = false;          // ctest smoke variant: tiny net, short run
-    std::string artifact_path;   // --out FILE (or positional, legacy)
+    std::string artifact_path;   // --out FILE
 };
 
-/// Parses --jobs N / --smoke / --out FILE plus one optional positional
-/// artifact path (kept for callers of the pre-engine benches, e.g.
-/// `fig3_detection_latency f3.runs.json`). Exits on --help or bad usage.
+/// Parses --jobs N (1..kMaxJobs) / --smoke / --out FILE. Exits 0 on --help;
+/// an unknown flag or a missing or bad value prints usage and exits 2.
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);
 
 /// Shrinks a scenario to smoke proportions: 2 hosts, 12 s simulated with

@@ -8,6 +8,10 @@
 
 namespace arpsec::exp {
 
+/// The most worker threads a --jobs flag may ask for; each tool refuses
+/// more, so a typo cannot start thousands of threads.
+inline constexpr std::size_t kMaxJobs = 256;
+
 /// Outcome slot of one task in a parallel map: either a value or the
 /// message of the exception that aborted the task.
 template <typename T>

@@ -1,8 +1,8 @@
 #include "exp/sweep.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
+#include "common/file.hpp"
 #include "core/artifact.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
@@ -338,11 +338,7 @@ telemetry::Json SweepArtifact::to_json() const {
 }
 
 bool SweepArtifact::write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string text = to_json().dump(2) + "\n";
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    return std::fclose(f) == 0 && ok;
+    return common::write_file(path, to_json().dump(2) + "\n").ok();
 }
 
 std::string fmt_mean_sd(const common::Summary* s, int precision) {

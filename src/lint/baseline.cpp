@@ -1,7 +1,6 @@
 #include "lint/baseline.hpp"
 
-#include <fstream>
-#include <sstream>
+#include "common/file.hpp"
 
 namespace arpsec::lint {
 
@@ -44,13 +43,9 @@ common::Expected<Baseline> Baseline::parse(const std::string& text) {
 }
 
 common::Expected<Baseline> Baseline::load(const std::string& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
-        return common::Expected<Baseline>::failure("baseline: cannot open " + path);
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse(buf.str());
+    const auto text = common::read_file(path);
+    if (!text.ok()) return common::Expected<Baseline>::failure("baseline: " + text.error());
+    return parse(text.value());
 }
 
 bool Baseline::contains(const Violation& v) const {

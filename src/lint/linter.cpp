@@ -4,12 +4,12 @@
 #include <array>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <set>
-#include <sstream>
 
+#include "common/args.hpp"
 #include "common/expected.hpp"
+#include "common/file.hpp"
 #include "lint/index.hpp"
 #include "lint/lexer.hpp"
 #include "lint/rules.hpp"
@@ -114,10 +114,7 @@ std::set<std::string> allow_markers(std::string_view line) {
         const std::size_t open = pos + std::string_view{"lint:allow("}.size();
         const std::size_t close = line.find(')', open);
         if (close == std::string_view::npos) break;
-        std::string inner{line.substr(open, close - open)};
-        std::stringstream ss{inner};
-        std::string id;
-        while (std::getline(ss, id, ',')) {
+        for (const std::string& id : common::split_list(line.substr(open, close - open))) {
             const std::string_view t = trim(id);
             if (!t.empty()) out.emplace(t);
         }
@@ -334,17 +331,9 @@ std::optional<std::string> utf8_error(std::string_view text) {
 /// Reads a source file as text, rejecting unreadable files and non-UTF-8
 /// contents with a typed error instead of silently skipping them.
 common::Expected<std::string> read_source_file(const std::filesystem::path& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
-        return common::Expected<std::string>::failure("cannot open file");
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad()) {
-        return common::Expected<std::string>::failure("read error");
-    }
-    std::string text = buf.str();
-    if (const auto err = utf8_error(text)) {
+    auto text = common::read_file(path.string());
+    if (!text.ok()) return text;
+    if (const auto err = utf8_error(text.value())) {
         return common::Expected<std::string>::failure("not valid UTF-8: " + *err);
     }
     return text;

@@ -1,14 +1,12 @@
 #include "replay/source.hpp"
 
 #include <algorithm>
-#include <array>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "check/harness.hpp"
+#include "common/file.hpp"
 #include "detect/registry.hpp"
 #include "exp/executor.hpp"
 #include "wire/pcap_writer.hpp"
@@ -62,15 +60,9 @@ common::Expected<LabeledTrace> PcapFileSource::load() {
                                " (want 1, Ethernet)");
     }
 
-    std::ifstream in{labels_path_};
-    if (!in) return Result::failure("labels: cannot open '" + labels_path_ + "'");
-    std::string text;
-    std::array<char, 4096> chunk;
-    while (in.read(chunk.data(), chunk.size()) || in.gcount() > 0) {
-        text.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
-    }
-    if (in.bad()) return Result::failure("labels: cannot read '" + labels_path_ + "'");
-    auto labels = TraceLabels::parse(text);
+    const auto text = common::read_file(labels_path_);
+    if (!text.ok()) return Result::failure("labels: " + text.error());
+    auto labels = TraceLabels::parse(text.value());
     if (!labels.ok()) return Result::failure(labels.error());
 
     return label_frames(std::move(frames), labels.value(), pcap_path_);
@@ -130,16 +122,14 @@ common::Expected<bool> write_trace(const LabeledTrace& trace, const std::string&
                                    const std::string& labels_path,
                                    const std::string& producer) {
     using Result = common::Expected<bool>;
-    try {
-        wire::PcapWriter writer{pcap_path};
-        for (const TraceFrame& f : trace.frames) writer.write(f.at, f.bytes);
-    } catch (const std::exception& e) {
-        return Result::failure(std::string{"trace: "} + e.what());
+    auto writer = wire::PcapWriter::open(pcap_path);
+    if (!writer.ok()) return Result::failure("trace: " + writer.error());
+    for (const TraceFrame& f : trace.frames) writer->write(f.at, f.bytes);
+    if (auto closed = writer->close(); !closed.ok()) {
+        return Result::failure("trace: " + closed.error());
     }
-    std::ofstream out{labels_path};
-    if (!out) return Result::failure("trace: cannot write '" + labels_path + "'");
-    out << labels_of(trace).to_json(producer).dump(2) << "\n";
-    if (!out) return Result::failure("trace: write to '" + labels_path + "' failed");
+    auto labels = common::write_file(labels_path, labels_of(trace).to_json(producer).dump(2) + "\n");
+    if (!labels.ok()) return Result::failure("trace: " + labels.error());
     return true;
 }
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <tuple>
 
+#include "common/file.hpp"
 #include "telemetry/json.hpp"
 
 namespace arpsec::serve {
@@ -58,11 +58,13 @@ void sort_canonical(std::vector<detect::Alert>& alerts) {
 
 bool write_alert_file(const std::string& path, std::vector<detect::Alert> alerts) {
     sort_canonical(alerts);
-    std::ofstream out{path, std::ios::trunc};
-    if (!out) return false;
-    out << alert_stream_header() << '\n';
-    for (const detect::Alert& a : alerts) out << alert_line(a) << '\n';
-    return static_cast<bool>(out);
+    std::string text = alert_stream_header();
+    text += '\n';
+    for (const detect::Alert& a : alerts) {
+        append_alert_line(text, a);
+        text += '\n';
+    }
+    return common::write_file(path, text).ok();
 }
 
 }  // namespace arpsec::serve

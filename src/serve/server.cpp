@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
+#include "common/file.hpp"
 #include "wire/stream_codec.hpp"
 
 namespace arpsec::serve {
@@ -96,11 +96,9 @@ common::Expected<bool> Server::build_shards(std::uint64_t seed,
 
 common::Expected<bool> Server::load_restore_file(RestoredState& out) const {
     using Result = common::Expected<bool>;
-    std::ifstream in{options_.restore_path};
-    if (!in) return Result::failure("snapshot: cannot open " + options_.restore_path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    const auto parsed = telemetry::Json::parse(text.str());
+    const auto text = common::read_file(options_.restore_path);
+    if (!text.ok()) return Result::failure("snapshot: " + text.error());
+    const auto parsed = telemetry::Json::parse(text.value());
     if (!parsed.has_value() || !parsed->is_object()) {
         return Result::failure("snapshot: " + options_.restore_path + " is not a JSON object");
     }
@@ -223,7 +221,9 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
 
     std::vector<std::uint8_t> rbuf(1 << 16);
     bool done_reading = false;
-    int quiet_ms = 0;
+    // Quiet time is counted only when an idle timeout is set, in 64 bits:
+    // one timeout's worth past an int idle limit still fits.
+    std::int64_t quiet_ms = 0;
     std::uint64_t frames_since_scorecard = 0;
 
     while (!done_reading) {
@@ -234,8 +234,9 @@ common::Expected<ServeOutcome> Server::serve(Connection& conn) {
         IoResult io = conn.read_some(std::span<std::uint8_t>{rbuf}, options_.read_timeout_ms);
         switch (io.kind) {
             case IoResult::Kind::kTimeout:
+                if (options_.idle_timeout_ms < 0) continue;
                 quiet_ms += options_.read_timeout_ms;
-                if (options_.idle_timeout_ms >= 0 && quiet_ms >= options_.idle_timeout_ms) {
+                if (quiet_ms >= options_.idle_timeout_ms) {
                     outcome.idled_out = true;
                     done_reading = true;
                 }
@@ -487,10 +488,9 @@ common::Expected<bool> Server::write_snapshot(const std::string& path) const {
     }
     j["shard_states"] = std::move(shard_states);
 
-    std::ofstream out{path, std::ios::trunc};
-    if (!out) return Result::failure("snapshot: cannot write " + path);
-    out << j.dump(2) << '\n';
-    if (!out) return Result::failure("snapshot: write failed for " + path);
+    if (auto written = common::write_file(path, j.dump(2) + "\n"); !written.ok()) {
+        return Result::failure("snapshot: " + written.error());
+    }
     return Result{true};
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "sim/network.hpp"
 #include "wire/pcap_writer.hpp"
@@ -12,7 +12,7 @@ namespace arpsec::sim {
 /// the equivalent of running tcpdump on a mirror of the whole fabric.
 class PcapTap final : public CaptureTap {
 public:
-    explicit PcapTap(const std::string& path) : writer_(path) {}
+    explicit PcapTap(wire::PcapWriter writer) : writer_(std::move(writer)) {}
 
     void on_capture(common::SimTime at, Endpoint from, Endpoint to,
                     const wire::FrameView& view) override {
@@ -22,6 +22,10 @@ public:
     }
 
     [[nodiscard]] std::size_t frames() const { return writer_.frames_written(); }
+
+    /// Closes the capture; fails, naming the path, when a frame or the
+    /// close did not reach the file.
+    [[nodiscard]] common::Expected<bool> close() { return writer_.close(); }
 
 private:
     wire::PcapWriter writer_;

@@ -1,6 +1,6 @@
 #include "telemetry/run_artifact.hpp"
 
-#include <cstdio>
+#include "common/file.hpp"
 
 namespace arpsec::telemetry {
 
@@ -18,13 +18,7 @@ Json RunArtifact::to_json() const {
 }
 
 bool RunArtifact::write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string text = to_json().dump(2);
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                    std::fputc('\n', f) != EOF;
-    std::fclose(f);
-    return ok;
+    return common::write_file(path, to_json().dump(2) + "\n").ok();
 }
 
 }  // namespace arpsec::telemetry

@@ -1,6 +1,6 @@
 #include "telemetry/trace.hpp"
 
-#include <cstdio>
+#include "common/file.hpp"
 
 namespace arpsec::telemetry {
 
@@ -72,26 +72,16 @@ Json EventTracer::chrome_trace_json() const {
 }
 
 bool EventTracer::write_chrome_trace(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string text = chrome_trace_json().dump(2);
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                    std::fputc('\n', f) != EOF;
-    std::fclose(f);
-    return ok;
+    return common::write_file(path, chrome_trace_json().dump(2) + "\n").ok();
 }
 
 bool EventTracer::write_jsonl(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    bool ok = true;
+    std::string text;
     for (const TraceEvent& e : events_) {
-        const std::string line = event_json(e).dump();
-        ok = ok && std::fwrite(line.data(), 1, line.size(), f) == line.size() &&
-             std::fputc('\n', f) != EOF;
+        text += event_json(e).dump();
+        text += '\n';
     }
-    std::fclose(f);
-    return ok;
+    return common::write_file(path, text).ok();
 }
 
 }  // namespace arpsec::telemetry

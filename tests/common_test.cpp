@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/args.hpp"
 #include "common/expected.hpp"
+#include "common/file.hpp"
 #include "common/hex.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -234,6 +239,227 @@ TEST(ExpectedTest, RvalueAccessMoves) {
     Expected<int> failed = Expected<int>::failure("gone");
     const std::string err = std::move(failed).error();
     EXPECT_EQ(err, "gone");
+}
+
+// ---------------------------------------------------------------------------
+// parse_number / split_list / ArgReader
+// ---------------------------------------------------------------------------
+
+// One row per input: the bounds it is read against and what it must give.
+template <class T>
+struct NumberCase {
+    const char* text;
+    T lo;
+    T hi;
+    std::optional<T> want;
+};
+
+template <class T>
+void expect_numbers(const std::vector<NumberCase<T>>& cases) {
+    for (const auto& c : cases) {
+        EXPECT_EQ(parse_number<T>(c.text, c.lo, c.hi), c.want)
+            << "'" << c.text << "' in [" << c.lo << ", " << c.hi << "]";
+    }
+}
+
+TEST(ParseNumberTest, UnsignedTable) {
+    constexpr std::size_t kMax = SIZE_MAX;
+    expect_numbers<std::size_t>({
+        {"1", 1, 256, 1},
+        {"256", 1, 256, 256},
+        {"0", 1, 256, std::nullopt},    // below the bound (--jobs 0)
+        {"257", 1, 256, std::nullopt},  // above the bound
+        {"abc", 0, kMax, std::nullopt},
+        {"12x", 0, kMax, std::nullopt},
+        {"", 0, kMax, std::nullopt},
+        {"+5", 0, kMax, std::nullopt},
+        {" 5", 0, kMax, std::nullopt},
+        {"5 ", 0, kMax, std::nullopt},
+        {"-1", 0, kMax, std::nullopt},  // no wrap to 2^64-1
+        {"-0", 0, kMax, std::nullopt},
+        {"0x10", 0, kMax, std::nullopt},
+        {"1e3", 0, kMax, std::nullopt},
+        {"18446744073709551615", 0, kMax, kMax},
+        {"18446744073709551616", 0, kMax, std::nullopt},  // overflow
+    });
+    expect_numbers<std::uint16_t>({
+        {"1", 1, 65535, 1},
+        {"65535", 1, 65535, 65535},
+        {"0", 1, 65535, std::nullopt},
+        {"65536", 1, 65535, std::nullopt},
+    });
+}
+
+TEST(ParseNumberTest, SignedTable) {
+    constexpr std::int64_t kMs = Duration::kMaxMillis;
+    expect_numbers<std::int64_t>({
+        {"0", 0, kMs, 0},
+        {"9223372036854", 0, kMs, kMs},
+        {"9223372036855", 0, kMs, std::nullopt},  // would overflow the ns clock
+        {"-1", 0, kMs, std::nullopt},
+        {"9223372036854775808", 0, INT64_MAX, std::nullopt},
+    });
+    expect_numbers<int>({
+        {"-1", INT32_MIN, INT32_MAX, -1},
+        {"-2147483648", INT32_MIN, INT32_MAX, INT32_MIN},
+        {"2147483647", INT32_MIN, INT32_MAX, INT32_MAX},
+        {"2147483648", INT32_MIN, INT32_MAX, std::nullopt},
+        {"-2147483649", INT32_MIN, INT32_MAX, std::nullopt},
+        {"--1", INT32_MIN, INT32_MAX, std::nullopt},
+        {"+1", INT32_MIN, INT32_MAX, std::nullopt},
+    });
+}
+
+TEST(ParseNumberTest, DoubleTable) {
+    expect_numbers<double>({
+        {"0", 0.0, 1.0, 0.0},
+        {"1", 0.0, 1.0, 1.0},
+        {"0.25", 0.0, 1.0, 0.25},
+        {"1e-3", 0.0, 1.0, 0.001},
+        {"1.5", 0.0, 1.0, std::nullopt},
+        {"-0.1", 0.0, 1.0, std::nullopt},
+        {"0.5x", 0.0, 1.0, std::nullopt},
+        {" 0.5", 0.0, 1.0, std::nullopt},
+        {"+0.5", 0.0, 1.0, std::nullopt},
+        {"abc", 0.0, 1.0, std::nullopt},
+        {"nan", 0.0, 1.0, std::nullopt},
+        {"inf", 0.0, 1.0, std::nullopt},
+        {"1e400", 0.0, 1.0, std::nullopt},  // overflow
+    });
+}
+
+TEST(SplitListTest, DropsEmptyItems) {
+    using List = std::vector<std::string>;
+    EXPECT_EQ(split_list("arpwatch"), List{"arpwatch"});
+    EXPECT_EQ(split_list("a,b"), (List{"a", "b"}));
+    EXPECT_EQ(split_list("a,,b,"), (List{"a", "b"}));
+    EXPECT_EQ(split_list(",a"), List{"a"});
+    EXPECT_EQ(split_list(""), List{});
+    EXPECT_EQ(split_list(",,"), List{});
+}
+
+// Runs an ArgReader over `argv` the way the tools do: --jobs N (1-256),
+// --out FILE, --schemes LIST, --grace-ms MS and the --smoke switch.
+struct Parsed {
+    std::size_t jobs = 1;
+    std::string out = "default";
+    std::vector<std::string> schemes;
+    Duration grace = Duration::millis(7);
+    bool smoke = false;
+    std::string error;
+};
+
+Parsed parse(std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    Parsed p;
+    ArgReader args{static_cast<int>(argv.size()), const_cast<char**>(argv.data())};
+    while (args.next()) {
+        if (args.is("--jobs")) {
+            args.number(p.jobs, 1, 256);
+        } else if (args.is("--out")) {
+            args.value(p.out);
+        } else if (args.is("--schemes")) {
+            args.list(p.schemes);
+        } else if (args.is("--grace-ms")) {
+            args.millis(p.grace);
+        } else if (args.is("--smoke")) {
+            p.smoke = true;
+        } else {
+            args.reject();
+        }
+    }
+    p.error = args.error();
+    return p;
+}
+
+TEST(ArgReaderTest, ReadsEveryKindOfValue) {
+    const Parsed p = parse({"--jobs", "4", "--out", "f.json", "--schemes", "a,,b", "--smoke",
+                            "--grace-ms", "250"});
+    EXPECT_EQ(p.error, "");
+    EXPECT_EQ(p.jobs, 4u);
+    EXPECT_EQ(p.out, "f.json");
+    EXPECT_EQ(p.schemes, (std::vector<std::string>{"a", "b"}));
+    EXPECT_TRUE(p.smoke);
+    EXPECT_EQ(p.grace, Duration::millis(250));
+    EXPECT_EQ(parse({}).error, "");
+}
+
+TEST(ArgReaderTest, FailuresNameTheFlagAndStopTheWalk) {
+    struct Case {
+        std::vector<const char*> argv;
+        const char* error;
+    };
+    const std::vector<Case> cases = {
+        {{"--out"}, "missing value for --out"},
+        {{"--smoke", "--jobs"}, "missing value for --jobs"},
+        {{"--schemes"}, "missing value for --schemes"},
+        {{"--jobs", "abc"}, "bad value 'abc' for --jobs"},
+        {{"--jobs", "12x"}, "bad value '12x' for --jobs"},
+        {{"--jobs", "0"}, "bad value '0' for --jobs"},
+        {{"--jobs", "-1"}, "bad value '-1' for --jobs"},
+        {{"--grace-ms", "-1"}, "bad value '-1' for --grace-ms"},
+        {{"--grace-ms", "9223372036855"}, "bad value '9223372036855' for --grace-ms"},
+        {{"--bogus"}, "unknown argument '--bogus'"},
+        {{"f3.runs.json"}, "unknown argument 'f3.runs.json'"},
+        // The first failure wins; nothing after it is read.
+        {{"--jobs", "x", "--out", "later.json", "--bogus"}, "bad value 'x' for --jobs"},
+    };
+    for (const Case& c : cases) {
+        const Parsed p = parse(c.argv);
+        EXPECT_EQ(p.error, c.error);
+        EXPECT_EQ(p.out, "default") << c.error;   // a failed read leaves its target
+        EXPECT_EQ(p.jobs, 1u) << c.error;
+        EXPECT_EQ(p.grace, Duration::millis(7)) << c.error;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// read_file / write_file
+// ---------------------------------------------------------------------------
+
+TEST(FileTest, WriteThenReadRoundTripsBytes) {
+    const std::string path = ::testing::TempDir() + "/arpsec_common_file.bin";
+    const std::string text{"line\r\n\0binary\xff tail", 19};
+    ASSERT_TRUE(write_file(path, "an older, longer content to replace").ok());
+    const auto written = write_file(path, text);
+    ASSERT_TRUE(written.ok()) << written.error();
+    const auto read = read_file(path);
+    ASSERT_TRUE(read.ok()) << read.error();
+    EXPECT_EQ(read.value(), text);
+
+    // Larger than one read chunk.
+    const std::string big(100'000, 'x');
+    ASSERT_TRUE(write_file(path, big).ok());
+    EXPECT_EQ(read_file(path).value(), big);
+
+    ASSERT_TRUE(write_file(path, "").ok());
+    EXPECT_EQ(read_file(path).value(), "");
+    std::remove(path.c_str());
+}
+
+TEST(FileTest, FailuresNameThePath) {
+    const std::string missing = ::testing::TempDir() + "/arpsec-no-such-dir/f.json";
+    const auto no_file = read_file(missing);
+    ASSERT_FALSE(no_file.ok());
+    EXPECT_EQ(no_file.error(), "cannot open '" + missing + "'");
+
+    // A directory opens, but cannot be read.
+    const std::string dir = std::filesystem::temp_directory_path().string();
+    const auto not_file = read_file(dir);
+    ASSERT_FALSE(not_file.ok());
+    EXPECT_EQ(not_file.error(), "cannot read '" + dir + "'");
+
+    const auto no_dir = write_file(missing, "x");
+    ASSERT_FALSE(no_dir.ok());
+    EXPECT_EQ(no_dir.error(), "cannot write '" + missing + "': No such file or directory");
+
+    // /dev/full takes the open and fails the write: a small text fails at the
+    // close that flushes it, a large one in the write itself.
+    for (const std::size_t size : {std::size_t{1}, std::size_t{1} << 20}) {
+        const auto full = write_file("/dev/full", std::string(size, 'x'));
+        ASSERT_FALSE(full.ok()) << size;
+        EXPECT_EQ(full.error(), "cannot write '/dev/full': No space left on device") << size;
+    }
 }
 
 // ---------------------------------------------------------------------------

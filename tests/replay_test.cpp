@@ -213,6 +213,29 @@ TEST(PcapFileSourceTest, RoundTripsThroughDisk) {
     }
 }
 
+TEST(WriteTraceTest, UnwritablePathsAreTypedErrors) {
+    const LabeledTrace trace = load_small();
+    const std::string dir = ::testing::TempDir();
+    const std::string missing = dir + "/arpsec-no-such-dir/t.pcap";
+
+    // The pcap cannot be created, then it cannot be flushed, then the
+    // sidecar cannot be flushed: each failure names its path.
+    const auto no_dir = write_trace(trace, missing, missing + ".labels.json", "replay_test");
+    ASSERT_FALSE(no_dir.ok());
+    EXPECT_EQ(no_dir.error().rfind("trace: cannot write '" + missing + "': ", 0), 0u)
+        << no_dir.error();
+
+    const auto full_pcap = write_trace(trace, "/dev/full", dir + "/unused.json", "replay_test");
+    ASSERT_FALSE(full_pcap.ok());
+    EXPECT_EQ(full_pcap.error(), "trace: cannot write '/dev/full': No space left on device");
+
+    const std::string pcap = dir + "/arpsec_write_trace_full_labels.pcap";
+    const auto full_labels = write_trace(trace, pcap, "/dev/full", "replay_test");
+    std::remove(pcap.c_str());
+    ASSERT_FALSE(full_labels.ok());
+    EXPECT_EQ(full_labels.error(), "trace: cannot write '/dev/full': No space left on device");
+}
+
 TEST(PcapFileSourceTest, MissingSidecarIsATypedError) {
     const auto loaded =
         PcapFileSource{"/nonexistent.pcap", "/nonexistent.labels.json"}.load();

@@ -454,7 +454,7 @@ TEST(PcapTapTest, RecordsTransmittedFrames) {
     const std::string path = ::testing::TempDir() + "/tap_test.pcap";
     {
         Network net(1);
-        PcapTap tap(path);
+        PcapTap tap(wire::PcapWriter::open(path).value());
         net.add_tap(&tap);
         auto& rx = net.emplace_node<RecorderNode>("rx");
         auto& tx = net.emplace_node<SenderNode>("tx", make_frame());
@@ -462,6 +462,7 @@ TEST(PcapTapTest, RecordsTransmittedFrames) {
         net.start_all();
         net.scheduler().run_all();
         EXPECT_EQ(tap.frames(), 1u);
+        EXPECT_TRUE(tap.close().ok());
     }
     std::remove(path.c_str());
 }

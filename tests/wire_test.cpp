@@ -781,7 +781,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzzTest, ::testing::Values(1, 2, 3, 42, 13
 TEST(PcapWriterTest, WritesGlobalHeaderAndRecords) {
     const std::string path = ::testing::TempDir() + "/arpsec_test.pcap";
     {
-        PcapWriter w(path);
+        auto w = PcapWriter::open(path).value();
         const Bytes frame(64, 0xAB);
         w.write(common::SimTime{1'500'000'000}, frame);
         w.write(common::SimTime{2'000'000'000}, frame);
@@ -801,6 +801,23 @@ TEST(PcapWriterTest, WritesGlobalHeaderAndRecords) {
     std::fclose(f);
     std::remove(path.c_str());
     EXPECT_EQ(size, 24 + 2 * (16 + 64));
+}
+
+TEST(PcapWriterTest, UncreatablePathFailsAtOpen) {
+    const std::string path = ::testing::TempDir() + "/arpsec-no-such-dir/x.pcap";
+    const auto w = PcapWriter::open(path);
+    ASSERT_FALSE(w.ok());
+    EXPECT_EQ(w.error().rfind("cannot write '" + path + "': ", 0), 0u) << w.error();
+}
+
+TEST(PcapWriterTest, FullDiskFailsAtCloseNamingThePath) {
+    // /dev/full opens and buffers, then every flush fails with ENOSPC.
+    auto w = PcapWriter::open("/dev/full");
+    ASSERT_TRUE(w.ok()) << w.error();
+    w->write(common::SimTime{1'000'000'000}, Bytes(64, 0xAB));
+    const auto closed = w->close();
+    ASSERT_FALSE(closed.ok());
+    EXPECT_EQ(closed.error(), "cannot write '/dev/full': No space left on device");
 }
 
 TEST(PcapWriterTest, RoundTripParsesBackToTheOriginalFrames) {
@@ -834,7 +851,7 @@ TEST(PcapWriterTest, RoundTripParsesBackToTheOriginalFrames) {
     const std::string path = ::testing::TempDir() + "/arpsec_roundtrip.pcap";
     const std::int64_t base_ns = 1'234'567'000;
     {
-        PcapWriter w(path);
+        auto w = PcapWriter::open(path).value();
         for (std::size_t i = 0; i < sent.size(); ++i) {
             w.write(common::SimTime{base_ns + static_cast<std::int64_t>(i) * 1'000'000},
                     sent[i].serialize());
@@ -946,7 +963,7 @@ TEST(PcapReaderTest, WriterReaderByteExactRoundTrip) {
     std::vector<Bytes> frames;
     std::vector<std::int64_t> stamps;
     {
-        PcapWriter w(path);
+        auto w = PcapWriter::open(path).value();
         for (int i = 0; i < 20; ++i) {
             Bytes frame(14 + rng.next_below(120));
             for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next_u64());
@@ -974,7 +991,7 @@ TEST(PcapReaderTest, WriterReaderByteExactRoundTrip) {
     // Re-writing the parsed records reproduces the file byte for byte.
     const std::string path2 = ::testing::TempDir() + "/arpsec_reader_rewrite.pcap";
     {
-        PcapWriter w(path2);
+        auto w = PcapWriter::open(path2).value();
         for (const auto& rec : trace->records) w.write(rec.at, rec.bytes);
     }
     EXPECT_EQ(read_all(path), read_all(path2));
@@ -1044,7 +1061,7 @@ TEST(PcapReaderTest, TruncatedFinalRecordIsATypedError) {
     for (const std::size_t frames : {std::size_t{2}, std::size_t{2500}}) {
         SCOPED_TRACE(std::to_string(frames) + " records");
         {
-            PcapWriter w(path);
+            auto w = PcapWriter::open(path).value();
             for (std::size_t i = 0; i < frames; ++i) {
                 w.write(common::SimTime{static_cast<std::int64_t>(i + 1) * 1'000'000'000},
                         Bytes(60, static_cast<std::uint8_t>(i)));
@@ -1123,7 +1140,7 @@ namespace {
 Bytes two_record_capture() {
     const std::string path = ::testing::TempDir() + "/arpsec_stream_fixture.pcap";
     {
-        PcapWriter w(path);
+        auto w = PcapWriter::open(path).value();
         w.write(common::SimTime{1'000'000'000}, Bytes(60, 0x11));
         w.write(common::SimTime{2'000'000'000}, Bytes(42, 0x22));
     }

@@ -18,26 +18,31 @@
 // from an atomic counter but results are collected in seed order.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "check/checker.hpp"
 #include "check/planted.hpp"
+#include "common/args.hpp"
+#include "common/file.hpp"
 #include "common/version.hpp"
+#include "exp/executor.hpp"
 
 namespace {
 
-int usage(const char* argv0) {
+/// Upper bound of --seeds: the report keeps one result per seed.
+constexpr std::size_t kMaxSeeds = 1'000'000;
+
+int usage(const char* argv0, const std::string& error = {}) {
+    if (!error.empty()) std::fprintf(stderr, "arpsec-check: %s\n", error.c_str());
     std::fprintf(
         stderr,
         "usage: %s [--seeds N] [--first-seed S] [--jobs J] [--schemes a,b,...]\n"
         "          [--plant-bug] [--no-shrink] [--out PATH] [--artifact-dir DIR]\n"
         "          [--replay PATH [--planted]]\n"
-        "  --seeds N         scenarios to check (default 20)\n"
-        "  --first-seed S    first seed of the range (default 1)\n"
-        "  --jobs J          worker threads (default 1; report is identical for any J)\n"
+        "  --seeds N         scenarios to check, 1-1000000 (default 20)\n"
+        "  --first-seed S    first seed of the range, 0-2^64-1 (default 1)\n"
+        "  --jobs J          worker threads, 1-256 (default 1; the report is\n"
+        "                    identical for any J)\n"
         "  --schemes LIST    comma-separated scheme pool (default: all registered)\n"
         "  --plant-bug       self-test against a fault-injected scheme\n"
         "  --no-shrink       keep failing schedules unshrunk\n"
@@ -50,25 +55,13 @@ int usage(const char* argv0) {
     return 2;
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty()) out.push_back(item);
-    }
-    return out;
-}
-
 int replay(const std::string& path, bool planted) {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "arpsec-check: cannot read %s\n", path.c_str());
+    const auto text = arpsec::common::read_file(path);
+    if (!text.ok()) {
+        std::fprintf(stderr, "arpsec-check: %s\n", text.error().c_str());
         return 2;
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const auto result = arpsec::check::replay_artifact(buf.str(), planted);
+    const auto result = arpsec::check::replay_artifact(text.value(), planted);
     if (!result.ok()) {
         std::fprintf(stderr, "arpsec-check: %s\n", result.error().c_str());
         return 2;
@@ -98,50 +91,36 @@ int main(int argc, char** argv) {
     std::string replay_path;
     bool replay_planted = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        if (arg == "--seeds") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.seeds = static_cast<std::size_t>(std::stoul(v));
-        } else if (arg == "--first-seed") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.first_seed = std::stoull(v);
-        } else if (arg == "--jobs") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.jobs = static_cast<std::size_t>(std::stoul(v));
-        } else if (arg == "--schemes") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.gen.schemes = split_csv(v);
-        } else if (arg == "--plant-bug") {
+    arpsec::common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--seeds")) {
+            args.number(opts.seeds, 1, kMaxSeeds);
+        } else if (args.is("--first-seed")) {
+            args.number(opts.first_seed);
+        } else if (args.is("--jobs")) {
+            args.number(opts.jobs, 1, arpsec::exp::kMaxJobs);
+        } else if (args.is("--schemes")) {
+            args.list(opts.gen.schemes);
+        } else if (args.is("--plant-bug")) {
             opts.plant_bug = true;
-        } else if (arg == "--no-shrink") {
+        } else if (args.is("--no-shrink")) {
             opts.shrink = false;
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            out_path = v;
-        } else if (arg == "--artifact-dir") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            artifact_dir = v;
-        } else if (arg == "--replay") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            replay_path = v;
-        } else if (arg == "--planted") {
+        } else if (args.is("--out")) {
+            args.value(out_path);
+        } else if (args.is("--artifact-dir")) {
+            args.value(artifact_dir);
+        } else if (args.is("--replay")) {
+            args.value(replay_path);
+        } else if (args.is("--planted")) {
             replay_planted = true;
-        } else if (arg == "--version") {
+        } else if (args.is("--version")) {
             std::puts(arpsec::common::tool_version_line("check").c_str());
             return 0;
         } else {
-            return usage(argv[0]);
+            args.reject();
         }
     }
+    if (!args.ok()) return usage(argv[0], args.error());
 
     if (!replay_path.empty()) return replay(replay_path, replay_planted);
 
@@ -160,24 +139,21 @@ int main(int argc, char** argv) {
     std::fputs(text.c_str(), stdout);
 
     if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::fprintf(stderr, "arpsec-check: cannot write %s\n", out_path.c_str());
+        if (auto written = arpsec::common::write_file(out_path, text); !written.ok()) {
+            std::fprintf(stderr, "arpsec-check: %s\n", written.error().c_str());
             return 2;
         }
-        out << text;
     }
     if (!artifact_dir.empty()) {
         for (const auto& r : report.results) {
             if (!r.failed || !r.error.empty()) continue;
             const std::string path =
                 artifact_dir + "/check-seed-" + std::to_string(r.seed) + ".json";
-            std::ofstream out(path);
-            if (!out) {
-                std::fprintf(stderr, "arpsec-check: cannot write %s\n", path.c_str());
+            if (auto written = arpsec::common::write_file(path, r.artifact().dump(2) + "\n");
+                !written.ok()) {
+                std::fprintf(stderr, "arpsec-check: %s\n", written.error().c_str());
                 return 2;
             }
-            out << r.artifact().dump(2) << "\n";
             std::fprintf(stderr, "arpsec-check: wrote repro %s\n", path.c_str());
         }
     }

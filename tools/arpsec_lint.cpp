@@ -19,14 +19,13 @@
 //   $ arpsec-lint --list-rules
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/args.hpp"
+#include "common/file.hpp"
 #include "common/version.hpp"
 #include "lint/baseline.hpp"
 #include "lint/linter.hpp"
@@ -34,7 +33,8 @@
 
 namespace {
 
-int usage(const char* argv0) {
+int usage(const char* argv0, const std::string& error = {}) {
+    if (!error.empty()) std::fprintf(stderr, "arpsec-lint: %s\n", error.c_str());
     std::fprintf(
         stderr,
         "usage: %s [--root DIR] [--json PATH] [--sarif PATH] [--baseline PATH]\n"
@@ -54,13 +54,9 @@ int usage(const char* argv0) {
 }
 
 bool write_json(const std::string& path, const arpsec::telemetry::Json& doc) {
-    std::ofstream out{path};
-    if (!out) {
-        std::fprintf(stderr, "arpsec-lint: cannot write '%s'\n", path.c_str());
-        return false;
-    }
-    out << doc.dump(2) << "\n";
-    return true;
+    const auto written = arpsec::common::write_file(path, doc.dump(2) + "\n");
+    if (!written.ok()) std::fprintf(stderr, "arpsec-lint: %s\n", written.error().c_str());
+    return written.ok();
 }
 
 }  // namespace
@@ -75,42 +71,32 @@ int main(int argc, char** argv) {
     bool list_rules = false;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        if (arg == "--root") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            root = v;
-        } else if (arg == "--json") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            json_path = v;
-        } else if (arg == "--sarif") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            sarif_path = v;
-        } else if (arg == "--baseline") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            baseline_path = v;
-        } else if (arg == "--update-baseline") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            update_baseline_path = v;
-        } else if (arg == "--fix") {
+    arpsec::common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--root")) {
+            args.value(root);
+        } else if (args.is("--json")) {
+            args.value(json_path);
+        } else if (args.is("--sarif")) {
+            args.value(sarif_path);
+        } else if (args.is("--baseline")) {
+            args.value(baseline_path);
+        } else if (args.is("--update-baseline")) {
+            args.value(update_baseline_path);
+        } else if (args.is("--fix")) {
             fix = true;
-        } else if (arg == "--list-rules") {
+        } else if (args.is("--list-rules")) {
             list_rules = true;
-        } else if (arg == "--version") {
+        } else if (args.is("--version")) {
             std::puts(arpsec::common::tool_version_line("lint").c_str());
             return 0;
-        } else if (arg == "--quiet") {
+        } else if (args.is("--quiet")) {
             quiet = true;
         } else {
-            return usage(argv[0]);
+            args.reject();
         }
     }
+    if (!args.ok()) return usage(argv[0], args.error());
 
     if (list_rules) {
         for (const auto& info : arpsec::lint::rule_catalog()) {
@@ -135,20 +121,17 @@ int main(int argc, char** argv) {
         }
         std::size_t fixed_files = 0;
         for (const auto& [file, fixes] : by_file) {
-            const std::filesystem::path path = std::filesystem::path{root} / file;
-            std::ifstream in{path, std::ios::binary};
-            if (!in) continue;
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            in.close();
-            const std::string fixed = arpsec::lint::Linter::apply_fixes(buf.str(), fixes);
-            std::ofstream out{path, std::ios::binary};
-            if (!out) {
-                std::fprintf(stderr, "arpsec-lint: cannot rewrite '%s'\n",
-                             path.string().c_str());
+            const std::string path = (std::filesystem::path{root} / file).string();
+            const auto text = arpsec::common::read_file(path);
+            if (!text.ok()) {
+                std::fprintf(stderr, "arpsec-lint: %s\n", text.error().c_str());
                 return 2;
             }
-            out << fixed;
+            const std::string fixed = arpsec::lint::Linter::apply_fixes(text.value(), fixes);
+            if (auto written = arpsec::common::write_file(path, fixed); !written.ok()) {
+                std::fprintf(stderr, "arpsec-lint: %s\n", written.error().c_str());
+                return 2;
+            }
             ++fixed_files;
         }
         std::fprintf(stderr, "arpsec-lint: applied autofixes in %zu file(s); re-scanning\n",

@@ -13,12 +13,14 @@
 // abandoned stream and freezes state without the grace window. Alerts are
 // read on a second role while frames are written.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/args.hpp"
 #include "common/version.hpp"
 #include "exp/executor.hpp"
 #include "replay/source.hpp"
@@ -27,7 +29,8 @@
 
 namespace {
 
-int usage(const char* argv0) {
+int usage(const char* argv0, const std::string& error = {}) {
+    if (!error.empty()) std::fprintf(stderr, "arpsec-loadgen: %s\n", error.c_str());
     std::fprintf(
         stderr,
         "usage: %s --pcap PATH (--unix PATH | --tcp HOST:PORT) [--labels PATH]\n"
@@ -35,12 +38,12 @@ int usage(const char* argv0) {
         "  --pcap PATH       trace to stream (classic pcap)\n"
         "  --labels PATH     ground-truth sidecar (default: <pcap>.labels.json)\n"
         "  --unix PATH       connect to a Unix-domain socket daemon\n"
-        "  --tcp HOST:PORT   connect to a TCP daemon\n"
-        "  --skip N          skip the first N trace frames\n"
-        "  --count N         stream at most N frames (default: all remaining)\n"
-        "  --repeat R        stream the slice R times, advancing timestamps by\n"
-        "                    the trace span each lap (throughput soak)\n"
-        "  --batch-frames B  frames encoded per socket write (default 256)\n"
+        "  --tcp HOST:PORT   connect to a TCP daemon (PORT 1-65535)\n"
+        "  --skip N          skip the first N trace frames, >= 0 (default 0)\n"
+        "  --count N         stream at most N frames, >= 0 (default: all remaining)\n"
+        "  --repeat R        stream the slice R times, >= 1, advancing timestamps\n"
+        "                    by the trace span each lap (throughput soak)\n"
+        "  --batch-frames B  frames encoded per socket write, >= 1 (default 256)\n"
         "  --no-end          close without an END record (abandoned-stream /\n"
         "                    snapshot-freeze path)\n"
         "  --version         print the build's git describe string\n",
@@ -61,46 +64,45 @@ int main(int argc, char** argv) {
     std::size_t batch_frames = 256;
     bool send_end = true;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        const char* v = nullptr;
-        if (arg == "--pcap") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            pcap_path = v;
-        } else if (arg == "--labels") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            labels_path = v;
-        } else if (arg == "--unix") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            unix_path = v;
-        } else if (arg == "--tcp") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            tcp_target = v;
-        } else if (arg == "--skip") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            skip = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--count") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            count = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--repeat") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            repeat = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (repeat == 0) return usage(argv[0]);
-        } else if (arg == "--batch-frames") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            batch_frames = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (batch_frames == 0) return usage(argv[0]);
-        } else if (arg == "--no-end") {
+    arpsec::common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--pcap")) {
+            args.value(pcap_path);
+        } else if (args.is("--labels")) {
+            args.value(labels_path);
+        } else if (args.is("--unix")) {
+            args.value(unix_path);
+        } else if (args.is("--tcp")) {
+            args.value(tcp_target);
+        } else if (args.is("--skip")) {
+            args.number(skip);
+        } else if (args.is("--count")) {
+            args.number(count);
+        } else if (args.is("--repeat")) {
+            args.number(repeat, 1);
+        } else if (args.is("--batch-frames")) {
+            args.number(batch_frames, 1);
+        } else if (args.is("--no-end")) {
             send_end = false;
-        } else if (arg == "--version") {
+        } else if (args.is("--version")) {
             std::puts(arpsec::common::tool_version_line("loadgen").c_str());
             return 0;
         } else {
-            return usage(argv[0]);
+            args.reject();
         }
     }
+    if (!args.ok()) return usage(argv[0], args.error());
     if (pcap_path.empty() || unix_path.empty() == tcp_target.empty()) return usage(argv[0]);
+    // --tcp HOST:PORT splits at the last colon; a target without a port fails.
+    const std::size_t colon = tcp_target.rfind(':');
+    std::optional<std::uint16_t> tcp_port;
+    if (colon != std::string::npos) {
+        tcp_port = arpsec::common::parse_number<std::uint16_t>(
+            std::string_view{tcp_target}.substr(colon + 1), 1, 65535);
+    }
+    if (!tcp_target.empty() && !tcp_port) {
+        return usage(argv[0], "bad value '" + tcp_target + "' for --tcp");
+    }
     if (labels_path.empty()) labels_path = pcap_path + ".labels.json";
 
     arpsec::replay::PcapFileSource source{pcap_path, labels_path};
@@ -115,18 +117,7 @@ int main(int argc, char** argv) {
         count < frames.size() - begin ? begin + count : frames.size();
 
     auto conn = unix_path.empty()
-                    ? [&] {
-                          const auto colon = tcp_target.rfind(':');
-                          const std::string host =
-                              colon == std::string::npos ? tcp_target
-                                                         : tcp_target.substr(0, colon);
-                          const int port =
-                              colon == std::string::npos
-                                  ? 0
-                                  : std::atoi(tcp_target.c_str() + colon + 1);
-                          return arpsec::serve::connect_tcp(
-                              host, static_cast<std::uint16_t>(port));
-                      }()
+                    ? arpsec::serve::connect_tcp(tcp_target.substr(0, colon), *tcp_port)
                     : arpsec::serve::connect_unix(unix_path);
     if (!conn.ok()) {
         std::fprintf(stderr, "arpsec-loadgen: %s\n", conn.error().c_str());

@@ -10,25 +10,26 @@
 // one wall-clock figure, the replay's frames/s, goes to stderr.
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/args.hpp"
+#include "common/file.hpp"
 #include "common/time.hpp"
 #include "common/version.hpp"
 #include "core/report.hpp"
 #include "detect/registry.hpp"
+#include "exp/executor.hpp"
 #include "replay/engine.hpp"
 #include "replay/source.hpp"
 #include "serve/alert_stream.hpp"
 
 namespace {
 
-int usage(const char* argv0) {
+int usage(const char* argv0, const std::string& error = {}) {
+    if (!error.empty()) std::fprintf(stderr, "arpsec-replay: %s\n", error.c_str());
     std::fprintf(
         stderr,
         "usage: %s --pcap PATH [--labels PATH] [--schemes a,b,...] [--jobs J]\n"
@@ -36,25 +37,17 @@ int usage(const char* argv0) {
         "  --pcap PATH     trace to replay (classic pcap)\n"
         "  --labels PATH   ground-truth sidecar (default: <pcap>.labels.json)\n"
         "  --schemes LIST  comma-separated scheme pool (default: all registered)\n"
-        "  --jobs J        scheme-replay threads; report identical for any J\n"
+        "  --jobs J        scheme-replay threads, 1-256 (default 1); the report is\n"
+        "                  identical for any J\n"
         "  --out PATH      write the arpsec.replay-artifact.v2 JSON\n"
-        "  --window-ms MS  alert<->attack matching window (default 1000)\n"
-        "  --grace-ms MS   virtual time appended after the last frame (default 2000)\n"
+        "  --window-ms MS  alert<->attack matching window, >= 0 (default 1000)\n"
+        "  --grace-ms MS   virtual time appended after the last frame, >= 0\n"
+        "                  (default 2000)\n"
         "  --alerts PATH   write every alert as canonical arpsec.alert-stream.v1\n"
         "                  JSONL (the serve<->replay equivalence artifact)\n"
         "  --version       print the build's git describe string and exit\n",
         argv0);
     return 2;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty()) out.push_back(item);
-    }
-    return out;
 }
 
 }  // namespace
@@ -68,48 +61,32 @@ int main(int argc, char** argv) {
     std::size_t jobs = 1;
     arpsec::replay::EngineOptions engine_opts;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        if (arg == "--pcap") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            pcap_path = v;
-        } else if (arg == "--labels") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            labels_path = v;
-        } else if (arg == "--schemes") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            schemes = split_csv(v);
-        } else if (arg == "--jobs") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            out_path = v;
-        } else if (arg == "--window-ms") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            engine_opts.match_window = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));
-        } else if (arg == "--grace-ms") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            engine_opts.grace = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));
-        } else if (arg == "--alerts") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            alerts_path = v;
-        } else if (arg == "--version") {
+    arpsec::common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--pcap")) {
+            args.value(pcap_path);
+        } else if (args.is("--labels")) {
+            args.value(labels_path);
+        } else if (args.is("--schemes")) {
+            args.list(schemes);
+        } else if (args.is("--jobs")) {
+            args.number(jobs, 1, arpsec::exp::kMaxJobs);
+        } else if (args.is("--out")) {
+            args.value(out_path);
+        } else if (args.is("--window-ms")) {
+            args.millis(engine_opts.match_window);
+        } else if (args.is("--grace-ms")) {
+            args.millis(engine_opts.grace);
+        } else if (args.is("--alerts")) {
+            args.value(alerts_path);
+        } else if (args.is("--version")) {
             std::puts(arpsec::common::tool_version_line("replay").c_str());
             return 0;
         } else {
-            return usage(argv[0]);
+            args.reject();
         }
     }
+    if (!args.ok()) return usage(argv[0], args.error());
     if (pcap_path.empty()) return usage(argv[0]);
     if (labels_path.empty()) labels_path = pcap_path + ".labels.json";
 
@@ -178,12 +155,11 @@ int main(int argc, char** argv) {
     if (!out_path.empty()) {
         const auto artifact =
             arpsec::replay::Engine::artifact(trace.value(), scores, "arpsec-replay");
-        std::ofstream out{out_path};
-        if (!out) {
-            std::fprintf(stderr, "arpsec-replay: cannot write %s\n", out_path.c_str());
+        if (auto written = arpsec::common::write_file(out_path, artifact.dump(2) + "\n");
+            !written.ok()) {
+            std::fprintf(stderr, "arpsec-replay: %s\n", written.error().c_str());
             return 2;
         }
-        out << artifact.dump(2) << "\n";
     }
     return failed ? 1 : 0;
 }

@@ -13,17 +13,14 @@
 // to the schemes, state freezes without the grace window (so a snapshot
 // captures exactly what was seen), and the summary still goes out.
 
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <limits>
-#include <fstream>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "common/args.hpp"
+#include "common/file.hpp"
 #include "common/version.hpp"
 #include "detect/registry.hpp"
 #include "serve/alert_stream.hpp"
@@ -32,7 +29,8 @@
 
 namespace {
 
-int usage(const char* argv0) {
+int usage(const char* argv0, const std::string& error = {}) {
+    if (!error.empty()) std::fprintf(stderr, "arpsec-served: %s\n", error.c_str());
     std::fprintf(
         stderr,
         "usage: %s (--unix PATH | --tcp PORT) [--schemes a,b,...] [--shards N]\n"
@@ -41,17 +39,18 @@ int usage(const char* argv0) {
         "          [--summary PATH] [--snapshot PATH] [--restore PATH]\n"
         "          [--scorecard PATH --scorecard-every N] [--no-alert-stream]\n"
         "  --unix PATH           listen on a Unix-domain socket\n"
-        "  --tcp PORT            listen on 127.0.0.1:PORT (0 = kernel-assigned;\n"
-        "                        the chosen address is printed on stdout)\n"
+        "  --tcp PORT            listen on 127.0.0.1:PORT, 0-65535 (0 = kernel-\n"
+        "                        assigned; the chosen address is printed on stdout)\n"
         "  --schemes LIST        schemes deployed per shard (default arpwatch)\n"
-        "  --shards N            detector workers (default 1)\n"
+        "  --shards N            detector workers, >= 1 (default 1)\n"
         "  --ring N              per-shard intake ring capacity in frames,\n"
         "                        rounded up to whole 256-frame batches\n"
         "                        (default 4096); a full ring blocks the intake\n"
-        "  --grace-ms MS         virtual time after a clean END (default 2000)\n"
+        "  --grace-ms MS         virtual time after a clean END, >= 0 (default 2000)\n"
         "  --read-timeout-ms MS  per-read poll interval, > 0 (default 100; also\n"
         "                        how often SIGTERM is noticed)\n"
-        "  --idle-timeout-ms MS  abandon a stream after this much quiet\n"
+        "  --idle-timeout-ms MS  abandon a stream after this much quiet (default -1:\n"
+        "                        never)\n"
         "  --conns N             serve N connections, then exit (default 1)\n"
         "  --alerts PATH         write the canonical alert-stream file on exit\n"
         "  --summary PATH        write the final serve-summary JSON\n"
@@ -59,39 +58,11 @@ int usage(const char* argv0) {
         "  --restore PATH        restore a v2 snapshot taken with the same\n"
         "                        --shards and --schemes before serving\n"
         "  --scorecard PATH      append scorecard JSONL lines here\n"
-        "  --scorecard-every N   ...every N admitted frames\n"
+        "  --scorecard-every N   ...every N admitted frames (0: never)\n"
         "  --no-alert-stream     do not send live kAlert records to the client\n"
         "  --version             print the build's git describe string\n",
         argv0);
     return 2;
-}
-
-/// Parses all of `text` as a base-10 integer in [lo, hi] (by default the
-/// range of T); junk, trailing characters and out-of-range values fail.
-template <class T>
-bool parse_number(const char* text, T& out, T lo = std::numeric_limits<T>::min(),
-                  T hi = std::numeric_limits<T>::max()) {
-    const char* end = text + std::strlen(text);
-    T value{};
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc{} || ptr != end || value < lo || value > hi) return false;
-    out = value;
-    return true;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : s) {
-        if (c == ',') {
-            if (!item.empty()) out.push_back(item);
-            item.clear();
-        } else {
-            item.push_back(c);
-        }
-    }
-    if (!item.empty()) out.push_back(item);
-    return out;
 }
 
 // Signal handlers may only touch the server through the one relaxed store
@@ -113,67 +84,49 @@ int main(int argc, char** argv) {
     std::size_t conns = 1;
     arpsec::serve::ServerOptions options;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        // Reads the flag's value into `out`: a number in [lo, hi] when
-        // bounds are given, else in the range of its type.
-        auto number = [&](auto& out, auto... bounds) {
-            const char* text = next();
-            return text != nullptr && parse_number(text, out, bounds...);
-        };
-        const char* v = nullptr;
-        if (arg == "--unix") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            unix_path = v;
-        } else if (arg == "--tcp") {
-            if (!number(tcp_port, 0, 65535)) return usage(argv[0]);
-        } else if (arg == "--schemes") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.schemes = split_csv(v);
-        } else if (arg == "--shards") {
-            if (!number(options.shards)) return usage(argv[0]);
-        } else if (arg == "--ring") {
-            if (!number(options.ring_capacity)) return usage(argv[0]);
-        } else if (arg == "--grace-ms") {
-            // Milliseconds that still fit the nanosecond clock.
-            constexpr auto kMaxMs = std::numeric_limits<std::int64_t>::max() / 1'000'000;
-            std::int64_t ms = 0;
-            if (!number(ms, std::int64_t{0}, kMaxMs)) return usage(argv[0]);
-            options.grace = arpsec::common::Duration::millis(ms);
-        } else if (arg == "--read-timeout-ms") {
+    arpsec::common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--unix")) {
+            args.value(unix_path);
+        } else if (args.is("--tcp")) {
+            args.number(tcp_port, 0, 65535);
+        } else if (args.is("--schemes")) {
+            args.list(options.schemes);
+        } else if (args.is("--shards")) {
+            args.number(options.shards);
+        } else if (args.is("--ring")) {
+            args.number(options.ring_capacity);
+        } else if (args.is("--grace-ms")) {
+            args.millis(options.grace);
+        } else if (args.is("--read-timeout-ms")) {
             // Server::create refuses a value <= 0 with a typed error.
-            if (!number(options.read_timeout_ms)) return usage(argv[0]);
-        } else if (arg == "--idle-timeout-ms") {
-            if (!number(options.idle_timeout_ms)) return usage(argv[0]);
-        } else if (arg == "--conns") {
-            if (!number(conns)) return usage(argv[0]);
-        } else if (arg == "--alerts") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            alerts_path = v;
-        } else if (arg == "--summary") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            summary_path = v;
-        } else if (arg == "--snapshot") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            snapshot_path = v;
-        } else if (arg == "--restore") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.restore_path = v;
-        } else if (arg == "--scorecard") {
-            if ((v = next()) == nullptr) return usage(argv[0]);
-            options.scorecard_path = v;
-        } else if (arg == "--scorecard-every") {
-            if (!number(options.scorecard_every)) return usage(argv[0]);
-        } else if (arg == "--no-alert-stream") {
+            args.number(options.read_timeout_ms);
+        } else if (args.is("--idle-timeout-ms")) {
+            args.number(options.idle_timeout_ms);
+        } else if (args.is("--conns")) {
+            args.number(conns);
+        } else if (args.is("--alerts")) {
+            args.value(alerts_path);
+        } else if (args.is("--summary")) {
+            args.value(summary_path);
+        } else if (args.is("--snapshot")) {
+            args.value(snapshot_path);
+        } else if (args.is("--restore")) {
+            args.value(options.restore_path);
+        } else if (args.is("--scorecard")) {
+            args.value(options.scorecard_path);
+        } else if (args.is("--scorecard-every")) {
+            args.number(options.scorecard_every);
+        } else if (args.is("--no-alert-stream")) {
             options.stream_alerts = false;
-        } else if (arg == "--version") {
+        } else if (args.is("--version")) {
             std::puts(arpsec::common::tool_version_line("served").c_str());
             return 0;
         } else {
-            return usage(argv[0]);
+            args.reject();
         }
     }
+    if (!args.ok()) return usage(argv[0], args.error());
     if (unix_path.empty() == (tcp_port < 0)) return usage(argv[0]);
 
     // Options are checked before anything is bound.
@@ -234,11 +187,9 @@ int main(int argc, char** argv) {
             exit_code = 2;
         }
         if (!summary_path.empty()) {
-            std::ofstream out{summary_path};
-            if (out) {
-                out << res.summary.dump(2) << "\n";
-            } else {
-                std::fprintf(stderr, "arpsec-served: cannot write %s\n", summary_path.c_str());
+            if (auto written = arpsec::common::write_file(summary_path, res.summary.dump(2) + "\n");
+                !written.ok()) {
+                std::fprintf(stderr, "arpsec-served: %s\n", written.error().c_str());
                 exit_code = 2;
             }
         }

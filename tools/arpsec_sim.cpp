@@ -9,16 +9,19 @@
 //   $ arpsec_sim --sweep --scheme all --seeds 10 --jobs 4 --sweep-out sweep.json
 
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/args.hpp"
 #include "common/time.hpp"
 #include "common/version.hpp"
 #include "core/artifact.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
 #include "detect/registry.hpp"
+#include "exp/executor.hpp"
 #include "exp/sweep.hpp"
 #include "sim/pcap_tap.hpp"
 #include "telemetry/run_artifact.hpp"
@@ -54,135 +57,100 @@ struct Args {
     std::string sweep_out_path;
 };
 
-void usage() {
-    std::puts("arpsec_sim — run one ARPSEC scenario");
-    std::puts("");
-    std::puts("  --list                 list available schemes and exit");
-    std::puts("  --scheme NAME          scheme under test (default: none)");
-    std::puts("  --attack KIND          none|mitm|dos|hijack-offline|reply-race (default: mitm)");
-    std::puts("  --addressing MODE      static|dhcp (default: static)");
-    std::puts("  --policy NAME          host ARP cache policy (default: linux-2.6)");
-    std::puts("  --hosts N              station count (default: 8)");
-    std::puts("  --seed S               run seed (default: 1)");
-    std::puts("  --duration SECS        total simulated time (default: 60)");
-    std::puts("  --attack-window A B    attack start/stop seconds (default: 20 50)");
-    std::puts("  --loss P               iid frame loss on access links (default: 0)");
-    std::puts("  --pcap FILE            record every frame to a pcap file");
-    std::puts("  --csv FILE             append a result row (with header if new)");
-    std::puts("  --metrics-out FILE     write the run artifact (config+result+metrics JSON)");
-    std::puts("  --trace-out FILE       write a Chrome trace_event JSON (chrome://tracing)");
-    std::puts("  --trace-jsonl FILE     write the event log as JSON lines");
-    std::puts("  --verbose              print alerts as they fire");
-    std::puts("  --version              print the build's git describe string and exit");
-    std::puts("");
-    std::puts("sweep mode (aggregate table instead of a single run):");
-    std::puts("  --sweep                sweep scheme x seed instead of one scenario;");
-    std::puts("                         --scheme takes a comma list or 'all'");
-    std::puts("  --seeds K              seed replicates seed..seed+K-1 (default: 1)");
-    std::puts("  --jobs N               worker threads; stdout and artifacts are");
-    std::puts("                         byte-identical for every N (default: 1)");
-    std::puts("  --sweep-out FILE       write the arpsec.sweep-artifact.v1 JSON");
+/// Upper bounds of --hosts (static addresses run .10-.249, below the
+/// attacker's .250) and of --seeds.
+constexpr std::size_t kMaxHosts = 240;
+constexpr std::size_t kMaxSeeds = 1'000'000;
+
+void usage(std::FILE* out) {
+    std::fputs(
+        "arpsec_sim — run one ARPSEC scenario\n"
+        "\n"
+        "  --list                 list available schemes and exit\n"
+        "  --scheme NAME          scheme under test (default: none)\n"
+        "  --attack KIND          none|mitm|dos|hijack-offline|reply-race (default: mitm)\n"
+        "  --addressing MODE      static|dhcp (default: static)\n"
+        "  --policy NAME          host ARP cache policy (default: linux-2.6)\n"
+        "  --hosts N              station count, 1-240 (default: 8)\n"
+        "  --seed S               run seed, 0-2^64-1 (default: 1)\n"
+        "  --duration SECS        total simulated time, >= 0 (default: 60)\n"
+        "  --attack-window A B    attack start/stop seconds, >= 0 (default: 20 50)\n"
+        "  --loss P               iid frame loss on access links, 0-1 (default: 0)\n"
+        "  --pcap FILE            record every frame to a pcap file\n"
+        "  --csv FILE             append a result row (with header if new)\n"
+        "  --metrics-out FILE     write the run artifact (config+result+metrics JSON)\n"
+        "  --trace-out FILE       write a Chrome trace_event JSON (chrome://tracing)\n"
+        "  --trace-jsonl FILE     write the event log as JSON lines\n"
+        "  --verbose              print alerts as they fire\n"
+        "  --version              print the build's git describe string and exit\n"
+        "\n"
+        "sweep mode (aggregate table instead of a single run):\n"
+        "  --sweep                sweep scheme x seed instead of one scenario;\n"
+        "                         --scheme takes a comma list or 'all'\n"
+        "  --seeds K              seed replicates seed..seed+K-1, 1-1000000 (default: 1)\n"
+        "  --jobs N               worker threads, 1-256; stdout and artifacts are\n"
+        "                         byte-identical for every N (default: 1)\n"
+        "  --sweep-out FILE       write the arpsec.sweep-artifact.v1 JSON\n",
+        out);
 }
 
+/// Reads argv into `out`; a bad argument prints why and the usage text.
 bool parse_args(int argc, char** argv, Args& out) {
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto need = [&](const char* what) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", what);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        if (a == "--help" || a == "-h") {
+    common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--help") || args.is("-h")) {
             out.help = true;
-        } else if (a == "--version") {
+        } else if (args.is("--version")) {
             out.version = true;
-        } else if (a == "--list") {
+        } else if (args.is("--list")) {
             out.list = true;
-        } else if (a == "--verbose") {
+        } else if (args.is("--verbose")) {
             out.verbose = true;
-        } else if (a == "--scheme") {
-            const char* v = need("--scheme");
-            if (v == nullptr) return false;
-            out.scheme = v;
-        } else if (a == "--attack") {
-            const char* v = need("--attack");
-            if (v == nullptr) return false;
-            out.attack = v;
-        } else if (a == "--addressing") {
-            const char* v = need("--addressing");
-            if (v == nullptr) return false;
-            out.addressing = v;
-        } else if (a == "--policy") {
-            const char* v = need("--policy");
-            if (v == nullptr) return false;
-            out.policy = v;
-        } else if (a == "--hosts") {
-            const char* v = need("--hosts");
-            if (v == nullptr) return false;
-            out.hosts = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (a == "--seed") {
-            const char* v = need("--seed");
-            if (v == nullptr) return false;
-            out.seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--duration") {
-            const char* v = need("--duration");
-            if (v == nullptr) return false;
-            out.duration_s = std::strtoll(v, nullptr, 10);
-        } else if (a == "--attack-window") {
-            const char* v1 = need("--attack-window");
-            if (v1 == nullptr) return false;
-            const char* v2 = need("--attack-window");
-            if (v2 == nullptr) return false;
-            out.attack_start_s = std::strtoll(v1, nullptr, 10);
-            out.attack_stop_s = std::strtoll(v2, nullptr, 10);
-        } else if (a == "--loss") {
-            const char* v = need("--loss");
-            if (v == nullptr) return false;
-            out.loss = std::strtod(v, nullptr);
-        } else if (a == "--pcap") {
-            const char* v = need("--pcap");
-            if (v == nullptr) return false;
-            out.pcap_path = v;
-        } else if (a == "--csv") {
-            const char* v = need("--csv");
-            if (v == nullptr) return false;
-            out.csv_path = v;
-        } else if (a == "--metrics-out") {
-            const char* v = need("--metrics-out");
-            if (v == nullptr) return false;
-            out.metrics_path = v;
-        } else if (a == "--trace-out") {
-            const char* v = need("--trace-out");
-            if (v == nullptr) return false;
-            out.trace_path = v;
-        } else if (a == "--trace-jsonl") {
-            const char* v = need("--trace-jsonl");
-            if (v == nullptr) return false;
-            out.trace_jsonl_path = v;
-        } else if (a == "--sweep") {
+        } else if (args.is("--scheme")) {
+            args.value(out.scheme);
+        } else if (args.is("--attack")) {
+            args.value(out.attack);
+        } else if (args.is("--addressing")) {
+            args.value(out.addressing);
+        } else if (args.is("--policy")) {
+            args.value(out.policy);
+        } else if (args.is("--hosts")) {
+            args.number(out.hosts, 1, kMaxHosts);
+        } else if (args.is("--seed")) {
+            args.number(out.seed);
+        } else if (args.is("--duration")) {
+            args.number(out.duration_s, 0, common::Duration::kMaxSeconds);
+        } else if (args.is("--attack-window")) {
+            args.number(out.attack_start_s, 0, common::Duration::kMaxSeconds);
+            args.number(out.attack_stop_s, 0, common::Duration::kMaxSeconds);
+        } else if (args.is("--loss")) {
+            args.number(out.loss, 0.0, 1.0);
+        } else if (args.is("--pcap")) {
+            args.value(out.pcap_path);
+        } else if (args.is("--csv")) {
+            args.value(out.csv_path);
+        } else if (args.is("--metrics-out")) {
+            args.value(out.metrics_path);
+        } else if (args.is("--trace-out")) {
+            args.value(out.trace_path);
+        } else if (args.is("--trace-jsonl")) {
+            args.value(out.trace_jsonl_path);
+        } else if (args.is("--sweep")) {
             out.sweep = true;
-        } else if (a == "--jobs") {
-            const char* v = need("--jobs");
-            if (v == nullptr) return false;
-            out.jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (out.jobs == 0) out.jobs = 1;
-        } else if (a == "--seeds") {
-            const char* v = need("--seeds");
-            if (v == nullptr) return false;
-            out.seeds = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-            if (out.seeds == 0) out.seeds = 1;
-        } else if (a == "--sweep-out") {
-            const char* v = need("--sweep-out");
-            if (v == nullptr) return false;
-            out.sweep_out_path = v;
+        } else if (args.is("--jobs")) {
+            args.number(out.jobs, 1, exp::kMaxJobs);
+        } else if (args.is("--seeds")) {
+            args.number(out.seeds, 1, kMaxSeeds);
+        } else if (args.is("--sweep-out")) {
+            args.value(out.sweep_out_path);
         } else {
-            std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-            return false;
+            args.reject();
         }
     }
-    return true;
+    if (args.ok()) return true;
+    std::fprintf(stderr, "arpsec-sim: %s\n", args.error().c_str());
+    usage(stderr);
+    return false;
 }
 
 bool append_csv(const Args& args, const core::ScenarioResult& r) {
@@ -212,8 +180,7 @@ bool append_csv(const Args& args, const core::ScenarioResult& r) {
                      : "",
                  r.resolution_latency_us.median(), static_cast<unsigned long long>(r.total_bytes),
                  static_cast<unsigned long long>(r.arp_bytes), static_cast<unsigned long long>(r.crypto_ops.total()));
-    std::fclose(f);
-    return true;
+    return std::fclose(f) == 0;  // the buffered row fails here on a full disk
 }
 
 /// Sweep mode: scheme set × seed replicates on the worker pool, aggregate
@@ -225,15 +192,7 @@ int run_sweep_mode(const Args& args, const core::ScenarioConfig& base_cfg) {
     if (args.scheme == "all") {
         for (const auto& reg : detect::all_schemes()) spec.schemes.push_back(reg.name);
     } else {
-        std::string cur;
-        for (const char c : args.scheme + ",") {
-            if (c == ',') {
-                if (!cur.empty()) spec.schemes.push_back(cur);
-                cur.clear();
-            } else {
-                cur += c;
-            }
-        }
+        spec.schemes = common::split_list(args.scheme);
     }
     for (const auto& name : spec.schemes) {
         if (detect::make_scheme(name) == nullptr) {
@@ -301,7 +260,7 @@ int main(int argc, char** argv) {
         return 0;
     }
     if (args.help) {
-        usage();
+        usage(stdout);
         return 0;
     }
     if (args.list) {
@@ -381,9 +340,19 @@ int main(int argc, char** argv) {
     const bool tracing = !args.trace_path.empty() || !args.trace_jsonl_path.empty();
     if (tracing) runner.set_tracer(&tracer);
 
-    std::unique_ptr<sim::PcapTap> tap;
-    if (!args.pcap_path.empty()) tap = std::make_unique<sim::PcapTap>(args.pcap_path);
-    const auto result = runner.run_with_tap(*scheme, tap.get());
+    // The capture file is created before the run, so an unwritable path
+    // fails before any simulated time is spent.
+    std::optional<sim::PcapTap> tap;
+    if (!args.pcap_path.empty()) {
+        auto writer = wire::PcapWriter::open(args.pcap_path);
+        if (!writer.ok()) {
+            std::fprintf(stderr, "arpsec-sim: %s\n", writer.error().c_str());
+            return 1;
+        }
+        tap.emplace(std::move(writer).value());
+    }
+    const auto result = runner.run_with_tap(*scheme, tap ? &*tap : nullptr);
+    const auto pcap_closed = tap ? tap->close() : common::Expected<bool>{true};
 
     std::printf("%s\n", result.summary_line().c_str());
     std::printf("  benign window  : %5.1f%% delivered (%llu sent)\n",
@@ -403,6 +372,10 @@ int main(int argc, char** argv) {
         std::printf("  crypto ops     : %llu signs, %llu verifies\n",
                     static_cast<unsigned long long>(result.crypto_ops.signs),
                     static_cast<unsigned long long>(result.crypto_ops.verifies));
+    }
+    if (!pcap_closed.ok()) {
+        std::fprintf(stderr, "arpsec-sim: %s\n", pcap_closed.error().c_str());
+        return 1;
     }
     if (tap) std::printf("  pcap           : %zu frames -> %s\n", tap->frames(),
                          args.pcap_path.c_str());

@@ -9,27 +9,31 @@
 //   $ arpsec-trace --frames 5000 --first-seed 7 --out t.pcap --labels t.labels.json
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/args.hpp"
 #include "common/version.hpp"
+#include "exp/executor.hpp"
 #include "replay/source.hpp"
 
 namespace {
 
-int usage(const char* argv0) {
+int usage(const char* argv0, const std::string& error = {}) {
+    if (!error.empty()) std::fprintf(stderr, "arpsec-trace: %s\n", error.c_str());
     std::fprintf(
         stderr,
         "usage: %s [--frames N] [--first-seed S] [--jobs J] [--out PCAP]\n"
         "          [--labels PATH] [--gap-ms MS] [--max-hosts H] [--max-events E]\n"
-        "  --frames N      minimum frame count of the trace (default 10000)\n"
-        "  --first-seed S  seed of the first scenario epoch (default 1)\n"
-        "  --jobs J        epoch-rendering threads; output is identical for any J\n"
+        "  --frames N      minimum frame count of the trace, >= 0 (default 10000)\n"
+        "  --first-seed S  seed of the first scenario epoch, 0-2^64-1 (default 1)\n"
+        "  --jobs J        epoch-rendering threads, 1-256 (default 1); output is\n"
+        "                  identical for any J\n"
         "  --out PCAP      pcap path (default trace.pcap)\n"
         "  --labels PATH   sidecar path (default: <out>.labels.json)\n"
-        "  --gap-ms MS     idle gap between scenario epochs (default 100)\n"
-        "  --max-hosts H   upper bound on hosts per epoch (default 8)\n"
-        "  --max-events E  upper bound on injected events per epoch (default 16)\n"
+        "  --gap-ms MS     idle gap between scenario epochs, >= 0 (default 100)\n"
+        "  --max-hosts H   upper bound on hosts per epoch, 3-128 (default 8)\n"
+        "  --max-events E  upper bound on injected events per epoch, >= 4\n"
+        "                  (default 16)\n"
         "  --version       print the build's git describe string and exit\n",
         argv0);
     return 2;
@@ -42,48 +46,32 @@ int main(int argc, char** argv) {
     std::string out_path = "trace.pcap";
     std::string labels_path;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-        if (arg == "--frames") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.target_frames = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--first-seed") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.first_seed = std::strtoull(v, nullptr, 10);
-        } else if (arg == "--jobs") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            out_path = v;
-        } else if (arg == "--labels") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            labels_path = v;
-        } else if (arg == "--gap-ms") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.epoch_gap = arpsec::common::Duration::millis(std::strtoll(v, nullptr, 10));
-        } else if (arg == "--max-hosts") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.gen.max_hosts = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--max-events") {
-            const char* v = next();
-            if (v == nullptr) return usage(argv[0]);
-            opts.gen.max_events = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-        } else if (arg == "--version") {
+    arpsec::common::ArgReader args{argc, argv};
+    while (args.next()) {
+        if (args.is("--frames")) {
+            args.number(opts.target_frames);
+        } else if (args.is("--first-seed")) {
+            args.number(opts.first_seed);
+        } else if (args.is("--jobs")) {
+            args.number(opts.jobs, 1, arpsec::exp::kMaxJobs);
+        } else if (args.is("--out")) {
+            args.value(out_path);
+        } else if (args.is("--labels")) {
+            args.value(labels_path);
+        } else if (args.is("--gap-ms")) {
+            args.millis(opts.epoch_gap);
+        } else if (args.is("--max-hosts")) {
+            args.number(opts.gen.max_hosts, 3, 128);
+        } else if (args.is("--max-events")) {
+            args.number(opts.gen.max_events, 4);
+        } else if (args.is("--version")) {
             std::puts(arpsec::common::tool_version_line("trace").c_str());
             return 0;
         } else {
-            return usage(argv[0]);
+            args.reject();
         }
     }
+    if (!args.ok()) return usage(argv[0], args.error());
     if (labels_path.empty()) labels_path = out_path + ".labels.json";
 
     arpsec::replay::ScenarioTraceSource source{opts};
