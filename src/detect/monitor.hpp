@@ -46,9 +46,14 @@ public:
         }
     }
 
+    /// Schemes add their observers in Scheme::attach_monitor() and nowhere
+    /// else, so a replay session can tell right after that call whether
+    /// any frame it feeds will be looked at.
     void add_observer(std::shared_ptr<TrafficObserver> obs) {
         observers_.push_back(std::move(obs));
     }
+
+    [[nodiscard]] bool has_observers() const { return !observers_.empty(); }
 
     /// Transmits a frame (active probing). Sets the frame source to the
     /// monitor's own MAC.

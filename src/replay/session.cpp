@@ -1,5 +1,6 @@
 #include "replay/session.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "l2/switch.hpp"
@@ -40,13 +41,16 @@ SchemeSession::SchemeSession(std::unique_ptr<detect::Scheme> scheme, SessionOpti
     scheme_->deploy(ctx);
     scheme_->configure_switch(*fabric_);
     scheme_->attach_monitor(*monitor_);
+    observed_ = monitor_->has_observers();
     net_->start_all();
 }
 
 SchemeSession::~SchemeSession() = default;
 
 bool SchemeSession::feed(common::SimTime at, const wire::FrameView& view) {
-    if (at > net_->now()) net_->scheduler().run_until(at);
+    // Unobserved, the frame reaches nothing, so the clock can wait for
+    // finish() or advance_to().
+    if (observed_ && at > net_->now()) net_->scheduler().run_until(at);
     if (at > last_at_) last_at_ = at;
     ++frames_;
     // The view was parsed (and memoized) once when it was built; this is a
@@ -55,7 +59,7 @@ bool SchemeSession::feed(common::SimTime at, const wire::FrameView& view) {
         ++malformed_;
         return false;
     }
-    monitor_->on_frame(0, view);
+    if (observed_) monitor_->on_frame(0, view);
     return true;
 }
 
@@ -69,6 +73,6 @@ void SchemeSession::advance_to(common::SimTime at) {
     if (at > net_->now()) net_->scheduler().run_until(at);
 }
 
-common::SimTime SchemeSession::now() const { return net_->now(); }
+common::SimTime SchemeSession::now() const { return std::max(net_->now(), last_at_); }
 
 }  // namespace arpsec::replay

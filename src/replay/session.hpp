@@ -38,10 +38,15 @@ struct SessionOptions {
 ///
 /// Virtual time advances monotonically to each frame's capture timestamp;
 /// frames that fail Ethernet parsing are counted and skipped, exactly as
-/// the mirror port would drop undeliverable bytes. The session is
-/// single-threaded by contract (see the no-threads-in-sim rule): callers
-/// that shard sessions across workers must confine each session to one
-/// thread.
+/// the mirror port would drop undeliverable bytes. A session whose scheme
+/// attached no observer to the monitor (read once, after attach_monitor)
+/// has nothing that reads a frame: feed() only counts, and its clock runs
+/// in finish() or advance_to() instead. No frame reaches its LAN either
+/// way, so its events fire later in wall time but in the same order at the
+/// same virtual times, and its alerts and metrics are unchanged. The
+/// session is single-threaded by contract (see the no-threads-in-sim
+/// rule): callers that shard sessions across workers must confine each
+/// session to one thread.
 class SchemeSession {
 public:
     /// Deploys `scheme` (must be non-null) into a fresh offline LAN:
@@ -54,8 +59,9 @@ public:
     SchemeSession& operator=(const SchemeSession&) = delete;
 
     /// Delivers one captured frame: advances virtual time to `at` (never
-    /// backwards), then hands the view to the monitor. Returns false when
-    /// the frame failed Ethernet parsing and was counted as malformed.
+    /// backwards), then hands the view to the monitor. A session with no
+    /// observer only counts the frame. Returns false when the frame failed
+    /// Ethernet parsing and was counted as malformed.
     bool feed(common::SimTime at, const wire::FrameView& view);
 
     /// Runs virtual time forward past the last fed frame so delayed alerts
@@ -64,6 +70,9 @@ public:
 
     /// Advances virtual time to `at` without delivering a frame (snapshot
     /// restore re-aligns the clock this way; no-op when `at` is in the past).
+    /// advance_to(last_at()) catches a session with no observer up to the
+    /// frames it counted, which a stop without grace does before its alerts
+    /// and snapshot are read.
     void advance_to(common::SimTime at);
 
     [[nodiscard]] detect::AlertSink& alerts() { return alerts_; }
@@ -76,6 +85,8 @@ public:
     [[nodiscard]] std::uint64_t malformed() const { return malformed_; }
     /// Timestamp of the latest frame fed so far (zero before any frame).
     [[nodiscard]] common::SimTime last_at() const { return last_at_; }
+    /// The later of the LAN's clock and last_at(): where virtual time
+    /// stands once every fed frame is accounted for.
     [[nodiscard]] common::SimTime now() const;
 
 private:
@@ -89,6 +100,7 @@ private:
     std::unique_ptr<detect::Scheme> scheme_;
     sim::PortId next_port_ = 1;
     std::uint8_t infra_ips_ = 0;
+    bool observed_ = false;  // some observer reads the frames fed
     std::uint64_t frames_ = 0;
     std::uint64_t malformed_ = 0;
     common::SimTime last_at_ = common::SimTime::zero();

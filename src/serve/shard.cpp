@@ -146,8 +146,15 @@ void Shard::run() {
         }
         std::this_thread::yield();
     }
-    if (run_grace_) {
-        for (auto& session : sessions_) session->finish(grace_);
+    for (auto& session : sessions_) {
+        if (run_grace_) {
+            session->finish(grace_);
+        } else {
+            // A stop freezes at the last frame: a session that counted
+            // frames without running its clock catches up to them, so the
+            // alerts and the snapshot see exactly the fed state.
+            session->advance_to(session->last_at());
+        }
     }
     flush_alerts();
     wire::flush_frameview_hits();

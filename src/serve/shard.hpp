@@ -129,9 +129,10 @@ public:
     void flush();
 
     /// Intake thread: no more submissions. Submits the open batch; the
-    /// worker drains its ring, optionally runs each session's grace window
-    /// (delayed alerts), and exits. `run_grace` is false on snapshot-bound
-    /// stops so learned state freezes at the last fed frame.
+    /// worker drains its ring, runs each session's grace window (delayed
+    /// alerts), and exits. `run_grace` is false on snapshot-bound stops so
+    /// learned state freezes at the last fed frame: each session's clock is
+    /// then only caught up to its own last_at().
     void finish_input(bool run_grace, common::Duration grace);
 
     /// Joins the worker thread (idempotent) and drops the alert writer,
