@@ -20,7 +20,9 @@ struct MatchCounts {
 
 /// Scores `alerts` against ground-truth attack timestamps. Neither input
 /// needs to be sorted (pcap capture order can interleave); `attack_times`
-/// is taken by value because matching sorts it internally.
+/// is taken by value because matching sorts it internally. A side already
+/// in time order skips its sort, and the matching itself is one forward
+/// merge walk per direction.
 [[nodiscard]] MatchCounts match_alerts(std::vector<common::SimTime> attack_times,
                                        const std::vector<detect::Alert>& alerts,
                                        common::Duration window);
