@@ -30,7 +30,7 @@ public:
         const wire::Ipv4Packet* ip = view.ipv4();
         if (ip == nullptr) return;
         if (ip->protocol == wire::IpProto::kUdp && is_dhcp_port(ip->payload)) {
-            if (auto udp = wire::UdpDatagram::parse(ip->payload); udp.ok()) {
+            if (auto udp = wire::UdpDatagram::view(ip->payload); udp.ok()) {
                 if (auto dhcp = wire::DhcpMessage::parse(udp->payload); dhcp.ok()) {
                     snoop_dhcp(at, dhcp.value());
                     return;
@@ -86,7 +86,7 @@ public:
     }
 
 private:
-    /// Cheap dst-port peek before the allocating UDP decode: only DHCP
+    /// Cheap dst-port peek before the checksummed UDP walk: only DHCP
     /// traffic is worth a full parse, and on a busy segment almost no
     /// datagram is DHCP. Non-DHCP (and unparsable) UDP falls through to
     /// the source check either way, so this only skips wasted work.

@@ -189,7 +189,7 @@ bool Switch::apply_port_security(sim::PortId in_port, const wire::FrameView& vie
 bool Switch::apply_dhcp_snooping(sim::PortId in_port, const wire::FrameView& view) {
     const wire::Ipv4Packet* ip = view.ipv4();  // memoized in the shared buffer
     if (ip == nullptr || ip->protocol != wire::IpProto::kUdp) return false;
-    auto udp = wire::UdpDatagram::parse(ip->payload);
+    auto udp = wire::UdpDatagram::view(ip->payload);
     if (!udp.ok()) return false;
     const bool to_server = udp->dst_port == wire::DhcpMessage::kServerPort;
     const bool to_client = udp->dst_port == wire::DhcpMessage::kClientPort;

@@ -1,5 +1,6 @@
 #include "sim/event_scheduler.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -8,7 +9,8 @@ namespace arpsec::sim {
 EventId EventScheduler::schedule_at(common::SimTime at, std::function<void()> fn) {
     if (at < now_) at = now_;  // events cannot fire in the past
     const EventId id = next_id_++;
-    queue_.push(Event{at, id, std::move(fn)});
+    queue_.push_back(Event{at, id, std::move(fn)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
     if (queue_depth_metric_ != nullptr) {
         queue_depth_metric_->set(static_cast<std::int64_t>(pending()));
     }
@@ -31,10 +33,16 @@ bool EventScheduler::cancel(EventId id) {
     return cancelled_.insert(id).second;
 }
 
+EventScheduler::Event EventScheduler::pop_earliest() {
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
+    return ev;
+}
+
 bool EventScheduler::fire_next() {
     while (!queue_.empty()) {
-        Event ev = queue_.top();
-        queue_.pop();
+        Event ev = pop_earliest();
         if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
             cancelled_.erase(it);
             continue;
@@ -55,10 +63,10 @@ void EventScheduler::run_until_slow(common::SimTime deadline) {
         // Peek past cancelled entries without firing. The hash lookup is
         // guarded by empty(): with nothing cancelled (the common case) it
         // was measurably hot.
-        const Event& top = queue_.top();
+        const Event& top = queue_.front();
         if (!cancelled_.empty() && cancelled_.count(top.id) != 0) {
             cancelled_.erase(top.id);
-            queue_.pop();
+            pop_earliest();
             continue;
         }
         if (top.at > deadline) break;

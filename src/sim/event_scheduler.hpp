@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -35,7 +34,7 @@ public:
     /// always nothing is due — the queue is empty or its head (even a
     /// lazily-cancelled one, purged later) lies past the deadline.
     void run_until(common::SimTime deadline) {
-        if (queue_.empty() || queue_.top().at > deadline) {
+        if (queue_.empty() || queue_.front().at > deadline) {
             if (now_ < deadline) now_ = deadline;
             return;
         }
@@ -70,11 +69,17 @@ private:
 
     bool fire_next();
     void run_until_slow(common::SimTime deadline);
+    /// Removes the earliest event from the heap and returns it, moved out:
+    /// a fired closure is never copied (a heap-stored one would cost an
+    /// allocation and a free per event).
+    Event pop_earliest();
 
     common::SimTime now_;
     EventId next_id_ = 1;
     std::uint64_t executed_ = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
+    /// Binary heap under Later (std::push_heap / std::pop_heap): front() is
+    /// the earliest event, lowest id first among equal times.
+    std::vector<Event> queue_;
     std::unordered_set<EventId> cancelled_;
     telemetry::Counter* executed_metric_ = nullptr;
     telemetry::Gauge* queue_depth_metric_ = nullptr;

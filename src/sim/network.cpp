@@ -37,18 +37,25 @@ void Network::connect(Endpoint a, Endpoint b, LinkConfig config) {
     if (a.node >= nodes_.size() || b.node >= nodes_.size()) {
         throw std::out_of_range("Network::connect: unknown node");
     }
-    const auto key_a = std::make_pair(a.node, a.port);
-    const auto key_b = std::make_pair(b.node, b.port);
-    if (wires_.count(key_a) != 0 || wires_.count(key_b) != 0) {
+    if (wire_at(a) != nullptr || wire_at(b) != nullptr) {
         throw std::logic_error("Network::connect: port already wired");
     }
-    wires_[key_a] = Wire{b, config, common::SimTime::zero()};
-    wires_[key_b] = Wire{a, config, common::SimTime::zero()};
+    plug(a, Wire{b, config, common::SimTime::zero()});
+    plug(b, Wire{a, config, common::SimTime::zero()});
+}
+
+void Network::plug(Endpoint e, const Wire& wire) {
+    if (wires_.size() <= e.node) wires_.resize(std::size_t{e.node} + 1);
+    std::vector<Wire>& ports = wires_[e.node];
+    if (ports.size() <= e.port) ports.resize(std::size_t{e.port} + 1);
+    ports[e.port] = wire;
 }
 
 Network::Wire* Network::wire_at(Endpoint e) {
-    auto it = wires_.find(std::make_pair(e.node, e.port));
-    return it == wires_.end() ? nullptr : &it->second;
+    if (e.node >= wires_.size()) return nullptr;
+    std::vector<Wire>& ports = wires_[e.node];
+    if (e.port >= ports.size() || ports[e.port].peer.node == kInvalidNode) return nullptr;
+    return &ports[e.port];
 }
 
 void Network::transmit(Endpoint from, const wire::EthernetFrame& frame) {

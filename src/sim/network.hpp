@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -120,19 +119,21 @@ public:
 
 private:
     struct Wire {
-        Endpoint peer;
+        Endpoint peer;  // peer.node == kInvalidNode: nothing plugged in
         LinkConfig config;
         common::SimTime next_free;  // when the transmitter may start the next frame
     };
 
+    /// The wire plugged into `e`, or null: two index lookups, no search.
     [[nodiscard]] Wire* wire_at(Endpoint e);
+    void plug(Endpoint e, const Wire& wire);
 
     std::uint64_t seed_;
     EventScheduler scheduler_;
     common::Rng rng_root_;
     common::Rng loss_rng_;
     std::vector<std::unique_ptr<Node>> nodes_;
-    std::map<std::pair<NodeId, PortId>, Wire> wires_;
+    std::vector<std::vector<Wire>> wires_;  // by node, then by port
     std::vector<CaptureTap*> taps_;
     TrafficCounters counters_;
     bool started_ = false;

@@ -37,31 +37,28 @@ Bytes ArpPacket::serialize() const {
     return out;
 }
 
-common::Expected<ArpPacket> ArpPacket::parse(std::span<const std::uint8_t> data) {
-    using R = common::Expected<ArpPacket>;
+const char* ArpPacket::parse_into(std::span<const std::uint8_t> data, ArpPacket& out) {
     ByteReader r{data};
-    ArpPacket p;
-    p.htype = r.u16();
-    p.ptype = r.u16();
-    p.hlen = r.u8();
-    p.plen = r.u8();
+    out.htype = r.u16();
+    out.ptype = r.u16();
+    out.hlen = r.u8();
+    out.plen = r.u8();
     const std::uint16_t op = r.u16();
-    p.sender_mac = r.mac();
-    p.sender_ip = r.ipv4();
-    p.target_mac = r.mac();
-    p.target_ip = r.ipv4();
-    if (!r.ok()) return R::failure("ARP packet truncated");
-    if (p.htype != kHtypeEthernet || p.ptype != kPtypeIpv4) {
-        return R::failure("unsupported ARP hardware/protocol type");
+    out.sender_mac = r.mac();
+    out.sender_ip = r.ipv4();
+    out.target_mac = r.mac();
+    out.target_ip = r.ipv4();
+    if (!r.ok()) return "ARP packet truncated";
+    if (out.htype != kHtypeEthernet || out.ptype != kPtypeIpv4) {
+        return "unsupported ARP hardware/protocol type";
     }
-    if (p.hlen != MacAddress::kSize || p.plen != 4) {
-        return R::failure("unexpected ARP address lengths");
-    }
+    if (out.hlen != MacAddress::kSize || out.plen != 4) return "unexpected ARP address lengths";
     if (op != static_cast<std::uint16_t>(ArpOp::kRequest) &&
         op != static_cast<std::uint16_t>(ArpOp::kReply)) {
-        return R::failure("unknown ARP opcode");
+        return "unknown ARP opcode";
     }
-    p.op = static_cast<ArpOp>(op);
+    out.op = static_cast<ArpOp>(op);
+    out.auth.clear();
     // Optional authentication trailer. Ethernet padding is all zeros and
     // cannot match the magic, so plain frames parse with an empty trailer.
     if (r.remaining() >= 4) {
@@ -69,9 +66,18 @@ common::Expected<ArpPacket> ArpPacket::parse(std::span<const std::uint8_t> data)
         if (peek.u16() == kAuthMagic) {
             r.skip(2);
             const std::uint16_t len = r.u16();
-            p.auth = r.bytes(len);
-            if (!r.ok()) return R::failure("ARP auth trailer truncated");
+            const std::span<const std::uint8_t> trailer = r.take(len);
+            if (!r.ok()) return "ARP auth trailer truncated";
+            out.auth.assign(trailer.begin(), trailer.end());
         }
+    }
+    return nullptr;
+}
+
+common::Expected<ArpPacket> ArpPacket::parse(std::span<const std::uint8_t> data) {
+    ArpPacket p;
+    if (const char* error = parse_into(data, p)) {
+        return common::Expected<ArpPacket>::failure(error);
     }
     return p;
 }

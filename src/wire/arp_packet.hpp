@@ -44,6 +44,11 @@ struct ArpPacket {
 
     [[nodiscard]] Bytes serialize() const;
     static common::Expected<ArpPacket> parse(std::span<const std::uint8_t> data);
+    /// The same parse, into `out` in place (the trailer reuses `out.auth`'s
+    /// capacity): returns null on success, else the error text parse()
+    /// reports (`out` is then unspecified).
+    [[nodiscard]] static const char* parse_into(std::span<const std::uint8_t> data,
+                                                ArpPacket& out);
 
     /// A request asking who-has `ip`, from (mac, self_ip).
     static ArpPacket request(MacAddress mac, Ipv4Address self_ip, Ipv4Address ip);

@@ -114,7 +114,7 @@ common::Expected<DhcpMessage> DhcpMessage::parse(std::span<const std::uint8_t> d
         if (code == kOptEnd) break;
         if (code == 0) continue;  // pad
         const std::uint8_t len = r.u8();
-        const Bytes body = r.bytes(len);
+        const std::span<const std::uint8_t> body = r.take(len);
         if (!r.ok()) return R::failure("DHCP option truncated");
         ByteReader b{body};
         switch (code) {

@@ -26,19 +26,26 @@ Bytes EthernetFrame::serialize() const {
     return out;
 }
 
-common::Expected<EthernetHeader> parse_ethernet_header(std::span<const std::uint8_t> data) {
-    using R = common::Expected<EthernetHeader>;
+const char* parse_ethernet_header_into(std::span<const std::uint8_t> data,
+                                       EthernetHeader& out) {
     ByteReader r{data};
-    EthernetHeader h;
-    h.dst = r.mac();
-    h.src = r.mac();
+    out.dst = r.mac();
+    out.src = r.mac();
     const std::uint16_t type = r.u16();
-    if (!r.ok()) return R::failure("frame shorter than Ethernet header");
+    if (!r.ok()) return "frame shorter than Ethernet header";
     if (type != static_cast<std::uint16_t>(EtherType::kIpv4) &&
         type != static_cast<std::uint16_t>(EtherType::kArp)) {
-        return R::failure("unsupported EtherType");
+        return "unsupported EtherType";
     }
-    h.ether_type = static_cast<EtherType>(type);
+    out.ether_type = static_cast<EtherType>(type);
+    return nullptr;
+}
+
+common::Expected<EthernetHeader> parse_ethernet_header(std::span<const std::uint8_t> data) {
+    EthernetHeader h;
+    if (const char* error = parse_ethernet_header_into(data, h)) {
+        return common::Expected<EthernetHeader>::failure(error);
+    }
     return h;
 }
 

@@ -29,6 +29,12 @@ struct EthernetHeader {
 [[nodiscard]] common::Expected<EthernetHeader> parse_ethernet_header(
     std::span<const std::uint8_t> data);
 
+/// The same parse, into `out` in place: returns null on success, else the
+/// error text parse_ethernet_header() reports (`out` is then unspecified).
+/// FrameView's memo fills this way, with no Expected temporary.
+[[nodiscard]] const char* parse_ethernet_header_into(std::span<const std::uint8_t> data,
+                                                     EthernetHeader& out);
+
 /// Ethernet II frame. The simulator serializes each frame to wire bytes
 /// once, at origin (see wire::FrameBuffer); every receiver then reads the
 /// exact byte stream a libpcap tap would through a shared wire::FrameView.

@@ -30,28 +30,26 @@ void reset_frameview_stats() {
 
 namespace frame_detail {
 
+// Each parse fills the memo in place: no Expected temporary, and a
+// recaptured Rep's ARP trailer and IPv4 payload reuse their capacity. A
+// failed parse leaves its memo unspecified, behind a false *_ok flag.
+
 void parse_header_slow(FrameBuffer::Rep& rep) {
     ++t_hits.parse_miss;
     rep.eth_parsed = true;
-    auto header = parse_ethernet_header(rep.bytes);
-    rep.eth_ok = header.ok();
-    if (rep.eth_ok) rep.header = header.value();
+    rep.eth_ok = parse_ethernet_header_into(rep.bytes, rep.header) == nullptr;
 }
 
 void parse_arp_slow(FrameBuffer::Rep& rep) {
     ++t_hits.arp_miss;
     rep.arp_parsed = true;
-    auto parsed = ArpPacket::parse(payload_span(rep));
-    rep.arp_ok = parsed.ok();
-    if (rep.arp_ok) rep.arp = std::move(parsed).value();
+    rep.arp_ok = ArpPacket::parse_into(payload_span(rep), rep.arp) == nullptr;
 }
 
 void parse_ipv4_slow(FrameBuffer::Rep& rep) {
     ++t_hits.ipv4_miss;
     rep.ipv4_parsed = true;
-    auto parsed = Ipv4Packet::parse(payload_span(rep));
-    rep.ipv4_ok = parsed.ok();
-    if (rep.ipv4_ok) rep.ipv4 = std::move(parsed).value();
+    rep.ipv4_ok = Ipv4Packet::parse_into(payload_span(rep), rep.ipv4) == nullptr;
 }
 
 }  // namespace frame_detail

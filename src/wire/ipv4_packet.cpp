@@ -26,31 +26,36 @@ Bytes Ipv4Packet::serialize() const {
     return out;
 }
 
-common::Expected<Ipv4Packet> Ipv4Packet::parse(std::span<const std::uint8_t> data) {
-    using R = common::Expected<Ipv4Packet>;
-    if (data.size() < kHeaderSize) return R::failure("IPv4 packet shorter than header");
-    if (internet_checksum(data.first(kHeaderSize)) != 0) {
-        return R::failure("IPv4 header checksum mismatch");
-    }
+const char* Ipv4Packet::parse_into(std::span<const std::uint8_t> data, Ipv4Packet& out) {
+    if (data.size() < kHeaderSize) return "IPv4 packet shorter than header";
+    if (internet_checksum(data.first(kHeaderSize)) != 0) return "IPv4 header checksum mismatch";
     ByteReader r{data};
-    Ipv4Packet p;
     const std::uint8_t ver_ihl = r.u8();
-    if (ver_ihl != 0x45) return R::failure("unsupported IPv4 version/IHL");
-    p.tos = r.u8();
+    if (ver_ihl != 0x45) return "unsupported IPv4 version/IHL";
+    out.tos = r.u8();
     const std::uint16_t total_len = r.u16();
-    p.identification = r.u16();
+    out.identification = r.u16();
     const std::uint16_t flags_frag = r.u16();
-    if ((flags_frag & 0x3FFF) != 0) return R::failure("fragmented packets not supported");
-    p.ttl = r.u8();
-    p.protocol = static_cast<IpProto>(r.u8());
+    if ((flags_frag & 0x3FFF) != 0) return "fragmented packets not supported";
+    out.ttl = r.u8();
+    out.protocol = static_cast<IpProto>(r.u8());
     r.u16();  // checksum, already verified
-    p.src = r.ipv4();
-    p.dst = r.ipv4();
+    out.src = r.ipv4();
+    out.dst = r.ipv4();
     if (total_len < kHeaderSize || total_len > data.size()) {
-        return R::failure("IPv4 total length inconsistent with buffer");
+        return "IPv4 total length inconsistent with buffer";
     }
-    p.payload = r.bytes(total_len - kHeaderSize);
-    if (!r.ok()) return R::failure("IPv4 payload truncated");
+    const std::span<const std::uint8_t> payload = r.take(total_len - kHeaderSize);
+    if (!r.ok()) return "IPv4 payload truncated";
+    out.payload.assign(payload.begin(), payload.end());
+    return nullptr;
+}
+
+common::Expected<Ipv4Packet> Ipv4Packet::parse(std::span<const std::uint8_t> data) {
+    Ipv4Packet p;
+    if (const char* error = parse_into(data, p)) {
+        return common::Expected<Ipv4Packet>::failure(error);
+    }
     return p;
 }
 

@@ -33,6 +33,11 @@ struct Ipv4Packet {
 
     /// Parses and verifies the header checksum and total length.
     static common::Expected<Ipv4Packet> parse(std::span<const std::uint8_t> data);
+    /// The same parse, into `out` in place (the payload reuses
+    /// `out.payload`'s capacity): returns null on success, else the error
+    /// text parse() reports (`out` is then unspecified).
+    [[nodiscard]] static const char* parse_into(std::span<const std::uint8_t> data,
+                                                Ipv4Packet& out);
 };
 
 }  // namespace arpsec::wire

@@ -3,9 +3,11 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "common/expected.hpp"
 
@@ -62,9 +64,26 @@ public:
         return v;
     }
 
+    /// One integer compare. The defaulted == compares the octet array
+    /// through a memcmp call, and every frame a monitor scheme reads pays a
+    /// few of them.
+    constexpr bool operator==(const MacAddress& o) const {
+        if (std::is_constant_evaluated()) return octets_ == o.octets_;
+        return bits() == o.bits();
+    }
     constexpr auto operator<=>(const MacAddress&) const = default;
 
 private:
+    /// The six octets as one integer in host byte order: an equality key,
+    /// not an order (to_u64() is the ordered one).
+    [[nodiscard]] std::uint64_t bits() const {
+        std::uint32_t head = 0;
+        std::uint16_t tail = 0;
+        std::memcpy(&head, octets_.data(), sizeof head);
+        std::memcpy(&tail, octets_.data() + sizeof head, sizeof tail);
+        return (std::uint64_t{tail} << 32) | head;
+    }
+
     std::array<std::uint8_t, kSize> octets_{};
 };
 

@@ -19,13 +19,13 @@ Bytes UdpDatagram::serialize() const {
     return out;
 }
 
-common::Expected<UdpDatagram> UdpDatagram::parse(std::span<const std::uint8_t> data) {
-    using R = common::Expected<UdpDatagram>;
+common::Expected<UdpView> UdpDatagram::view(std::span<const std::uint8_t> data) {
+    using R = common::Expected<UdpView>;
     if (data.size() < kHeaderSize) return R::failure("UDP datagram shorter than header");
     ByteReader r{data};
-    UdpDatagram d;
-    d.src_port = r.u16();
-    d.dst_port = r.u16();
+    UdpView v;
+    v.src_port = r.u16();
+    v.dst_port = r.u16();
     const std::uint16_t len = r.u16();
     r.u16();  // checksum
     if (len < kHeaderSize || len > data.size()) {
@@ -36,8 +36,19 @@ common::Expected<UdpDatagram> UdpDatagram::parse(std::span<const std::uint8_t> d
     if (internet_checksum(data.first(len)) != 0) {
         return R::failure("UDP checksum mismatch");
     }
-    d.payload = r.bytes(len - kHeaderSize);
+    v.payload = r.take(len - kHeaderSize);
     if (!r.ok()) return R::failure("UDP payload truncated");
+    return v;
+}
+
+common::Expected<UdpDatagram> UdpDatagram::parse(std::span<const std::uint8_t> data) {
+    using R = common::Expected<UdpDatagram>;
+    const auto v = view(data);
+    if (!v.ok()) return R::failure(v.error());
+    UdpDatagram d;
+    d.src_port = v->src_port;
+    d.dst_port = v->dst_port;
+    d.payload.assign(v->payload.begin(), v->payload.end());
     return d;
 }
 
