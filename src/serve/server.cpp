@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/file.hpp"
+#include "exp/executor.hpp"
 #include "wire/stream_codec.hpp"
 
 namespace arpsec::serve {
@@ -21,6 +22,14 @@ common::Expected<std::unique_ptr<Server>> Server::create(const detect::Registry&
                                                          ServerOptions options) {
     using Result = common::Expected<std::unique_ptr<Server>>;
     if (options.shards == 0) return Result::failure("serve: shards must be >= 1");
+    // Each shard starts a thread, and each ring builds its slots up front.
+    if (options.shards > exp::kMaxJobs) {
+        return Result::failure("serve: shards must be <= " + std::to_string(exp::kMaxJobs));
+    }
+    if (options.ring_capacity > kMaxRingCapacity) {
+        return Result::failure("serve: ring_capacity must be <= " +
+                               std::to_string(kMaxRingCapacity));
+    }
     if (options.schemes.empty()) return Result::failure("serve: no schemes configured");
     // 0 would spin the intake on poll(0); a negative timeout blocks in
     // read(), where request_stop() cannot reach a quiet stream.

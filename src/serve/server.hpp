@@ -25,13 +25,19 @@ inline constexpr const char* kSummarySchema = "arpsec.serve-summary.v2";
 /// Schema of the periodic scorecard JSONL lines.
 inline constexpr const char* kScorecardSchema = "arpsec.serve-scorecard.v1";
 
+/// The largest per-shard ring create() accepts, in frames: 4096 batches,
+/// 256 times the default.
+inline constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 20;
+
 struct ServerOptions {
     /// Scheme names deployed in every shard (each shard owns one
     /// SchemeSession per name).
     std::vector<std::string> schemes{"arpwatch"};
+    /// Shard workers, 1 to exp::kMaxJobs; each starts its own thread.
     std::size_t shards = 1;
-    /// Per-shard intake ring bound in frames, rounded up to whole
-    /// kBatchFrames batches.
+    /// Per-shard intake ring bound in frames, at most kMaxRingCapacity,
+    /// rounded up to whole kBatchFrames batches (each shard builds its ring
+    /// slots up front).
     std::size_t ring_capacity = 4096;
     /// Virtual-time grace window run after a clean END record so delayed
     /// alerts (probe timeouts) land — the same default arpsec-replay uses.
@@ -106,8 +112,9 @@ struct ServeOutcome {
 /// (framing lost) abandons the stream — the daemon itself survives both.
 class Server {
 public:
-    /// Fails when options name an unknown scheme or no scheme, shards == 0,
-    /// or read_timeout_ms <= 0.
+    /// Fails when options name an unknown scheme or no scheme, shards is 0
+    /// or above exp::kMaxJobs, ring_capacity is above kMaxRingCapacity, or
+    /// read_timeout_ms <= 0. It starts no thread and builds no ring.
     [[nodiscard]] static common::Expected<std::unique_ptr<Server>> create(
         const detect::Registry& registry, ServerOptions options);
 

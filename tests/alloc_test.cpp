@@ -1,9 +1,10 @@
-// Allocation guard for the serve hot path. This executable replaces every
-// form of the global operator new and delete with versions that count
-// allocations, then checks that, once warmed up, the per-frame and
-// per-alert steps allocate nothing: the stream decoder polling into one
+// Allocation guard for the serve and replay hot paths. This executable
+// replaces every form of the global operator new and delete with versions
+// that count allocations, then checks that, once warmed up, the per-frame
+// and per-alert steps allocate nothing: the stream decoder polling into one
 // reused record, a batch arena filled and cleared, a recaptured frame
-// parsed, and an alert formatted and encoded into reused buffers.
+// parsed, a monitor scheme's session fed frames that change nothing, and an
+// alert formatted and encoded into reused buffers.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +17,17 @@
 #include <vector>
 
 #include "detect/alert.hpp"
+#include "detect/registry.hpp"
+#include "replay/session.hpp"
 #include "serve/alert_stream.hpp"
 #include "serve/shard.hpp"
 #include "wire/arp_packet.hpp"
+#include "wire/dhcp_message.hpp"
 #include "wire/ethernet.hpp"
 #include "wire/frame.hpp"
+#include "wire/ipv4_packet.hpp"
 #include "wire/stream_codec.hpp"
+#include "wire/udp_datagram.hpp"
 
 namespace {
 
@@ -196,6 +202,94 @@ TEST(AllocGuardTest, RecaptureParsesArpFramesWithoutAllocating) {
     });
     EXPECT_EQ(n, 0u);
     EXPECT_EQ(arp_ok, static_cast<std::uint64_t>(kWarmupRounds + kRounds) * frames.size());
+}
+
+/// Host `h`'s address; its station MAC is MacAddress::local(h).
+wire::Ipv4Address host_ip(std::uint8_t h) { return wire::Ipv4Address{10, 0, 0, h}; }
+
+wire::Bytes ipv4_frame(std::uint8_t from, std::uint8_t to, const wire::Bytes& udp) {
+    wire::Ipv4Packet ip;
+    ip.protocol = wire::IpProto::kUdp;
+    ip.src = host_ip(from);
+    ip.dst = host_ip(to);
+    ip.payload = udp;
+    wire::EthernetFrame f;
+    f.src = wire::MacAddress::local(from);
+    f.dst = wire::MacAddress::local(to);
+    f.ether_type = wire::EtherType::kIpv4;
+    f.payload = ip.serialize();
+    return f.serialize();
+}
+
+/// Unicast UDP from host `from` to host `to`, `size` payload bytes.
+wire::Bytes unicast_frame(std::uint8_t from, std::uint8_t to, std::size_t size) {
+    wire::UdpDatagram udp;
+    udp.src_port = 40000;
+    udp.dst_port = 9;
+    udp.payload = wire::Bytes(size, from);
+    return ipv4_frame(from, to, udp.serialize());
+}
+
+/// The DHCP server (host 254) acknowledging host `h`'s lease on its address.
+wire::Bytes dhcp_ack_frame(std::uint8_t h) {
+    wire::DhcpMessage ack;
+    ack.op = 2;
+    ack.xid = h;
+    ack.yiaddr = host_ip(h);
+    ack.chaddr = wire::MacAddress::local(h);
+    ack.message_type = wire::DhcpMessageType::kAck;
+    ack.lease_seconds = 3600;
+    ack.server_id = host_ip(254);
+    ack.subnet_mask = wire::Ipv4Address{255, 255, 255, 0};
+    ack.router = host_ip(254);
+    wire::UdpDatagram udp;
+    udp.src_port = wire::DhcpMessage::kServerPort;
+    udp.dst_port = wire::DhcpMessage::kClientPort;
+    udp.payload = ack.serialize();
+    return ipv4_frame(254, h, udp.serialize());
+}
+
+TEST(AllocGuardTest, MonitorSessionFeedsKnownTrafficWithoutAllocating) {
+    // Frames that only re-assert what a scheme already knows: ARP from
+    // stations at their own bindings, unicast IPv4 between them, and the
+    // server re-acknowledging each lease. They raise no alert and start no
+    // probe, so feeding them must not touch the heap once warmed up.
+    constexpr std::uint8_t kHosts = 12;
+    replay::SessionOptions options;
+    for (std::uint8_t h = 1; h <= kHosts; ++h) {
+        options.directory.push_back(
+            detect::HostRecord{std::to_string(h), host_ip(h), wire::MacAddress::local(h)});
+    }
+    std::vector<wire::Bytes> frames;
+    for (std::uint8_t h = 1; h <= kHosts; ++h) {
+        frames.push_back(dhcp_ack_frame(h));
+        frames.push_back(arp_frame(h, h % 2 == 0));
+        const auto peer = static_cast<std::uint8_t>(h % kHosts + 1);
+        frames.push_back(unicast_frame(h, peer, 18 + 90u * h));
+    }
+
+    const detect::Registry registry;
+    for (const char* scheme : {"arpwatch", "snort-arpspoof", "active-probe", "lease-monitor"}) {
+        SCOPED_TRACE(scheme);
+        replay::SchemeSession session{registry.make(scheme), options};
+        wire::FrameBuffer capture;
+        common::SimTime at;
+        const auto round = [&] {
+            for (const wire::Bytes& bytes : frames) {
+                at += common::Duration::millis(1);
+                capture.recapture(bytes);
+                const wire::FrameView view{capture};
+                EXPECT_TRUE(session.feed(at, view));
+            }
+        };
+        for (int i = 0; i < kWarmupRounds; ++i) round();
+        const std::uint64_t n = allocations_during([&] {
+            for (int i = 0; i < kRounds; ++i) round();
+        });
+        EXPECT_EQ(n, 0u);
+        EXPECT_EQ(session.alerts().count(), 0u);
+        EXPECT_EQ(session.frames(), (kWarmupRounds + kRounds) * frames.size());
+    }
 }
 
 TEST(AllocGuardTest, AlertLineAndRecordIntoReusedBuffers) {

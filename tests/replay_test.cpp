@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "detect/lease_monitor.hpp"
 #include "detect/registry.hpp"
 #include "replay/engine.hpp"
+#include "replay/score.hpp"
 #include "replay/session.hpp"
 #include "replay/source.hpp"
 #include "replay/trace.hpp"
@@ -34,6 +37,8 @@ LabeledTrace load_small(std::size_t jobs = 1) {
     EXPECT_TRUE(trace.ok()) << trace.error();
     return trace.value();
 }
+
+common::SimTime ms(std::int64_t n) { return common::SimTime{} + common::Duration::millis(n); }
 
 void write_text(const std::string& path, const std::string& text) {
     std::ofstream out{path};
@@ -291,6 +296,125 @@ TEST(PcapFileSourceTest, RefusesNonEthernetCapture) {
 }
 
 // ---------------------------------------------------------------------------
+// Scoring
+// ---------------------------------------------------------------------------
+
+/// match_alerts before the merge walk: sort both sides, then one
+/// lower_bound per alert and per attack. The reference the walk must match.
+MatchCounts sort_and_search_match(std::vector<common::SimTime> attack_times,
+                                  const std::vector<detect::Alert>& alerts,
+                                  common::Duration window) {
+    using common::SimTime;
+    std::sort(attack_times.begin(), attack_times.end());
+    MatchCounts counts;
+    for (const detect::Alert& a : alerts) {
+        const auto it = std::lower_bound(attack_times.begin(), attack_times.end(),
+                                         SimTime{a.at.nanos() - window.count()});
+        if (it != attack_times.end() && *it <= a.at) {
+            ++counts.true_positive_alerts;
+        } else {
+            ++counts.false_positive_alerts;
+        }
+    }
+    std::vector<SimTime> alert_times;
+    for (const detect::Alert& a : alerts) alert_times.push_back(a.at);
+    std::sort(alert_times.begin(), alert_times.end());
+    for (const SimTime at : attack_times) {
+        const auto it = std::lower_bound(alert_times.begin(), alert_times.end(), at);
+        if (it != alert_times.end() && *it <= at + window) ++counts.detected_attacks;
+    }
+    return counts;
+}
+
+std::vector<detect::Alert> alerts_at(const std::vector<common::SimTime>& times) {
+    std::vector<detect::Alert> alerts(times.size());
+    for (std::size_t i = 0; i < times.size(); ++i) alerts[i].at = times[i];
+    return alerts;
+}
+
+/// match_alerts and the reference agree on (attacks, alert times), each
+/// side given sorted and shuffled.
+void expect_walk_matches_reference(std::vector<common::SimTime> attacks,
+                                   std::vector<common::SimTime> alert_times,
+                                   common::Duration window, std::mt19937_64& rng) {
+    for (const bool shuffle_attacks : {false, true}) {
+        for (const bool shuffle_alerts : {false, true}) {
+            std::sort(attacks.begin(), attacks.end());
+            std::sort(alert_times.begin(), alert_times.end());
+            if (shuffle_attacks) std::shuffle(attacks.begin(), attacks.end(), rng);
+            if (shuffle_alerts) std::shuffle(alert_times.begin(), alert_times.end(), rng);
+            const std::vector<detect::Alert> alerts = alerts_at(alert_times);
+            const MatchCounts want = sort_and_search_match(attacks, alerts, window);
+            const MatchCounts got = match_alerts(attacks, alerts, window);
+            ASSERT_EQ(got.true_positive_alerts, want.true_positive_alerts)
+                << attacks.size() << " attacks, " << alerts.size() << " alerts";
+            ASSERT_EQ(got.false_positive_alerts, want.false_positive_alerts);
+            ASSERT_EQ(got.detected_attacks, want.detected_attacks);
+        }
+    }
+}
+
+TEST(MatchAlertsTest, WindowEdgesAndEmptySides) {
+    using common::Duration;
+    const Duration window = Duration::millis(10);
+    std::mt19937_64 rng{1};
+    const auto check = [&](const std::vector<common::SimTime>& attacks,
+                           const std::vector<common::SimTime>& alerts, std::size_t tp,
+                           std::size_t detected) {
+        const MatchCounts got = match_alerts(attacks, alerts_at(alerts), window);
+        EXPECT_EQ(got.true_positive_alerts, tp);
+        EXPECT_EQ(got.false_positive_alerts, alerts.size() - tp);
+        EXPECT_EQ(got.detected_attacks, detected);
+        expect_walk_matches_reference(attacks, alerts, window, rng);
+    };
+    check({}, {}, 0, 0);
+    check({}, {ms(5), ms(5)}, 0, 0);
+    check({ms(5), ms(5)}, {}, 0, 0);
+    check({ms(5)}, {ms(15)}, 1, 1);                          // exactly `window` after
+    check({ms(5)}, {ms(15) + Duration::nanos(1)}, 0, 0);     // one tick past it
+    check({ms(5)}, {ms(5)}, 1, 1);                           // at the alert's own time
+    check({ms(5) + Duration::nanos(1)}, {ms(5)}, 0, 0);      // just after the alert
+    check({ms(5), ms(5), ms(30)}, {ms(5), ms(5), ms(12)}, 3, 2);
+}
+
+TEST(MatchAlertsTest, MergeWalkAgreesWithSortAndSearchOnRandomInputs) {
+    using common::Duration;
+    using common::SimTime;
+    std::mt19937_64 rng{20261021};
+    std::size_t at_window_edge = 0;  // an alert exactly `window` after an attack
+    std::size_t at_same_time = 0;    // an attack at an alert's own time
+    std::size_t empty_side = 0;
+    for (int round = 0; round < 2000; ++round) {
+        // Coarse ticks make equal timestamps and exact window edges common;
+        // every fourth round uses nanosecond ticks instead.
+        const std::int64_t tick = round % 4 == 3 ? 1 : 1'000'000;
+        const Duration window = Duration::nanos(tick * static_cast<std::int64_t>(rng() % 12));
+        const auto draw = [&](std::size_t max_count) {
+            std::vector<SimTime> times(rng() % (max_count + 1));
+            for (SimTime& t : times) {
+                t = SimTime{tick * static_cast<std::int64_t>(rng() % 80)};
+            }
+            return times;
+        };
+        const std::vector<SimTime> attacks = draw(30);
+        const std::vector<SimTime> alerts = draw(30);
+        if (attacks.empty() || alerts.empty()) ++empty_side;
+        for (const SimTime alert : alerts) {
+            for (const SimTime attack : attacks) {
+                if (alert == attack + window) ++at_window_edge;
+                if (alert == attack) ++at_same_time;
+            }
+        }
+        SCOPED_TRACE("round " + std::to_string(round));
+        expect_walk_matches_reference(attacks, alerts, window, rng);
+        if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(at_window_edge, 0u);
+    EXPECT_GT(at_same_time, 0u);
+    EXPECT_GT(empty_side, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
@@ -428,8 +552,6 @@ wire::Bytes announce(wire::MacAddress mac, wire::Ipv4Address ip) {
 wire::FrameView view_of(const wire::Bytes& bytes) {
     return wire::FrameView{wire::FrameBuffer::capture(std::span<const std::uint8_t>(bytes))};
 }
-
-common::SimTime ms(std::int64_t n) { return common::SimTime{} + common::Duration::millis(n); }
 
 // `state` after a dump/parse round trip: the shape it takes inside a
 // serve snapshot file.
@@ -633,6 +755,58 @@ TEST(EngineTest, RunAllIsIdenticalForAnyJobsValue) {
             EXPECT_EQ(alert_lines(fanned[i].value.alert_list), lone[i]) << schemes[i];
         }
     }
+}
+
+TEST(SchemeSessionTest, DeferredClockEndsWhereAPerFrameClockDoes) {
+    // A session whose scheme observes nothing only counts what it is fed
+    // and runs its clock in finish(). Its twin here has the clock advanced
+    // to every frame before the feed, as a session with an observer does:
+    // every scheme must end in the same state either way.
+    LabeledTrace trace = load_small();
+    const std::size_t mid = trace.frames.size() / 2;
+    trace.frames.insert(trace.frames.begin() + static_cast<std::ptrdiff_t>(mid),
+                        TraceFrame{trace.frames[mid].at, wire::Bytes{0x01, 0x02, 0x03}, false});
+    const detect::Registry registry;
+    SessionOptions session_options;
+    session_options.seed = trace.seed == 0 ? 1 : trace.seed;
+    session_options.directory = trace.directory;
+
+    std::size_t with_events = 0;
+    for (const auto& entry : registry.entries()) {
+        SCOPED_TRACE(entry.name);
+        SchemeSession fed{registry.make(entry.name), session_options};
+        SchemeSession clocked{registry.make(entry.name), session_options};
+        for (const TraceFrame& f : trace.frames) {
+            const wire::FrameView view = view_of(f.bytes);
+            const bool delivered = fed.feed(f.at, view);
+            clocked.advance_to(f.at);
+            EXPECT_EQ(clocked.feed(f.at, view), delivered);
+            ASSERT_EQ(fed.now(), clocked.now());
+        }
+        EXPECT_EQ(fed.frames(), trace.frames.size());
+        EXPECT_EQ(clocked.frames(), trace.frames.size());
+        EXPECT_EQ(fed.malformed(), 1u);
+        EXPECT_EQ(clocked.malformed(), 1u);
+
+        for (SchemeSession* session : {&fed, &clocked}) {
+            session->finish(EngineOptions{}.grace);
+            session->alerts().export_metrics(session->metrics());
+        }
+        EXPECT_EQ(fed.now(), clocked.now());
+        EXPECT_EQ(alert_lines(fed.alerts().alerts()), alert_lines(clocked.alerts().alerts()));
+        const telemetry::Json metrics = fed.metrics().snapshot_json();
+        EXPECT_EQ(metrics.dump(2), clocked.metrics().snapshot_json().dump(2));
+
+        // The comparison covers the scheduler's own metrics.
+        const telemetry::Json* executed =
+            metrics.find("counters")->find("sim.sched.events_executed");
+        ASSERT_NE(executed, nullptr);
+        const telemetry::Json* depth = metrics.find("gauges")->find("sim.sched.queue_depth");
+        ASSERT_NE(depth, nullptr);
+        ASSERT_NE(depth->find("high_water"), nullptr);
+        if (executed->as_int() > 0) ++with_events;
+    }
+    EXPECT_GT(with_events, 0u) << "no session fired an event; the check is vacuous";
 }
 
 TEST(EngineTest, ArtifactCarriesSchemaAndScores) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -240,6 +241,50 @@ TEST(ServeCreateTest, RejectsANonPositiveReadTimeout) {
     EXPECT_TRUE(Server::create(registry, opts).ok());
 }
 
+/// Threads of this process, from /proc/self/task.
+std::size_t thread_count() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator{"/proc/self/task"}) {
+        ++n;
+    }
+    return n;
+}
+
+TEST(ServeCreateTest, RefusesShardAndRingCountsPastTheirBounds) {
+    // Each shard starts a thread and each ring builds its slots up front,
+    // so create() refuses both counts past their bounds. It builds neither:
+    // these rows start no thread and allocate no ring whatever the value.
+    const detect::Registry registry;
+    const std::size_t huge = std::numeric_limits<std::size_t>::max();
+    for (const std::size_t shards : {exp::kMaxJobs + 1, huge}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        ServerOptions opts;
+        opts.shards = shards;
+        const auto server = Server::create(registry, opts);
+        ASSERT_FALSE(server.ok());
+        EXPECT_EQ(server.error(), "serve: shards must be <= 256");
+    }
+    for (const std::size_t ring : {kMaxRingCapacity + 1, huge}) {
+        SCOPED_TRACE("ring_capacity=" + std::to_string(ring));
+        ServerOptions opts;
+        opts.ring_capacity = ring;
+        const auto server = Server::create(registry, opts);
+        ASSERT_FALSE(server.ok());
+        EXPECT_EQ(server.error(), "serve: ring_capacity must be <= 1048576");
+    }
+
+    // Both bounds themselves are accepted, still without a thread: the
+    // shards and their rings are built once a stream says HELLO.
+    const std::size_t threads = thread_count();
+    ServerOptions opts;
+    opts.shards = exp::kMaxJobs;
+    opts.ring_capacity = kMaxRingCapacity;
+    const auto server = Server::create(registry, opts);
+    ASSERT_TRUE(server.ok()) << server.error();
+    EXPECT_EQ(thread_count(), threads);
+}
+
 TEST(ServeCreateTest, GraceDefaultMatchesReplayEngine) {
     EXPECT_EQ(ServerOptions{}.grace, replay::EngineOptions{}.grace);
 }
@@ -344,6 +389,44 @@ TEST(ServeShardTest, BindingKeyFollowsTheClaimedAddress) {
     odd[13] = 0xDD;
     EXPECT_FALSE(wire::binding_key(odd).has_value());
     EXPECT_FALSE(wire::binding_key(std::span<const std::uint8_t>{odd.data(), 13}).has_value());
+}
+
+TEST(ServeShardTest, FrozenStopCatchesEachSessionUpToItsLastFrame) {
+    // A stop without grace reads alerts and snapshots at the last frame fed.
+    // A session that observes nothing (s-arp here, whose key server
+    // transmits at start) leaves its clock behind while it counts frames,
+    // so the stop runs it up to that frame: every session then ends where
+    // one whose clock was advanced to each frame does.
+    const auto trace = small_trace();
+    const detect::Registry registry;
+    replay::SessionOptions session_options;
+    session_options.seed = trace.seed == 0 ? 1 : trace.seed;
+    session_options.directory = trace.directory;
+    const std::vector<std::string> schemes{"arpwatch", "s-arp", "active-probe"};
+    Shard shard{0, registry, schemes, session_options, Shard::Options{}};
+    const common::Stopwatch clock;
+    telemetry::Gauge depth;
+    shard.start(&clock, &depth);
+    for (const auto& frame : trace.frames) shard.add(frame.at, frame.bytes);
+    shard.finish_input(false, replay::kDefaultGrace);
+    shard.join();
+    ASSERT_EQ(shard.frames(), trace.frames.size());
+
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
+        SCOPED_TRACE(schemes[s]);
+        replay::SchemeSession clocked{registry.make(schemes[s]), session_options};
+        for (const auto& frame : trace.frames) {
+            clocked.advance_to(frame.at);
+            clocked.feed(frame.at, wire::FrameView{wire::FrameBuffer::capture(
+                                       std::span<const std::uint8_t>(frame.bytes))});
+        }
+        replay::SchemeSession& frozen = shard.session(s);
+        EXPECT_EQ(frozen.now(), clocked.now());
+        EXPECT_EQ(frozen.alerts().count(), clocked.alerts().count());
+        const telemetry::Json metrics = frozen.metrics().snapshot_json();
+        EXPECT_EQ(metrics.dump(2), clocked.metrics().snapshot_json().dump(2));
+        EXPECT_GT(metrics.find("counters")->find("sim.sched.events_executed")->as_int(), 0);
+    }
 }
 
 TEST(ServeShardTest, LeaseAndItsClaimsShareAShard) {
@@ -994,9 +1077,13 @@ TEST(ServeSnapshotTest, RestoreResumesExactlyWhereTheStreamFroze) {
     const std::size_t half = trace.frames.size() / 2;
     const std::string snap_path = ::testing::TempDir() + "/arpsec_serve_snap.json";
     const detect::Registry registry;
+    // s-arp observes nothing at this vantage, but its key server transmits
+    // at start: a stop must still catch its clock up to the frames fed.
+    std::vector<std::string> schemes = kMonitorSchemes;
+    schemes.push_back("s-arp");
 
     std::vector<detect::Alert> offline_all;
-    for (const std::string& scheme : kMonitorSchemes) {
+    for (const std::string& scheme : schemes) {
         const auto alerts = offline_alerts(trace, scheme);
         offline_all.insert(offline_all.end(), alerts.begin(), alerts.end());
     }
@@ -1006,7 +1093,7 @@ TEST(ServeSnapshotTest, RestoreResumesExactlyWhereTheStreamFroze) {
     for (const std::size_t shards : {1, 2, 4}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
         ServerOptions opts;
-        opts.schemes = kMonitorSchemes;
+        opts.schemes = schemes;
         opts.shards = shards;
 
         // Leg 1: first half, no END, client hangs up — state freezes with no
@@ -1038,7 +1125,7 @@ TEST(ServeSnapshotTest, RestoreResumesExactlyWhereTheStreamFroze) {
         const auto parsed = telemetry::Json::parse(text.str());
         ASSERT_TRUE(parsed.has_value());
         ASSERT_FALSE(leg1.value().alerts.empty()) << "leg 1 raised no alerts; check is vacuous";
-        for (const std::string& scheme : kMonitorSchemes) {
+        for (const std::string& scheme : schemes) {
             std::int64_t counted = 0;
             for (const telemetry::Json& state : parsed->find("shard_states")->as_array()) {
                 for (const telemetry::Json& row : state.find("sessions")->as_array()) {

@@ -23,6 +23,7 @@
 #include "common/file.hpp"
 #include "common/version.hpp"
 #include "detect/registry.hpp"
+#include "exp/executor.hpp"
 #include "serve/alert_stream.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
@@ -42,10 +43,11 @@ int usage(const char* argv0, const std::string& error = {}) {
         "  --tcp PORT            listen on 127.0.0.1:PORT, 0-65535 (0 = kernel-\n"
         "                        assigned; the chosen address is printed on stdout)\n"
         "  --schemes LIST        schemes deployed per shard (default arpwatch)\n"
-        "  --shards N            detector workers, >= 1 (default 1)\n"
+        "  --shards N            detector workers, 1-256 (default 1)\n"
         "  --ring N              per-shard intake ring capacity in frames,\n"
-        "                        rounded up to whole 256-frame batches\n"
-        "                        (default 4096); a full ring blocks the intake\n"
+        "                        0-1048576, rounded up to whole 256-frame\n"
+        "                        batches (default 4096); a full ring blocks the\n"
+        "                        intake\n"
         "  --grace-ms MS         virtual time after a clean END, >= 0 (default 2000)\n"
         "  --read-timeout-ms MS  per-read poll interval, > 0 (default 100; also\n"
         "                        how often SIGTERM is noticed)\n"
@@ -93,9 +95,9 @@ int main(int argc, char** argv) {
         } else if (args.is("--schemes")) {
             args.list(options.schemes);
         } else if (args.is("--shards")) {
-            args.number(options.shards);
+            args.number(options.shards, 1, arpsec::exp::kMaxJobs);
         } else if (args.is("--ring")) {
-            args.number(options.ring_capacity);
+            args.number(options.ring_capacity, 0, arpsec::serve::kMaxRingCapacity);
         } else if (args.is("--grace-ms")) {
             args.millis(options.grace);
         } else if (args.is("--read-timeout-ms")) {

@@ -7,7 +7,9 @@
 #       (/dev/full takes the open and fails the flush).
 # arpsec-lint has no numeric flag, so its (a) is an unknown flag;
 # arpsec-loadgen writes no file, so it has no (c). Thread-count flags get
-# junk text only, never a negative or huge count.
+# junk text, never a negative or huge count; the one count is arpsec-served
+# --shards 257, one past its bound, which the reader refuses before any
+# shard exists.
 #
 # Expects -DSIM_TOOL, -DCHECK_TOOL, -DTRACE_TOOL, -DREPLAY_TOOL,
 # -DSERVED_TOOL, -DLOADGEN_TOOL, -DLINT_TOOL, -DSWEEP_BENCH, -DWORK_DIR and
@@ -96,6 +98,10 @@ write_fails(/dev/full ${REPLAY_TOOL} --pcap ${PCAP} --alerts /dev/full)
 set(SOCK ${W}/served.sock)
 refused("bad value 'abc' for --shards" ${W}/summary.json
         ${SERVED_TOOL} --unix ${SOCK} --shards abc --summary ${W}/summary.json)
+refused("bad value '257' for --shards" ${W}/summary.json
+        ${SERVED_TOOL} --unix ${SOCK} --shards 257 --summary ${W}/summary.json)
+refused("bad value '1048577' for --ring" ${W}/summary.json
+        ${SERVED_TOOL} --unix ${SOCK} --ring 1048577 --summary ${W}/summary.json)
 refused("missing value for --conns" ${W}/summary.json
         ${SERVED_TOOL} --unix ${SOCK} --summary ${W}/summary.json --conns)
 if(BASH)
